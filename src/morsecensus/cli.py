@@ -33,29 +33,12 @@ def _cache_path(args) -> str | None:
     return os.environ.get(CACHE_ENV_VAR) or None
 
 
-def _obtain_table(weight_bound: int, cache: str | None) -> recurrence.CensusTable:
-    """Load-or-extend the table; an unwritable cache degrades to a warning."""
-    cached = None
-    if cache and os.path.exists(cache):
-        cached = recurrence.load_table(cache)
-        if cached.weight_bound >= weight_bound:
-            return cached
-    table = recurrence.extend_table(cached, weight_bound)
-    if cache:
-        try:
-            recurrence.save_table(table, cache)
-        except (OSError, recurrence.CacheLockError) as exc:
-            print(f"warning: cache not written ({exc}); continuing compute-only",
-                  file=sys.stderr)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # census
 
 
 def _cmd_census(args) -> int:
-    table = _obtain_table(2 * args.max_n, _cache_path(args))
+    table = recurrence.build_table(2 * args.max_n, _cache_path(args))
     rows = [(n, table.normalized_count(n), table.morse_count(n))
             for n in range(args.max_n + 1)]
     if args.format == "json":
@@ -77,7 +60,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_table(args) -> int:
     points = args.points
-    table = _obtain_table(2 * max(points), _cache_path(args))
+    table = recurrence.build_table(2 * max(points), _cache_path(args))
     rows = [analysis.asymptotic_row(table, n, args.precision) for n in points]
     if args.format == "json":
         sys.stdout.write(analysis.rows_to_json(rows))
@@ -125,7 +108,7 @@ def _verify_tan(max_k: int) -> int:
 
 
 def _verify_pde(order: int, cache: str | None) -> int:
-    table = _obtain_table(max(order - 1, 0), cache)
+    table = recurrence.build_table(max(order - 1, 0), cache)
     residual = series.pde_residual(series.bivariate_generating_series(table, order))
     if not residual.is_zero():
         first = residual.lines()[0]
@@ -137,7 +120,7 @@ def _verify_pde(order: int, cache: str | None) -> int:
 
 
 def _verify_bounds(max_n: int, cache: str | None) -> int:
-    table = _obtain_table(2 * max_n, cache)
+    table = recurrence.build_table(2 * max_n, cache)
     ode = series.scaled_tangent_series(max_n)
     for n in range(max_n + 1):
         h = table.normalized_count(n)
@@ -155,7 +138,7 @@ def _verify_bounds(max_n: int, cache: str | None) -> int:
 
 
 def _verify_conjecture(max_n: int, cache: str | None) -> int:
-    table = _obtain_table(2 * max_n, cache)
+    table = recurrence.build_table(2 * max_n, cache)
     for n in range(1, max_n + 1):
         if not analysis.check_conjecture(n, table):
             print(f"FAIL g < (2n+1)! at n={n}: h={format_rational(table.normalized_count(n))}")
@@ -165,7 +148,7 @@ def _verify_conjecture(max_n: int, cache: str | None) -> int:
 
 
 def _verify_elliptic(cache: str | None) -> int:
-    table = _obtain_table(100, cache)
+    table = recurrence.build_table(100, cache)
     for target in ELLIPTIC_POINTS:
         theta = analysis.series_argument(target, tol=1e-12)
         recovered = analysis.series_value(table, theta, terms=50)
@@ -191,7 +174,7 @@ def _cmd_oracle(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     enumerated = trees.enumerate_morse_trees(args.n)
-    table = _obtain_table(2 * args.n, _cache_path(args))
+    table = recurrence.build_table(2 * args.n, _cache_path(args))
     recurrence_count = table.morse_count(args.n)
     pairs = {trees.encode(t) for t in enumerated}
     injective = len(pairs) == len(enumerated)

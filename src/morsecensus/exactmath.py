@@ -20,7 +20,6 @@ __all__ = [
     "catalan",
     "bernoulli",
     "log_rational",
-    "log_integer",
     "format_rational",
     "parse_rational",
 ]
@@ -77,14 +76,6 @@ def bernoulli(m: int) -> Fraction:
         s += Fraction(n + 1) * Fraction(-1, 2)
         cache.append(-s / (n + 1))
     return cache[half]
-
-
-def log_integer(n: int, precision: int = 128) -> mpmath.mpf:
-    """Natural log of a positive integer, accurate to `precision` bits."""
-    if n <= 0:
-        raise ValueError("log_integer requires n > 0")
-    with mpmath.workprec(precision + GUARD_BITS):
-        return mpmath.log(mpmath.mpf(n))
 
 
 def log_rational(q: Fraction, precision: int = 128) -> mpmath.mpf:

@@ -11,7 +11,6 @@ The acceptance suite runs at one of two scales:
 from __future__ import annotations
 
 import os
-import re
 
 import pytest
 
@@ -27,10 +26,8 @@ def _cache_path() -> str | None:
 
 def _cached_weight(path: str) -> int:
     try:
-        with open(path) as fh:
-            m = re.match(r"^morse-htable v1 W=(\d+)$", fh.readline().rstrip("\n"))
-            return int(m.group(1)) if m else -1
-    except OSError:
+        return recurrence.load_table(path).weight_bound
+    except (OSError, recurrence.CacheFormatError):
         return -1
 
 

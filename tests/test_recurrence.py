@@ -6,12 +6,20 @@ import pytest
 from morsecensus.recurrence import (
     CacheFormatError,
     CacheLockError,
-    CensusTable,
     TableRangeError,
     build_table,
     extend_table,
     load_table,
     save_table,
+)
+
+
+V1_GOLDEN = (
+    "morse-htable v1 W=2\n"
+    "0 0 1\n"
+    "1 0 1/2\n"
+    "0 1 1/3\n"
+    "2 0 1/4\n"
 )
 
 
@@ -74,8 +82,15 @@ class TestDeterminismAndModes:
 
     def test_fast_fill_matches_fraction_reference(self):
         fast = build_table(16)
-        reference = build_table(16, use_fractions=True)
+        reference = extend_table(None, 16, use_fractions=True)
         assert fast == reference
+
+    def test_fill_matches_fraction_oracle_at_weight_40(self, tmp_path):
+        reference = extend_table(None, 40, use_fractions=True)
+        assert build_table(40) == reference
+        path = tmp_path / "t.txt"
+        save_table(build_table(10), path)
+        assert extend_table(load_table(path), 40) == reference
 
     def test_extension_agrees_on_smaller_triangle(self):
         small = build_table(10)
@@ -98,12 +113,25 @@ class TestCache:
         path = tmp_path / "t.txt"
         save_table(build_table(2), path)
         assert path.read_text() == (
-            "morse-htable v1 W=2\n"
-            "0 0 1\n"
-            "1 0 1/2\n"
-            "0 1 1/3\n"
-            "2 0 1/4\n"
+            "morse-htable v2 W=2 sha256="
+            "9df6420db87f5b2db58cac8225bbaa83ec881cdde7eca534556f7ddacebe5351\n"
+            "1\n"
+            "2\n"
+            "6 4\n"
         )
+
+    def test_v1_golden_file_still_loads(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text(V1_GOLDEN)
+        assert load_table(path) == build_table(2)
+
+    def test_v1_entry_that_does_not_scale_names_line(self, tmp_path):
+        # S'(0,1) = 2 * 3! * T(0,1) must be an integer; 1/5 gives 12/5
+        path = tmp_path / "t.txt"
+        path.write_text(V1_GOLDEN.replace("0 1 1/3", "0 1 1/5"))
+        with pytest.raises(CacheFormatError) as err:
+            load_table(path)
+        assert err.value.line_no == 4
 
     def test_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -130,7 +158,7 @@ class TestCache:
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "t.txt"
-        path.write_text("morse-htable v2 W=3\n")
+        path.write_text("morse-htable v9 W=3\n")
         with pytest.raises(CacheFormatError) as err:
             load_table(path)
         assert err.value.line_no == 1
@@ -154,6 +182,16 @@ class TestCache:
         with pytest.raises(CacheFormatError):
             load_table(path)
 
+    def test_changed_digit_rejected(self, tmp_path):
+        path = tmp_path / "t.txt"
+        save_table(build_table(6), path)
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].replace("7", "8", 1)
+        assert len(lines[-1].split()) == 4
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheFormatError, match="sha256"):
+            load_table(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
         save_table(build_table(4), path)
@@ -172,15 +210,3 @@ class TestCache:
         path = tmp_path / "t.txt"
         save_table(build_table(2), path)
         save_table(build_table(2), path)  # would raise if the lock leaked
-
-
-class TestScaledModeFallback:
-    def test_seed_that_breaks_scaling_falls_back_to_fractions(self):
-        # a seeded entry violating the scaled-integer pattern must not
-        # crash the build; the fill silently degrades to Fractions
-        seed = CensusTable(0, {(0, 0): Fraction(1, 7)})
-        extended = extend_table(seed, 2)
-        assert extended.entry(0, 0) == Fraction(1, 7)
-        assert extended.entry(1, 0) == Fraction(1, 2)  # base row is unconditional
-        # weight-2 entry really consumed the seeded value
-        assert extended.entry(0, 1) == (Fraction(1, 2) + Fraction(1, 2) / 49) / 3
