@@ -7,52 +7,5 @@ the tangent/ODE lower bound, the Catalan upper bound, the generating
 function PDE, the elliptic-integral inversion, and the refined Stirling
 asymptotics.
 """
-from .analysis import (
-    AsymptoticRow,
-    asymptotic_row,
-    bernoulli_growth_ratio,
-    check_conjecture,
-    check_lower_bound,
-    check_upper_bound,
-    estimate_linear_term,
-    fit_residual_model,
-    growth_ratio,
-    series_argument,
-    series_value,
-)
-from .exactmath import bernoulli, catalan, factorial, log_rational
-from .recurrence import (
-    CacheFormatError,
-    CacheLockError,
-    CensusTable,
-    ConsistencyError,
-    TableRangeError,
-    build_table,
-    extend_table,
-    load_table,
-    save_table,
-)
-from .series import (
-    Series1,
-    Series2,
-    bivariate_generating_series,
-    generating_series,
-    ode_comparison_series,
-    pde_residual,
-    scaled_tangent_series,
-    tangent_series_bernoulli,
-)
-from .trees import (
-    EncodedPair,
-    MorseTree,
-    NotInImageError,
-    Ptpt,
-    decode,
-    encode,
-    enumerate_morse_trees,
-    enumerate_ptpt,
-    is_morse_tree,
-    walk_labels,
-)
 
 __version__ = "0.1.0"

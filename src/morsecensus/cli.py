@@ -194,8 +194,8 @@ def _read_text(path: str) -> str:
 
 
 def _cmd_encode(args) -> int:
-    text = _read_text(args.path)
     try:
+        text = _read_text(args.path)  # UnicodeDecodeError is a ValueError
         tree = trees.tree_from_text(text)
         pair = trees.encode(tree)
     except ValueError as exc:
@@ -206,8 +206,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    text = _read_text(args.path)
     try:
+        text = _read_text(args.path)
         pair = trees.pair_from_text(text)
         tree = trees.decode(pair)
     except trees.NotInImageError as exc:

@@ -27,6 +27,10 @@ Decoding replays the walk and re-labels the shape, so decode(encode(t))
 is the identity; pairs outside the image decode to an invalid labeled
 tree and are rejected.
 
+Every walk over a tree or a shape (encoding, decoding, walk numbering and
+both directions of the parenthesis text) runs on an explicit stack or
+queue, so no depth limit applies: a comb of any index round-trips.
+
 Brute-force enumeration of Morse trees runs over degree-constrained
 Pruefer sequences: a vertex of degree d appears d-1 times, so the valid
 strings are exactly those in which some n labels appear twice each.
@@ -92,11 +96,11 @@ class Ptpt:
 
     @property
     def n(self) -> int:
-        return (_shape_size(self.stem) - 1) // 2
+        return (len(_walk(self.stem)) - 1) // 2
 
     @property
     def vertex_count(self) -> int:
-        return _shape_size(self.stem) + 1  # stem plus the planted root
+        return len(_walk(self.stem)) + 1  # stem plus the planted root
 
 
 @dataclass(frozen=True)
@@ -108,12 +112,6 @@ class EncodedPair:
 
     ptpt: Ptpt
     perm: tuple[int, ...]
-
-
-def _shape_size(shape: tuple) -> int:
-    if not shape:
-        return 1
-    return 1 + _shape_size(shape[0]) + _shape_size(shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +243,25 @@ def _full_binary_shapes(internal: int) -> list[tuple]:
 # the injection
 
 
+def _walk(stem: tuple) -> list[tuple[int, int]]:
+    """(parent walk number, side) for walk numbers 1..2n+1, in walk order.
+
+    Entry i-1 belongs to walk number i; the planted root is walk number 0
+    and the stem vertex its side-0 child.  Sides are 0 for the first
+    child and 1 for the second.
+    """
+    walk: list[tuple[int, int]] = []
+    stack = [(stem, 0, 0)]
+    while stack:
+        shape, parent, side = stack.pop()
+        walk.append((parent, side))
+        if shape:
+            number = len(walk)
+            stack.append((shape[1], number, 1))
+            stack.append((shape[0], number, 0))
+    return walk
+
+
 def walk_labels(p: Ptpt) -> dict[tuple[int, ...], int]:
     """Walk numbers 1..2n+1 for the stem vertices, keyed by path from the stem.
 
@@ -252,17 +269,10 @@ def walk_labels(p: Ptpt) -> dict[tuple[int, ...], int]:
     first-child-first preorder, which is what this returns.  Paths are
     tuples of 0/1 child choices; () is the stem vertex under the root.
     """
-    labels: dict[tuple[int, ...], int] = {}
-    counter = itertools.count(1)
-
-    def visit(shape: tuple, path: tuple[int, ...]) -> None:
-        labels[path] = next(counter)
-        if shape:
-            visit(shape[0], path + (0,))
-            visit(shape[1], path + (1,))
-
-    visit(p.stem, ())
-    return labels
+    paths: list[tuple[int, ...]] = [(), ()]  # the planted root, then the stem
+    for parent, side in _walk(p.stem)[1:]:
+        paths.append(paths[parent] + (side,))
+    return {path: number for number, path in enumerate(paths[1:], 1)}
 
 
 def encode(tree: MorseTree) -> EncodedPair:
@@ -270,30 +280,27 @@ def encode(tree: MorseTree) -> EncodedPair:
     if not is_morse_tree(tree):
         raise ValueError("encode requires a valid Morse tree")
     adj = tree.adjacency()
-
-    def subtree_min(v: int, parent: int) -> int:
-        return min([v] + [subtree_min(w, v) for w in adj[v] if w != parent])
-
-    def build(v: int, parent: int):
-        children = [w for w in adj[v] if w != parent]
-        if not children:
-            return (), {(): v}
-        first, second = sorted(children, key=lambda w: subtree_min(w, v))
-        left, left_vertices = build(first, v)
-        right, right_vertices = build(second, v)
-        vertices = {(): v}
-        vertices.update({(0,) + path: w for path, w in left_vertices.items()})
-        vertices.update({(1,) + path: w for path, w in right_vertices.items()})
-        return (left, right), vertices
-
-    stem_root = adj[0][0]
-    stem, vertex_at = build(stem_root, 0)
-    ptpt = Ptpt(stem)
-    labels = walk_labels(ptpt)
-    perm = [0] * (2 * tree.n + 1)
-    for path, walk_number in labels.items():
-        perm[walk_number - 1] = vertex_at[path]
-    return EncodedPair(ptpt, tuple(perm))
+    parent = [-1] * len(adj)
+    order = [0]
+    for v in order:  # breadth-first from 0, so every vertex follows its parent
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    low = list(range(len(adj)))  # subtree minima
+    for v in reversed(order[1:]):
+        low[parent[v]] = min(low[parent[v]], low[v])
+    kids = {v: sorted((w for w in adj[v] if w != parent[v]), key=low.__getitem__) for v in order}
+    perm = []
+    stack = [adj[0][0]]
+    while stack:  # first-child-first preorder from the stem: the walk order
+        v = stack.pop()
+        perm.append(v)
+        stack.extend(reversed(kids[v]))
+    shape_at: dict[int, tuple] = {}
+    for v in reversed(perm):  # every child is shaped before its parent
+        shape_at[v] = tuple(shape_at.pop(w) for w in kids[v])
+    return EncodedPair(Ptpt(shape_at[perm[0]]), tuple(perm))
 
 
 def decode(pair: EncodedPair) -> MorseTree:
@@ -303,22 +310,12 @@ def decode(pair: EncodedPair) -> MorseTree:
     image of its walk number; a reconstruction failing Morse validation
     means the pair was not in the image.
     """
-    n = pair.ptpt.n
+    walk = _walk(pair.ptpt.stem)
+    n = (len(walk) - 1) // 2
     if sorted(pair.perm) != list(range(1, 2 * n + 2)):
         raise NotInImageError("permutation is not a bijection on 1..2n+1")
-    labels = walk_labels(pair.ptpt)
-    morse_at = {path: pair.perm[walk_number - 1] for path, walk_number in labels.items()}
-    edges = [(0, morse_at[()])]
-
-    def collect(shape: tuple, path: tuple[int, ...]) -> None:
-        if not shape:
-            return
-        for child in (0, 1):
-            child_path = path + (child,)
-            edges.append((morse_at[path], morse_at[child_path]))
-            collect(shape[child], child_path)
-
-    collect(pair.ptpt.stem, ())
+    labels = (0, *pair.perm)
+    edges = [(labels[parent], labels[number]) for number, (parent, _) in enumerate(walk, 1)]
     tree = MorseTree.from_edges(n, edges)
     if not is_morse_tree(tree):
         raise NotInImageError("pair decodes to an invalid labeled tree")
@@ -348,29 +345,41 @@ def tree_from_text(text: str) -> MorseTree:
     return MorseTree.from_edges(n, edges)
 
 
-def _stem_to_parens(shape: tuple) -> str:
-    if not shape:
-        return "()"
-    return f"({_stem_to_parens(shape[0])}{_stem_to_parens(shape[1])})"
+def _stem_to_parens(stem: tuple) -> str:
+    out = []
+    stack: list = [stem]
+    while stack:
+        shape = stack.pop()
+        if shape is None:
+            out.append(")")
+        elif not shape:
+            out.append("()")
+        else:
+            out.append("(")
+            stack += (None, shape[1], shape[0])  # None closes the vertex
+    return "".join(out)
 
 
 def _stem_from_parens(text: str) -> tuple:
-    shape, rest = _parse_shape(text)
-    if rest:
-        raise ValueError(f"trailing characters in shape string: {rest!r}")
-    return shape
-
-
-def _parse_shape(text: str) -> tuple[tuple, str]:
-    if not text.startswith("("):
-        raise ValueError(f"expected '(' at {text!r}")
-    if text.startswith("()"):
-        return (), text[2:]
-    left, rest = _parse_shape(text[1:])
-    right, rest = _parse_shape(rest)
-    if not rest.startswith(")"):
-        raise ValueError(f"expected ')' at {rest!r}")
-    return (left, right), rest[1:]
+    """Parse a stem; "()" is a leaf and "(" left right ")" a node."""
+    open_children: list[list[tuple]] = []  # one child list per open vertex
+    for pos, char in enumerate(text):
+        if char == "(":
+            open_children.append([])
+            continue
+        if char != ")" or not open_children:
+            raise ValueError(f"unexpected {char!r} at position {pos} of shape string")
+        kids = open_children.pop()
+        if len(kids) not in (0, 2):
+            raise ValueError(f"expected 0 or 2 children in the vertex closed at position {pos}, "
+                             f"found {len(kids)}")
+        shape = tuple(kids)
+        if not open_children:
+            if pos + 1 < len(text):
+                raise ValueError(f"trailing characters in shape string: {text[pos + 1:]!r}")
+            return shape
+        open_children[-1].append(shape)
+    raise ValueError("shape string ends before the stem vertex closes")
 
 
 def pair_to_text(pair: EncodedPair) -> str:

@@ -221,6 +221,37 @@ class TestCodecs:
         assert code == 1
         assert "image" in err
 
+    def test_encode_non_utf8_fails(self, capsys, tmp_path):
+        src = tmp_path / "tree.txt"
+        src.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "encode", str(src))
+        assert code == 1
+        assert err.startswith("invalid tree:")
+
+    def test_decode_non_utf8_fails(self, capsys, tmp_path):
+        src = tmp_path / "pair.txt"
+        src.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "decode", str(src))
+        assert code == 1
+        assert err.startswith("invalid pair:")
+
+    def test_deep_comb_round_trip(self, capsys, tmp_path):
+        # spine nodes 1..n under the root 0, spine end n+1, node i's leaf n+1+i
+        n = 1200
+        edges = [(0, 1)]
+        for i in range(1, n + 1):
+            edges += [(i, i + 1), (i, n + 1 + i)]
+        tree_text = f"n={n}\n" + "".join(f"{a}-{b}\n" for a, b in sorted(edges))
+        src = tmp_path / "tree.txt"
+        src.write_text(tree_text)
+        code, pair_text, _ = run(capsys, "encode", str(src))
+        assert code == 0
+        pair_file = tmp_path / "pair.txt"
+        pair_file.write_text(pair_text)
+        code, out, _ = run(capsys, "decode", str(pair_file))
+        assert code == 0
+        assert out == tree_text
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "encode", str(tmp_path / "absent.txt"))
         assert code == 3

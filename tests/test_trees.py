@@ -1,6 +1,10 @@
 import os
+import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsecensus.exactmath import catalan
 from morsecensus.recurrence import build_table
@@ -24,6 +28,52 @@ from morsecensus.trees import (
 EDGE = MorseTree.from_edges(0, [(0, 1)])
 STAR_AT_1 = MorseTree.from_edges(1, [(1, 0), (1, 2), (1, 3)])
 STAR_AT_2 = MorseTree.from_edges(1, [(2, 0), (2, 1), (2, 3)])
+COMB_INDEX = 1200  # deeper than CPython's default recursion limit
+
+
+def comb(n: int) -> MorseTree:
+    """Spine nodes 1..n under the root 0, spine end n+1, node i's leaf n+1+i."""
+    edges = [(0, 1)]
+    for i in range(1, n + 1):
+        edges += [(i, i + 1), (i, n + 1 + i)]
+    return MorseTree.from_edges(n, edges)
+
+
+ROUND_TRIP = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+@st.composite
+def morse_trees(draw, max_n: int = 499):
+    """A drawn planted shape labeled by a random linear extension of it.
+
+    Every node's parent is lower and its children higher, so each tree is
+    a valid Morse tree; max_n = 499 allows up to 1000 vertices.
+    """
+    n = draw(st.integers(0, max_n))
+    lean = draw(st.sampled_from((0.0, 0.5, 1.0)))  # share of one-sided splits; 1.0 is a comb
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    children = {0: [1]}  # vertex 0 is the root leaf, vertex 1 the stem vertex
+    pending = [(1, n)]
+    size = 2
+    while pending:
+        v, internal = pending.pop()
+        if internal == 0:
+            children[v] = []
+            continue
+        if rng.random() < lean:
+            left = rng.choice((0, internal - 1))
+        else:
+            left = rng.randrange(internal)
+        children[v] = [size, size + 1]
+        pending += [(size, left), (size + 1, internal - 1 - left)]
+        size += 2
+    label = {0: 0}
+    frontier = [1]
+    while frontier:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        label[v] = len(label)
+        frontier += children[v]
+    return MorseTree.from_edges(n, [(label[v], label[w]) for v in children for w in children[v]])
 
 
 class TestValidation:
@@ -188,8 +238,53 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             tree_from_text("0-1\n")
 
-    def test_bad_pair_text(self):
+    @pytest.mark.parametrize("text", [
+        pytest.param("(()())\n", id="no-phi-line"),
+        pytest.param("(()()\nphi = 1 2 3\n", id="unclosed"),
+        pytest.param("()()\nphi = 1 2 3\n", id="two-stems"),
+        pytest.param("(()()())\nphi = 1 2 3\n", id="three-children"),
+        pytest.param("(())\nphi = 1 2 3\n", id="one-child"),
+        pytest.param("(()())x\nphi = 1 2 3\n", id="trailing-character"),
+        pytest.param(")\nphi = 1 2 3\n", id="stray-close"),
+    ])
+    def test_bad_pair_text(self, text):
         with pytest.raises(ValueError):
-            pair_from_text("(()())\n")
-        with pytest.raises(ValueError):
-            pair_from_text("(()()\nphi = 1 2 3\n")
+            pair_from_text(text)
+
+
+class TestNoDepthLimit:
+    def test_comb_round_trips(self):
+        assert COMB_INDEX > sys.getrecursionlimit()
+        tree = comb(COMB_INDEX)
+        pair = encode(tree)
+        text = pair_to_text(pair)
+        # the first child of spine node i is node i+1 (subtree minimum i+1)
+        spine_end = COMB_INDEX + 1
+        word = list(range(1, spine_end + 1)) + list(range(2 * COMB_INDEX + 1, spine_end, -1))
+        assert text == "(" * COMB_INDEX + "()" + "())" * COMB_INDEX + "\nphi = " + (
+            " ".join(map(str, word)) + "\n")
+        # stems are compared as text: == on two 1200-deep tuples exceeds
+        # CPython's comparison depth limit
+        back = pair_from_text(text)
+        assert pair_to_text(back) == text
+        assert back.ptpt.n == COMB_INDEX
+        assert len(walk_labels(back.ptpt)) == 2 * COMB_INDEX + 1
+        assert decode(back) == tree
+
+
+class TestRoundTripProperties:
+    @ROUND_TRIP
+    @given(morse_trees())
+    def test_decode_inverts_encode(self, tree):
+        assert decode(encode(tree)) == tree
+
+    @ROUND_TRIP
+    @given(morse_trees())
+    def test_pair_text_round_trip(self, tree):
+        pair = encode(tree)
+        assert pair_from_text(pair_to_text(pair)) == pair
+
+    @ROUND_TRIP
+    @given(morse_trees())
+    def test_tree_text_round_trip(self, tree):
+        assert tree_from_text(tree_to_text(tree)) == tree
