@@ -14,8 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath
-import numpy as np
-from scipy.integrate import quad
 
 from .exactmath import GUARD_BITS, bernoulli, catalan, factorial, format_rational, log_rational
 from .recurrence import CensusTable, TableRangeError
@@ -32,7 +30,6 @@ __all__ = [
     "series_argument",
     "series_value",
     "fit_residual_model",
-    "estimate_linear_term",
     "rows_to_csv",
     "rows_to_json",
     "format_real",
@@ -129,14 +126,54 @@ def _radicand(t: float, target: float) -> float:
     return t**4 / 4 - t**2 + 2 * target * t + 1
 
 
+# QUADPACK's dqk21 (Piessens et al., QUADPACK, Springer 1983): abscissae of
+# the 21-point Kronrod rule on [-1, 1], largest first and the centre last;
+# those at odd positions (1-based even) are the 10-point Gauss abscissae.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208645199836,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+
 def series_argument(target: float, tol: float = 1e-12) -> float:
     """Argument at which the generating series attains `target`, by quadrature.
 
     Inverts the series through the elliptic integral
-        argument = integral_0^target dt / sqrt(t^4/4 - t^2 + 2*target*t + 1),
-    using adaptive Gauss-Kronrod quadrature to absolute tolerance `tol`.
-    The radicand is checked positive on a dense sample of [0, target]
-    before integrating.
+        argument = integral_0^target dt / sqrt(t^4/4 - t^2 + 2*target*t + 1)
+    with one 21-point Gauss-Kronrod rule on [0, target], summed in the order
+    of QUADPACK's dqk21.  The integrand is smooth there, so one rule is
+    enough: if the Gauss-Kronrod difference |resk - resg| * h exceeds `tol`,
+    ValueError is raised rather than subdividing.  The radicand is checked
+    positive on 257 equally spaced points of [0, target] before integrating.
     """
     if not 0 <= target <= SUPPORTED_ARGUMENT_RANGE:
         raise ValueError(
@@ -144,18 +181,27 @@ def series_argument(target: float, tol: float = 1e-12) -> float:
         )
     if target == 0:
         return 0.0
-    samples = np.linspace(0.0, target, 257)
-    if min(_radicand(t, target) for t in samples) <= 0:
+    if min(_radicand(target * i / 256, target) for i in range(257)) <= 0:
         raise ValueError(f"integrand radicand not strictly positive on [0, {target}]")
-    value, _err = quad(
-        lambda t: 1.0 / math.sqrt(_radicand(t, target)),
-        0.0,
-        target,
-        epsabs=tol,
-        epsrel=tol,
-        limit=200,
-    )
-    return value
+
+    def f(t: float) -> float:
+        return 1.0 / math.sqrt(_radicand(t, target))
+
+    centre = 0.5 * target
+    h = 0.5 * target
+    resg = 0.0
+    resk = _WGK[10] * f(centre)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss abscissae first, as dqk21
+        offset = h * _XGK[j]
+        pair_sum = f(centre - offset) + f(centre + offset)
+        if j % 2:
+            resg += _WG[j // 2] * pair_sum
+        resk += _WGK[j] * pair_sum
+    error = abs((resk - resg) * h)
+    if error > tol:
+        raise ValueError(f"Gauss-Kronrod error estimate {error:.3e} exceeds tol {tol:.3e} "
+                         f"at target {target}")
+    return resk * h
 
 
 def series_value(table: CensusTable, argument: float, terms: int = 50) -> float:
@@ -178,7 +224,8 @@ def series_value(table: CensusTable, argument: float, terms: int = 50) -> float:
 
 
 def fit_residual_model(rows: Sequence[AsymptoticRow]) -> tuple[float, float, float]:
-    """Ordinary least squares of delta against a*n + b*log(n) + c.
+    """Ordinary least squares of delta against a*n + b*log(n) + c, solved by
+    Householder QR (`mpmath.qr_solve`) in double precision.
 
     Heuristic only: the model is suggested by the data, no error bars are
     claimed.  Needs at least 4 rows with distinct n.
@@ -186,15 +233,11 @@ def fit_residual_model(rows: Sequence[AsymptoticRow]) -> tuple[float, float, flo
     ns = sorted({row.n for row in rows})
     if len(ns) < 4:
         raise ValueError(f"fit needs at least 4 distinct indices, got {len(ns)}")
-    design = np.array([[row.n, math.log(row.n), 1.0] for row in rows])
-    target = np.array([float(row.delta) for row in rows])
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
-
-
-def estimate_linear_term(rows: Sequence[AsymptoticRow]) -> float:
-    """The linear coefficient of the heuristic residual fit."""
-    return fit_residual_model(rows)[0]
+    with mpmath.workprec(53):
+        design = mpmath.matrix([[row.n, math.log(row.n), 1.0] for row in rows])
+        target = mpmath.matrix([float(row.delta) for row in rows])
+        coeffs, _residual = mpmath.qr_solve(design, target)
+        return float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
 
 
 # ---------------------------------------------------------------------------

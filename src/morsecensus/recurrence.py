@@ -29,6 +29,7 @@ not covered by that argument, so :meth:`CensusTable.morse_count` checks it.
 """
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
 import re
@@ -263,8 +264,10 @@ def save_table(table: CensusTable, path: str | os.PathLike) -> None:
     """Write the cache file: a header with W and the SHA-256 of the body, then
     one line per weight level w holding S'(w - 2y, y) for y = 0, 1, ...
 
-    Takes an exclusive advisory lock (fail-fast) and replaces the file
-    atomically, so an interrupted write never corrupts an existing cache.
+    Holds an exclusive `flock` on `<path>.lock` (fail-fast) while it replaces
+    the file atomically, so an interrupted write never corrupts an existing
+    cache.  The kernel drops the lock when its holder exits or is killed, so
+    a dead writer never leaves the cache locked; the lock file itself stays.
     """
     body = [" ".join(map(str, level)) + "\n" for level in table._levels]
     digest = hashlib.sha256()
@@ -274,12 +277,12 @@ def save_table(table: CensusTable, path: str | os.PathLike) -> None:
     parent = os.path.dirname(path) or "."
     os.makedirs(parent, exist_ok=True)
     lock_path = path + ".lock"
+    lock_fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
     try:
-        lock_fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise CacheLockError(f"cache {path} is locked by another writer ({lock_path})")
-    try:
-        os.write(lock_fd, str(os.getpid()).encode())
+        try:
+            fcntl.flock(lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CacheLockError(f"cache {path} is locked by another writer ({lock_path})")
         tmp_path = f"{path}.tmp.{os.getpid()}"
         with open(tmp_path, "w") as fh:
             fh.write(f"{CACHE_MAGIC} W={table.weight_bound} sha256={digest.hexdigest()}\n")
@@ -287,7 +290,6 @@ def save_table(table: CensusTable, path: str | os.PathLike) -> None:
         os.replace(tmp_path, path)
     finally:
         os.close(lock_fd)
-        os.unlink(lock_path)
 
 
 def load_table(path: str | os.PathLike) -> CensusTable:

@@ -27,9 +27,10 @@ Decoding replays the walk and re-labels the shape, so decode(encode(t))
 is the identity; pairs outside the image decode to an invalid labeled
 tree and are rejected.
 
-Every walk over a tree or a shape (encoding, decoding, walk numbering and
-both directions of the parenthesis text) runs on an explicit stack or
-queue, so no depth limit applies: a comb of any index round-trips.
+Every walk over a tree or a shape (encoding, decoding, walk numbering,
+both directions of the parenthesis text, and so equality and hashing of
+shapes) runs on an explicit stack or queue, so no depth limit applies: a
+comb of any index round-trips.
 
 Brute-force enumeration of Morse trees runs over degree-constrained
 Pruefer sequences: a vertex of degree d appears d-1 times, so the valid
@@ -88,11 +89,23 @@ class MorseTree:
         return adj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ptpt:
-    """Planted trivalent planar tree, held as its stem shape."""
+    """Planted trivalent planar tree, held as its stem shape.
+
+    Equality and hashing go through the stem's parenthesis text, not the
+    nested tuples, so they have no depth limit either.
+    """
 
     stem: tuple
+
+    def __eq__(self, other):
+        if not isinstance(other, Ptpt):
+            return NotImplemented
+        return _stem_to_parens(self.stem) == _stem_to_parens(other.stem)
+
+    def __hash__(self) -> int:
+        return hash(_stem_to_parens(self.stem))
 
     @property
     def n(self) -> int:

@@ -11,7 +11,6 @@ from morsecensus.analysis import (
     check_conjecture,
     check_lower_bound,
     check_upper_bound,
-    estimate_linear_term,
     fit_residual_model,
     format_real,
     growth_ratio,
@@ -125,6 +124,20 @@ class TestEllipticInversion:
             theta = series_argument(target, tol=1e-12)
             assert abs(series_value(census_table, theta, terms=50) - target) <= 1e-8
 
+    @pytest.mark.parametrize("target, bits", [
+        (0.05, "0x1.9942554b3efe3p-5"),
+        (0.1, "0x1.983de604ffec0p-4"),
+        (0.2, "0x1.94402886366f8p-3"),
+    ])
+    def test_pinned_bits(self, target, bits):
+        # the bits of the earlier adaptive scipy quadrature, which one
+        # Gauss-Kronrod rule reproduces exactly
+        assert series_argument(target).hex() == bits
+
+    def test_unreachable_tolerance_raises(self):
+        with pytest.raises(ValueError, match="Gauss-Kronrod"):
+            series_argument(0.2, tol=1e-30)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             series_argument(0.31)
@@ -161,10 +174,6 @@ class TestResidualFit:
         assert abs(b - 1.5) < 1e-7
         assert abs(c - 0.25) < 1e-7
 
-    def test_estimate_is_first_coefficient(self):
-        rows = self.synthetic_rows(lambda n: -0.5 * n + 2, [10, 20, 30, 40])
-        assert estimate_linear_term(rows) == fit_residual_model(rows)[0]
-
     def test_too_few_distinct_points_refused(self):
         rows = self.synthetic_rows(lambda n: -n, [10, 20, 30])
         with pytest.raises(ValueError):
@@ -185,7 +194,7 @@ class TestResidualFitOnComputedRows:
     def test_eight_reference_rows_fit(self, census_table):
         table = self._full_table_or_skip(census_table)
         rows = [asymptotic_row(table, n) for n in (10, 20, 30, 40, 50, 100, 150, 200)]
-        a = estimate_linear_term(rows)
+        a = fit_residual_model(rows)[0]
         # the decimal expansion of the suggested slope begins -0.8
         assert -0.9 < a < -0.8
 
@@ -193,7 +202,7 @@ class TestResidualFitOnComputedRows:
         table = self._full_table_or_skip(census_table)
         high = [asymptotic_row(table, n) for n in range(50, 201, 10)]
         higher = [asymptotic_row(table, n) for n in range(100, 201, 10)]
-        assert abs(estimate_linear_term(high) - estimate_linear_term(higher)) <= 0.02
+        assert abs(fit_residual_model(high)[0] - fit_residual_model(higher)[0]) <= 0.02
 
 
 class TestRowOutput:

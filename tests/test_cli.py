@@ -1,9 +1,16 @@
+import fcntl
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from morsecensus import cli
 from morsecensus.recurrence import build_table, load_table
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 @pytest.fixture(autouse=True)
@@ -94,10 +101,12 @@ class TestCacheBehavior:
 
     def test_locked_cache_warns_and_computes(self, capsys, tmp_path):
         cache = tmp_path / "t.txt"
-        (tmp_path / "t.txt.lock").write_text("held")
-        code, out, err = run(capsys, "census", "--max-n", "1", "--cache", str(cache))
+        with open(tmp_path / "t.txt.lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            code, out, err = run(capsys, "census", "--max-n", "1", "--cache", str(cache))
         assert code == 0
-        assert "warning" in err
+        assert "warning" in err and "locked" in err
+        assert out.splitlines()[-1] == "n=1 h=1/3 g=2"
 
 
 class TestTable:
@@ -129,6 +138,11 @@ class TestTable:
             run(capsys, "table", "--points", "10", "--precision", "32")
         assert err.value.code == 2
 
+    def test_fit_line_golden(self, capsys):
+        code, out, _ = run(capsys, "table", "--points", "4,6,8,10")
+        assert code == 0
+        assert "a=-0.9022 b=0.4215 c=1.7089" in out.splitlines()[-1]
+
     def test_text_mode_labels_fit_as_heuristic(self, capsys):
         code, out, _ = run(capsys, "table", "--points", "6,8,10,12")
         assert code == 0
@@ -157,12 +171,39 @@ class TestVerify:
         build_table(100, cache_path=cache)
         code, out, _ = run(capsys, "verify", "elliptic", "--cache", cache)
         assert code == 0
-        assert out.count("ok elliptic") == 3
+        assert out == (
+            "ok elliptic round trip at 0.05: |error| = 0.000e+00\n"
+            "ok elliptic round trip at 0.1: |error| = 1.388e-17\n"
+            "ok elliptic round trip at 0.2: |error| = 0.000e+00\n"
+        )
 
     def test_unknown_verifier_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "verify", "everything")
         assert err.value.code == 2
+
+
+class TestDependencies:
+    def test_float_commands_load_neither_numpy_nor_scipy(self, tmp_path):
+        cache = str(tmp_path / "t.txt")
+        build_table(100, cache_path=cache)
+        child = (
+            "import runpy, sys\n"
+            "table = ['table', '--points', '4,6,8,10']\n"
+            "for argv in (table, ['verify', 'elliptic', '--cache', sys.argv[1]]):\n"
+            "    sys.argv = ['morsecensus', *argv]\n"
+            "    try:\n"
+            "        runpy.run_module('morsecensus.cli', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, argv\n"
+            "    print('loaded:', sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        env.pop(cli.CACHE_ENV_VAR, None)
+        proc = subprocess.run([sys.executable, "-c", child, cache], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("loaded: []\n") == 2
 
 
 class TestOracle:

@@ -1,4 +1,8 @@
+import fcntl
 import math
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -202,9 +206,34 @@ class TestCache:
 
     def test_lock_fail_fast(self, tmp_path):
         path = tmp_path / "t.txt"
-        (tmp_path / "t.txt.lock").write_text("held")
-        with pytest.raises(CacheLockError):
-            save_table(build_table(2), path)
+        with open(tmp_path / "t.txt.lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            with pytest.raises(CacheLockError):
+                save_table(build_table(2), path)
+        assert not path.exists()
+
+    def test_killed_writer_leaves_no_lock(self, tmp_path):
+        path = tmp_path / "t.txt"
+        holder = (
+            "import fcntl, sys, time\n"
+            "fh = open(sys.argv[1], 'w')\n"
+            "fcntl.flock(fh, fcntl.LOCK_EX)\n"
+            "print('held', flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        child = subprocess.Popen([sys.executable, "-c", holder, str(tmp_path / "t.txt.lock")],
+                                 stdout=subprocess.PIPE, text=True)
+        try:
+            assert child.stdout.readline() == "held\n"
+            with pytest.raises(CacheLockError):
+                save_table(build_table(2), path)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL
+        save_table(build_table(2), path)
+        assert load_table(path) == build_table(2)
 
     def test_lock_released_after_save(self, tmp_path):
         path = tmp_path / "t.txt"

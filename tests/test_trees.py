@@ -263,9 +263,9 @@ class TestNoDepthLimit:
         word = list(range(1, spine_end + 1)) + list(range(2 * COMB_INDEX + 1, spine_end, -1))
         assert text == "(" * COMB_INDEX + "()" + "())" * COMB_INDEX + "\nphi = " + (
             " ".join(map(str, word)) + "\n")
-        # stems are compared as text: == on two 1200-deep tuples exceeds
-        # CPython's comparison depth limit
         back = pair_from_text(text)
+        assert back == pair
+        assert len({pair, back}) == 1
         assert pair_to_text(back) == text
         assert back.ptpt.n == COMB_INDEX
         assert len(walk_labels(back.ptpt)) == 2 * COMB_INDEX + 1
