@@ -296,6 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "max_n", None) is not None and args.max_n < 0:
         parser.error("--max-n must be >= 0")
+    if getattr(args, "max_k", 0) < 0:
+        parser.error("--max-k must be >= 0")
+    if getattr(args, "order", 1) < 1:
+        parser.error("--order must be >= 1")
     try:
         return args.func(args)
     except (recurrence.CacheFormatError,) as exc:

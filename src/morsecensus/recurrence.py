@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
+import marshal
 import os
 import re
 import sys
@@ -147,26 +148,180 @@ class CensusTable:
 # fill routines
 
 
-def _fill(levels: list[list[int]], weight_bound: int) -> None:
-    """Append the levels of S' from len(levels) up to `weight_bound`."""
-    for w in range(len(levels), weight_bound + 1):
-        # conv[y] is the binomial sum for S'(w - 2y, y).  Its terms with
-        # a + 2b = w1 pair level w1 with level w - 2 - w1, where C(w, w1 + 1) is
-        # constant; swapping the two levels gives the same sum, so an unequal
-        # pair is summed once and counted twice
-        conv = [0] * (w // 2 + 1)
-        for w1 in range(w // 2):
-            w2 = w - 2 - w1
-            left, right = levels[w1], levels[w2]
-            c = comb(w, w1 + 1) << (w1 != w2)
-            for y in range(1, w // 2 + 1):
-                lo, hi = max(0, y - len(right)), min(len(left), y)
-                conv[y] += c * sum(map(mul, left[lo:hi], reversed(right[y - hi:y - lo])))
-        below = levels[w - 1] + [0]  # S'(-1, y) = 0
-        level = [factorial(w + 1)]
+# A fill starts a helper process only when its new levels' work, the sum of
+# w**4 over them (a level's time grows about like w**4), reaches this much.
+# Starting the helper and feeding it the levels it lacks costs 0.1-0.2 s;
+# on a 2-CPU Xeon the helper broke even at about the work of levels 0..130
+# (0.6-0.8 s on one core) and won at levels 0..140 (0.85-1.0 s against
+# 1.0-1.1 s).
+_HELPER_MIN_WORK = sum(w**4 for w in range(131))
+
+
+def _sums(levels: list[list[int]], w: int, parity: int) -> list[int]:
+    """Binomial sums of level w over the level pairs (w1, w - 2 - w1) with w1 of `parity`.
+
+    The sum for S'(w - 2y, y) has its terms with a + 2b = w1 in the pair of
+    level w1 and level w - 2 - w1, where C(w, w1 + 1) is constant; swapping
+    the two levels gives the same sum, so an unequal pair is summed once and
+    counted twice.  Only levels <= w - 2 are read.
+    """
+    conv = [0] * (w // 2 + 1)
+    for w1 in range(parity, w // 2, 2):
+        w2 = w - 2 - w1
+        left, right = levels[w1], levels[w2]
+        c = comb(w, w1 + 1) << (w1 != w2)
         for y in range(1, w // 2 + 1):
-            level.append((w - 2 * y + 1) * (below[y - 1] + below[y] + conv[y]))
-        levels.append(level)
+            lo, hi = max(0, y - len(right)), min(len(left), y)
+            conv[y] += c * sum(map(mul, left[lo:hi], reversed(right[y - hi:y - lo])))
+    return conv
+
+
+def _fill(levels: list[list[int]], weight_bound: int) -> None:
+    """Append the levels of S' from len(levels) up to `weight_bound`.
+
+    Each level's binomial sums are split by the parity of w1.  This process
+    sums the even pairs.  The odd pairs come from a helper process when the
+    fill is large enough to pay for one and a second CPU is usable; they are
+    summed here otherwise, and from the level at which a helper fails on.
+    The sums are exact, so the levels are the same either way.
+    """
+    with _Helper(_helper_pays(len(levels), weight_bound)) as helper:
+        for w in range(len(levels), weight_bound + 1):
+            helper.ask(levels)
+            conv = _sums(levels, w, 0)
+            odd = helper.answer(w)
+            if odd is None:
+                odd = _sums(levels, w, 1)
+            below = levels[w - 1] + [0]  # S'(-1, y) = 0
+            level = [factorial(w + 1)]
+            for y in range(1, w // 2 + 1):
+                level.append((w - 2 * y + 1) * (below[y - 1] + below[y] + conv[y] + odd[y]))
+            levels.append(level)
+
+
+def _helper_pays(w_start: int, weight_bound: int) -> bool:
+    """Whether a helper process is worth starting to fill levels w_start..weight_bound."""
+    work = sum(w**4 for w in range(w_start, weight_bound + 1))
+    return (work >= _HELPER_MIN_WORK and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _send(fd: int, obj) -> None:
+    """Write one object to a pipe: its length in 8 bytes, then its `marshal` form.
+
+    Both ends run the same interpreter, so `marshal` is a format both read;
+    unlike `pickle` it is loaded at start-up and runs no code while loading.
+    The write is unbuffered, so nothing is left to flush at exit.
+    """
+    data = marshal.dumps(obj)
+    data = memoryview(len(data).to_bytes(8, "little") + data)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _receive(fh):
+    """Read one object written by :func:`_send`; EOFError if the input ends first."""
+    header = fh.read(8)
+    if len(header) < 8:
+        raise EOFError("input ended")
+    size = int.from_bytes(header, "little")
+    data = fh.read(size)
+    if len(data) < size:
+        raise EOFError("input ended inside a message")
+    return marshal.loads(data)
+
+
+# Runs in the helper: a fresh interpreter that imports the package from the
+# directory this one did, and never the caller's __main__.  It ignores
+# SIGINT, which a terminal sends to both processes: the parent stops it.
+_HELPER_CODE = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                "sys.path.insert(0, sys.argv[1]); "
+                "from morsecensus.recurrence import _serve; _serve()")
+
+
+class _Helper:
+    """The parent's end of the helper process (see :func:`_serve`).
+
+    `ask(levels)` sends the levels the helper lacks, which tells it to sum
+    the odd pairs of level len(levels); `answer(w)` reads those sums back.
+    Parent and helper write strictly in turn, so neither can block writing
+    into a full pipe while the other does the same.  Any failure turns the
+    helper off with one warning on stderr, after which `ask` does nothing
+    and `answer` returns None.
+    """
+
+    def __init__(self, start: bool):
+        self.proc = None
+        self.sent = 0
+        if start:
+            import subprocess  # loaded only by the fills that start a helper
+
+            package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+            try:
+                self.proc = subprocess.Popen([sys.executable, "-c", _HELPER_CODE, package_dir],
+                                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            except OSError as exc:
+                _warn_helper(exc, "start")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.proc:
+            self._stop(kill=exc_type is not None)
+
+    def ask(self, levels: list[list[int]]) -> None:
+        if self.proc:
+            try:
+                _send(self.proc.stdin.fileno(), levels[self.sent:])
+            except OSError as exc:
+                self._fail(exc, len(levels))
+            self.sent = len(levels)
+
+    def answer(self, w: int) -> list[int] | None:
+        if self.proc:
+            try:
+                return _receive(self.proc.stdout)
+            except (EOFError, ValueError) as exc:
+                self._fail(exc, w)
+        return None
+
+    def _fail(self, exc: Exception, w: int) -> None:
+        code = self._stop(kill=True)
+        _warn_helper(f"{str(exc) or type(exc).__name__}; exit code {code}", f"level {w}")
+
+    def _stop(self, kill: bool) -> int:
+        proc, self.proc = self.proc, None
+        if kill:
+            proc.kill()
+        proc.stdin.close()  # end of input: the helper exits
+        code = proc.wait()
+        proc.stdout.close()
+        return code
+
+
+def _warn_helper(reason, where: str) -> None:
+    print(f"warning: fill helper failed at {where} ({reason}); continuing on one core",
+          file=sys.stderr)
+
+
+def _serve() -> None:
+    """Main loop of the helper process, on stdin and stdout pipes.
+
+    Reads lists of levels to append and answers each with the odd-w1 sums of
+    the next level.  Ends at end of input, which is also what it reads when
+    the parent dies, or when its answer can no longer be written.
+    """
+    levels: list[list[int]] = []
+    while True:
+        try:
+            levels += _receive(sys.stdin.buffer)
+        except (EOFError, ValueError):
+            return
+        try:
+            _send(sys.stdout.fileno(), _sums(levels, len(levels), 1))
+        except BrokenPipeError:
+            return
 
 
 def _fill_fractions(entries: dict[tuple[int, int], Fraction], w_start: int, w_stop: int) -> None:
@@ -268,11 +423,9 @@ def save_table(table: CensusTable, path: str | os.PathLike) -> None:
     the file atomically, so an interrupted write never corrupts an existing
     cache.  The kernel drops the lock when its holder exits or is killed, so
     a dead writer never leaves the cache locked; the lock file itself stays.
+    The levels are streamed: the header is written with a placeholder of the
+    digest's length and rewritten once the body has been hashed.
     """
-    body = [" ".join(map(str, level)) + "\n" for level in table._levels]
-    digest = hashlib.sha256()
-    for line in body:
-        digest.update(line.encode())
     path = os.fspath(path)
     parent = os.path.dirname(path) or "."
     os.makedirs(parent, exist_ok=True)
@@ -284,9 +437,16 @@ def save_table(table: CensusTable, path: str | os.PathLike) -> None:
         except BlockingIOError:
             raise CacheLockError(f"cache {path} is locked by another writer ({lock_path})")
         tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "w") as fh:
-            fh.write(f"{CACHE_MAGIC} W={table.weight_bound} sha256={digest.hexdigest()}\n")
-            fh.writelines(body)
+        with open(tmp_path, "wb") as fh:
+            header = f"{CACHE_MAGIC} W={table.weight_bound} sha256=".encode()
+            fh.write(header + b"0" * 64 + b"\n")
+            digest = hashlib.sha256()
+            for level in table._levels:
+                line = (" ".join(map(str, level)) + "\n").encode()
+                digest.update(line)
+                fh.write(line)
+            fh.seek(len(header))
+            fh.write(digest.hexdigest().encode())
         os.replace(tmp_path, path)
     finally:
         os.close(lock_fd)

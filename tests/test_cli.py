@@ -182,6 +182,19 @@ class TestVerify:
             run(capsys, "verify", "everything")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("tan", "--max-k", "-2"), "--max-k must be >= 0"),
+        (("pde", "--order", "-3"), "--order must be >= 1"),
+        (("pde", "--order", "0"), "--order must be >= 1"),
+    ], ids=["max-k-negative", "order-negative", "order-zero"])
+    def test_out_of_range_bound_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", *argv])
+        assert err.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert message in out.err
+
 
 class TestDependencies:
     def test_float_commands_load_neither_numpy_nor_scipy(self, tmp_path):
