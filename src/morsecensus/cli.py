@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import analysis, recurrence, series, trees
+from . import recurrence, series, trees
 from .exactmath import format_rational
 
 CACHE_ENV_VAR = "MORSECENSUS_CACHE"
@@ -59,6 +59,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import analysis  # loads mpmath, which the exact commands never need
+
     points = args.points
     table = recurrence.build_table(2 * max(points), _cache_path(args))
     rows = [analysis.asymptotic_row(table, n, args.precision) for n in points]
@@ -120,6 +122,8 @@ def _verify_pde(order: int, cache: str | None) -> int:
 
 
 def _verify_bounds(max_n: int, cache: str | None) -> int:
+    from . import analysis
+
     table = recurrence.build_table(2 * max_n, cache)
     ode = series.scaled_tangent_series(max_n)
     for n in range(max_n + 1):
@@ -138,6 +142,8 @@ def _verify_bounds(max_n: int, cache: str | None) -> int:
 
 
 def _verify_conjecture(max_n: int, cache: str | None) -> int:
+    from . import analysis
+
     table = recurrence.build_table(2 * max_n, cache)
     for n in range(1, max_n + 1):
         if not analysis.check_conjecture(n, table):
@@ -148,6 +154,8 @@ def _verify_conjecture(max_n: int, cache: str | None) -> int:
 
 
 def _verify_elliptic(cache: str | None) -> int:
+    from . import analysis
+
     table = recurrence.build_table(100, cache)
     for target in ELLIPTIC_POINTS:
         theta = analysis.series_argument(target, tol=1e-12)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import comb, factorial as _factorial
+from typing import TYPE_CHECKING
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 __all__ = [
     "factorial",
@@ -83,7 +85,10 @@ def log_rational(q: Fraction, precision: int = 128) -> mpmath.mpf:
 
     Computed as log(numerator) - log(denominator) on the exact integers,
     so arbitrarily large terms (hundreds of digits) lose no accuracy.
+    `mpmath` is imported here, so the exact counting path never loads it.
     """
+    import mpmath
+
     if q <= 0:
         raise ValueError("log_rational requires q > 0")
     with mpmath.workprec(precision + GUARD_BITS):

@@ -26,6 +26,24 @@ with S'(-1,y) = 0, which is the x = 0 case.  By induction on the weight,
 every S' is an integer: the base row is, and each later entry is an
 integer combination of entries of smaller weight.  g(n) = S'(0,n) / 2^n is
 not covered by that argument, so :meth:`CensusTable.morse_count` checks it.
+
+Filling a level: read level k as the polynomial L_k(z) = sum_y S'(k-2y, y) z^y
+of degree floor(k/2).  The binomial sums of level w, grouped by a + 2b = w1,
+are the coefficients of
+
+    V(z) = sum_{w1 + w2 = w - 2} binom(w, w1 + 1) L_{w1}(z) L_{w2}(z):
+
+the sum for S'(w-2y, y) is the coefficient of z^(y-1).  V has integer
+coefficients and degree at most floor(w1/2) + floor(w2/2) <= n - 1, where
+n = floor(w/2), so its values at the n points 0..n-1 determine it.  The
+fill evaluates V there, about w^2/4 products of big integers per level
+against about w^3/48 for the convolution taken coefficient by coefficient,
+and interpolates in integers with Newton's forward-difference form
+V(x) = sum_k (D^k V(0) / k!) x(x-1)...(x-k+1).  The divisions are exact:
+for an integer polynomial, D^k x^m at 0 is k! times a Stirling number of
+the second kind, so every D^k V(0) is a multiple of k!.  A remainder means
+the values are not those of an integer polynomial, which only a bug can
+cause; it raises ConsistencyError.
 """
 from __future__ import annotations
 
@@ -37,7 +55,7 @@ import re
 import sys
 from fractions import Fraction
 from math import comb
-from operator import mul
+from operator import mul, sub
 
 from .exactmath import factorial, parse_rational
 
@@ -148,60 +166,116 @@ class CensusTable:
 # fill routines
 
 
-# A fill starts a helper process only when its new levels' work, the sum of
-# w**4 over them (a level's time grows about like w**4), reaches this much.
-# Starting the helper and feeding it the levels it lacks costs 0.1-0.2 s;
-# on a 2-CPU Xeon the helper broke even at about the work of levels 0..130
-# (0.6-0.8 s on one core) and won at levels 0..140 (0.85-1.0 s against
-# 1.0-1.1 s).
-_HELPER_MIN_WORK = sum(w**4 for w in range(131))
+# A fill hands part of each level to a helper process from level
+# _HELPER_FIRST_LEVEL on: below it a level takes a few milliseconds or less,
+# too little for the round trip to the helper to pay, and a fill from level 0
+# computes those levels while the helper starts.  It starts a helper only
+# when the work of its levels from there on, the sum of w**3 over them (a
+# level's time grows like w**3 to w**3.5 between weights 120 and 300),
+# reaches _HELPER_MIN_WORK.  On a 2-CPU Xeon the helper broke even on levels
+# 100..180 and won on levels 120..200 (0.88 s against 1.15 s on one core,
+# medians of 8) and on levels 200..300 (4.2 s against 6.8 s).
+_HELPER_FIRST_LEVEL = 100
+_HELPER_MIN_WORK = sum(w**3 for w in range(100, 191))
 
 
-def _sums(levels: list[list[int]], w: int, parity: int) -> list[int]:
-    """Binomial sums of level w over the level pairs (w1, w - 2 - w1) with w1 of `parity`.
+def _sums(levels: list[list[int]], values: dict[int, list[int]], w: int,
+          points: list[int]) -> list[int]:
+    """V(p) = sum of C(w, w1 + 1) L_{w1}(p) L_{w - 2 - w1}(p) over w1, at each p in `points`.
 
-    The sum for S'(w - 2y, y) has its terms with a + 2b = w1 in the pair of
-    level w1 and level w - 2 - w1, where C(w, w1 + 1) is constant; swapping
-    the two levels gives the same sum, so an unequal pair is summed once and
-    counted twice.  Only levels <= w - 2 are read.
+    L_k is level k as a polynomial in z, sum_y S'(k - 2y, y) z^y.  The sum
+    runs over the pairs of levels w1 <= w2 = w - 2 - w1; swapping the two
+    levels gives the same term, so an unequal pair is counted twice.
+    `values[p]` holds L_0(p), L_1(p), ...; it is extended here, by Horner's
+    rule, to the levels <= w - 2 that level w reads.
     """
-    conv = [0] * (w // 2 + 1)
-    for w1 in range(parity, w // 2, 2):
-        w2 = w - 2 - w1
-        left, right = levels[w1], levels[w2]
-        c = comb(w, w1 + 1) << (w1 != w2)
-        for y in range(1, w // 2 + 1):
-            lo, hi = max(0, y - len(right)), min(len(left), y)
-            conv[y] += c * sum(map(mul, left[lo:hi], reversed(right[y - hi:y - lo])))
-    return conv
+    half = w // 2
+    coeffs = [comb(w, w1 + 1) << (w1 != w - 2 - w1) for w1 in range(half)]
+    sums = []
+    for p in points:
+        col = values.setdefault(p, [])
+        for level in levels[len(col):w - 1]:
+            acc = 0
+            for c in reversed(level):
+                acc = acc * p + c
+            col.append(acc)
+        sums.append(sum(map(mul, map(mul, coeffs, col), reversed(col[w - 1 - half:w - 1]))))
+    return sums
+
+
+def _interpolate(values: list[int]) -> list[int]:
+    """Coefficients of the integer polynomial of degree < len(values) that
+    takes `values` at 0, 1, 2, ...; ConsistencyError if there is none.
+
+    Newton's forward-difference form f(x) = sum_k (D^k f(0) / k!) x(x-1)...(x-k+1),
+    expanded by nested multiplication with (x - k).
+    """
+    newton = []
+    diffs, fact = values, 1
+    for k in range(len(values)):
+        q, r = divmod(diffs[0], fact)
+        if r:
+            raise ConsistencyError(f"D^{k} f(0) = {diffs[0]} is not a multiple of {k}!: "
+                                   "the values are not an integer polynomial's")
+        newton.append(q)
+        diffs = list(map(sub, diffs[1:], diffs))
+        fact *= k + 1
+    coeffs: list[int] = []
+    for k in reversed(range(len(newton))):
+        coeffs = list(map(sub, [0, *coeffs], [k * c for c in coeffs] + [0]))
+        coeffs[0] += newton[k]
+    return coeffs
 
 
 def _fill(levels: list[list[int]], weight_bound: int) -> None:
     """Append the levels of S' from len(levels) up to `weight_bound`.
 
-    Each level's binomial sums are split by the parity of w1.  This process
-    sums the even pairs.  The odd pairs come from a helper process when the
-    fill is large enough to pay for one and a second CPU is usable; they are
-    summed here otherwise, and from the level at which a helper fails on.
-    The sums are exact, so the levels are the same either way.
+    Level w needs the coefficients of z^0..z^(n-1), n = w // 2, of the
+    polynomial V of :func:`_sums`.  They come from its values at the n
+    points 0..n-1 by :func:`_interpolate`.  A helper process evaluates V at
+    the points of :func:`_helper_points` when the fill is large enough to
+    pay for one and a second CPU is usable; this process evaluates the
+    others, and the helper's too without a helper, or from the level at
+    which a helper fails on.  Level w + 1 reads no level above w - 1, so
+    the helper is asked for it as soon as its values of level w are in,
+    and works on it while this process interpolates level w.  Every value
+    is exact, so the levels are the same either way.
     """
+    values: dict[int, list[int]] = {}
     with _Helper(_helper_pays(len(levels), weight_bound)) as helper:
         for w in range(len(levels), weight_bound + 1):
-            helper.ask(levels)
-            conv = _sums(levels, w, 0)
-            odd = helper.answer(w)
-            if odd is None:
-                odd = _sums(levels, w, 1)
+            n = w // 2
+            split = helper.proc is not None and w >= _HELPER_FIRST_LEVEL
+            if split and helper.writer is None:  # the first level the helper takes part in
+                helper.ask(levels, w)
+            theirs = _helper_points(n) if split else []
+            mine = sorted(set(range(n)).difference(theirs))
+            at = dict(zip(mine, _sums(levels, values, w, mine)))
+            if split:
+                got = helper.answer(w)
+                if w < weight_bound:
+                    helper.ask(levels, w + 1)
+                at.update(zip(theirs, _sums(levels, values, w, theirs) if got is None else got))
+            conv = [0, *_interpolate([at[p] for p in range(n)])]
             below = levels[w - 1] + [0]  # S'(-1, y) = 0
             level = [factorial(w + 1)]
-            for y in range(1, w // 2 + 1):
-                level.append((w - 2 * y + 1) * (below[y - 1] + below[y] + conv[y] + odd[y]))
+            for y in range(1, n + 1):
+                level.append((w - 2 * y + 1) * (below[y - 1] + below[y] + conv[y]))
             levels.append(level)
+
+
+def _helper_points(n: int) -> list[int]:
+    """The points of 0..n-1 at which the helper evaluates: three in five.
+
+    This process interpolates as well, which costs about a fifth of the
+    sums near weight 200 and less above, so it keeps two points in five.
+    """
+    return [p for p in range(n) if p % 5 in (1, 3, 4)]
 
 
 def _helper_pays(w_start: int, weight_bound: int) -> bool:
     """Whether a helper process is worth starting to fill levels w_start..weight_bound."""
-    work = sum(w**4 for w in range(w_start, weight_bound + 1))
+    work = sum(w**3 for w in range(max(w_start, _HELPER_FIRST_LEVEL), weight_bound + 1))
     return (work >= _HELPER_MIN_WORK and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2)
 
@@ -232,8 +306,10 @@ def _receive(fh):
 
 
 # Runs in the helper: a fresh interpreter that imports the package from the
-# directory this one did, and never the caller's __main__.  It ignores
-# SIGINT, which a terminal sends to both processes: the parent stops it.
+# directory this one did, and never the caller's __main__.  It needs only the
+# standard library, so it starts isolated and without `site` (-I -S), which
+# can import third-party modules at start-up.  It ignores SIGINT, which a
+# terminal sends to both processes: the parent stops it.
 _HELPER_CODE = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
                 "sys.path.insert(0, sys.argv[1]); "
                 "from morsecensus.recurrence import _serve; _serve()")
@@ -242,23 +318,29 @@ _HELPER_CODE = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN
 class _Helper:
     """The parent's end of the helper process (see :func:`_serve`).
 
-    `ask(levels)` sends the levels the helper lacks, which tells it to sum
-    the odd pairs of level len(levels); `answer(w)` reads those sums back.
-    Parent and helper write strictly in turn, so neither can block writing
-    into a full pipe while the other does the same.  Any failure turns the
-    helper off with one warning on stderr, after which `ask` does nothing
-    and `answer` returns None.
+    `ask(levels, w)` sends the levels below w - 1 that the helper lacks,
+    which tells it to evaluate level w at its points; `answer(w)` reads
+    those values back.  The first message carries every level below the
+    first one the helper takes part in, so a thread writes it while this
+    process evaluates its own points and the helper starts up.  Later
+    messages carry one level each and are written after the helper's last
+    answer has been read, so the two processes write strictly in turn and
+    neither can block writing into a full pipe while the other does the
+    same.  Any failure turns the helper off with one warning on stderr,
+    after which `ask` does nothing and `answer` returns None.
     """
 
     def __init__(self, start: bool):
         self.proc = None
         self.sent = 0
+        self.writer = None
         if start:
             import subprocess  # loaded only by the fills that start a helper
 
             package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
             try:
-                self.proc = subprocess.Popen([sys.executable, "-c", _HELPER_CODE, package_dir],
+                self.proc = subprocess.Popen([sys.executable, "-I", "-S", "-c", _HELPER_CODE,
+                                              package_dir],
                                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
             except OSError as exc:
                 _warn_helper(exc, "start")
@@ -270,13 +352,22 @@ class _Helper:
         if self.proc:
             self._stop(kill=exc_type is not None)
 
-    def ask(self, levels: list[list[int]]) -> None:
-        if self.proc:
-            try:
-                _send(self.proc.stdin.fileno(), levels[self.sent:])
-            except OSError as exc:
-                self._fail(exc, len(levels))
-            self.sent = len(levels)
+    def ask(self, levels: list[list[int]], w: int) -> None:
+        if not self.proc:
+            return
+        fd, new = self.proc.stdin.fileno(), levels[self.sent:w - 1]
+        self.sent = w - 1
+        if self.writer is None:
+            import threading
+
+            self.writer = threading.Thread(target=_send_to_helper, args=(fd, new))
+            self.writer.start()
+            return
+        self.writer.join()
+        try:
+            _send(fd, new)
+        except OSError as exc:
+            self._fail(exc, w)
 
     def answer(self, w: int) -> list[int] | None:
         if self.proc:
@@ -293,11 +384,22 @@ class _Helper:
     def _stop(self, kill: bool) -> int:
         proc, self.proc = self.proc, None
         if kill:
-            proc.kill()
+            proc.kill()  # a killed helper's pipe fails the first message's write at once
+        if self.writer:
+            self.writer.join()
         proc.stdin.close()  # end of input: the helper exits
         code = proc.wait()
         proc.stdout.close()
         return code
+
+
+def _send_to_helper(fd: int, new_levels: list[list[int]]) -> None:
+    """:func:`_send` for a writer thread; a failed write means the helper is
+    gone, which `_Helper.answer` then reads as the end of its output."""
+    try:
+        _send(fd, new_levels)
+    except OSError:
+        pass
 
 
 def _warn_helper(reason, where: str) -> None:
@@ -308,18 +410,22 @@ def _warn_helper(reason, where: str) -> None:
 def _serve() -> None:
     """Main loop of the helper process, on stdin and stdout pipes.
 
-    Reads lists of levels to append and answers each with the odd-w1 sums of
-    the next level.  Ends at end of input, which is also what it reads when
-    the parent dies, or when its answer can no longer be written.
+    Reads lists of levels to append and answers each with the values at its
+    points of the level after the next (see :func:`_fill`).  It keeps the
+    values of the levels at its own points only.  Ends at end of input,
+    which is also what it reads when the parent dies, or when its answer can
+    no longer be written.
     """
     levels: list[list[int]] = []
+    values: dict[int, list[int]] = {}
     while True:
         try:
             levels += _receive(sys.stdin.buffer)
         except (EOFError, ValueError):
             return
+        w = len(levels) + 1
         try:
-            _send(sys.stdout.fileno(), _sums(levels, len(levels), 1))
+            _send(sys.stdout.fileno(), _sums(levels, values, w, _helper_points(w // 2)))
         except BrokenPipeError:
             return
 

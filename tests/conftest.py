@@ -4,7 +4,7 @@ The acceptance suite runs at one of two scales:
 
 * reduced gate (default): indices up to 100, weight bound 200, well under
   ten minutes even cold;
-* full gate: indices up to 200 (weight bound 400, several minutes cold),
+* full gate: indices up to 200 (weight bound 400, about 20 s cold),
   enabled by MORSECENSUS_ACCEPT_FULL=1 or by a warm cache of weight >= 400
   at $MORSECENSUS_CACHE.
 """

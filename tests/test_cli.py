@@ -218,6 +218,26 @@ class TestDependencies:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("loaded: []\n") == 2
 
+    def test_counting_path_loads_no_mpmath(self, tmp_path):
+        child = (
+            "import runpy, sys\n"
+            "import morsecensus.recurrence\n"
+            "print('recurrence:', 'mpmath' in sys.modules)\n"
+            "sys.argv = ['morsecensus', 'census', '--max-n', '5', '--cache', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('morsecensus.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0\n"
+            "print('census:', 'mpmath' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        env.pop(cli.CACHE_ENV_VAR, None)
+        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path / "t.txt")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("recurrence: False\n")
+        assert proc.stdout.endswith("census: False\n")
+
 
 class TestOracle:
     def test_index_one(self, capsys):

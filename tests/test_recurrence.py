@@ -9,11 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsecensus import recurrence
 from morsecensus.recurrence import (
     CacheFormatError,
     CacheLockError,
+    ConsistencyError,
     TableRangeError,
     build_table,
     extend_table,
@@ -117,6 +120,48 @@ class TestDeterminismAndModes:
         base = build_table(12)
         assert extend_table(base, 8) is base
 
+    def test_weight_200_table_digest(self, tmp_path):
+        # the v2 digest of the weight-200 table as the schoolbook convolution
+        # computed it: any fill kernel must reproduce the table bit for bit
+        path = tmp_path / "t.txt"
+        save_table(build_table(200), path)
+        with open(path) as fh:
+            assert fh.readline() == (
+                "morse-htable v2 W=200 sha256="
+                "f9a0681c0fcb4adf163065e9998280742a77ac052eae308648685613887cce7b\n"
+            )
+
+    def test_wrong_sums_raise_consistency_error(self, monkeypatch):
+        sums = recurrence._sums
+
+        def off_by_one_at_level_10(levels, values, w, points):
+            result = sums(levels, values, w, points)
+            return [v + (w == 10 and p == 3) for p, v in zip(points, result)]
+
+        monkeypatch.setattr(recurrence, "_sums", off_by_one_at_level_10)
+        with pytest.raises(ConsistencyError):
+            extend_table(None, 12)
+
+
+class TestInterpolate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-(2**3000), 2**3000), min_size=1, max_size=61),
+           st.integers(0, 3))
+    def test_round_trip(self, coeffs, extra):
+        # degree len(coeffs) - 1 <= 60; extra points give zero coefficients
+        points = range(len(coeffs) + extra)
+        values = [sum(c * p**i for i, c in enumerate(coeffs)) for p in points]
+        assert recurrence._interpolate(values) == coeffs + [0] * extra
+
+    def test_empty(self):
+        assert recurrence._interpolate([]) == []
+
+    @pytest.mark.parametrize("values", [[0, 0, 1], [1, 2, 4, 8], [0, 1, 0, 0, 0]])
+    def test_values_of_no_integer_polynomial_raise(self, values):
+        # x(x-1)/2 at 0, 1, 2; 2^x; a perturbed zero polynomial
+        with pytest.raises(ConsistencyError):
+            recurrence._interpolate(values)
+
 
 @pytest.fixture
 def started(monkeypatch):
@@ -135,8 +180,10 @@ def started(monkeypatch):
 
 @pytest.fixture
 def helpers(started, monkeypatch):
-    """Make every integer fill start a helper process; collects the ones started."""
+    """Make every integer fill start a helper process, and use it from level 2
+    on; collects the ones started."""
     monkeypatch.setattr(recurrence, "_HELPER_MIN_WORK", 0)
+    monkeypatch.setattr(recurrence, "_HELPER_FIRST_LEVEL", 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return started
 
@@ -184,10 +231,10 @@ class TestFillHelper:
     def test_helper_killed_mid_fill_warns_once(self, helpers, monkeypatch, capfd):
         sums = recurrence._sums
 
-        def kill_at_level_25(levels, w, parity):
-            if w == 25 and parity == 0:
+        def kill_at_level_25(levels, values, w, points):
+            if w == 25 and 0 in points:  # this process's own points
                 os.kill(helpers[0].pid, signal.SIGKILL)
-            return sums(levels, w, parity)
+            return sums(levels, values, w, points)
 
         monkeypatch.setattr(recurrence, "_sums", kill_at_level_25)
         table = extend_table(None, 40)
@@ -211,6 +258,7 @@ class TestFillHelper:
             "subprocess.Popen = spy\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "recurrence._HELPER_MIN_WORK = 0\n"
+            "recurrence._HELPER_FIRST_LEVEL = 2\n"
             "recurrence.extend_table(None, 400)\n"
         )
         with open(tmp_path / "stderr", "w") as err:
@@ -238,6 +286,7 @@ class TestFillHelper:
             "from morsecensus import recurrence\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "recurrence._HELPER_MIN_WORK = 0\n"
+            "recurrence._HELPER_FIRST_LEVEL = 2\n"
             "table = recurrence.extend_table(None, 40)\n"
             "print(table.weight_bound, table.morse_count(20))\n"
         )
