@@ -44,6 +44,10 @@ for an integer polynomial, D^k x^m at 0 is k! times a Stirling number of
 the second kind, so every D^k V(0) is a multiple of k!.  A remainder means
 the values are not those of an integer polynomial, which only a bug can
 cause; it raises ConsistencyError.
+
+A large fill on a machine with two usable CPUs forks one helper process
+that evaluates V at three in five of the points of each level (see
+:func:`_fill`); the table is the same bit for bit.
 """
 from __future__ import annotations
 
@@ -52,6 +56,7 @@ import hashlib
 import marshal
 import os
 import re
+import signal
 import sys
 from fractions import Fraction
 from math import comb
@@ -168,13 +173,14 @@ class CensusTable:
 
 # A fill hands part of each level to a helper process from level
 # _HELPER_FIRST_LEVEL on: below it a level takes a few milliseconds or less,
-# too little for the round trip to the helper to pay, and a fill from level 0
-# computes those levels while the helper starts.  It starts a helper only
+# too little for the round trip to the helper to pay.  It forks a helper only
 # when the work of its levels from there on, the sum of w**3 over them (a
 # level's time grows like w**3 to w**3.5 between weights 120 and 300),
-# reaches _HELPER_MIN_WORK.  On a 2-CPU Xeon the helper broke even on levels
-# 100..180 and won on levels 120..200 (0.88 s against 1.15 s on one core,
-# medians of 8) and on levels 200..300 (4.2 s against 6.8 s).
+# reaches _HELPER_MIN_WORK.  On a 2-CPU Xeon, extending a table with and
+# without the helper in turn (medians of 8), the helper lost on levels
+# 100..150 (0.34 s against 0.28 s on one core) and won on levels 100..180
+# (0.45-0.68 s against 0.69-0.77 s in two runs), on levels 120..200 (0.69 s
+# against 1.13 s) and on levels 200..300 (3.8 s against 5.9 s, medians of 4).
 _HELPER_FIRST_LEVEL = 100
 _HELPER_MIN_WORK = sum(w**3 for w in range(100, 191))
 
@@ -232,22 +238,24 @@ def _fill(levels: list[list[int]], weight_bound: int) -> None:
 
     Level w needs the coefficients of z^0..z^(n-1), n = w // 2, of the
     polynomial V of :func:`_sums`.  They come from its values at the n
-    points 0..n-1 by :func:`_interpolate`.  A helper process evaluates V at
-    the points of :func:`_helper_points` when the fill is large enough to
-    pay for one and a second CPU is usable; this process evaluates the
-    others, and the helper's too without a helper, or from the level at
-    which a helper fails on.  Level w + 1 reads no level above w - 1, so
-    the helper is asked for it as soon as its values of level w are in,
-    and works on it while this process interpolates level w.  Every value
-    is exact, so the levels are the same either way.
+    points 0..n-1 by :func:`_interpolate`.  A helper process, forked at the
+    first level it takes part in, evaluates V at the points of
+    :func:`_helper_points` when the fill is large enough to pay for one and
+    a second CPU is usable; this process evaluates the others, and the
+    helper's too without a helper, or from the level at which a helper
+    fails on.  Level w + 1 reads no level above w - 1, so the helper is
+    asked for it as soon as its values of level w are in, and works on it
+    while this process interpolates level w.  Every value is exact, so the
+    levels are the same either way.
     """
     values: dict[int, list[int]] = {}
-    with _Helper(_helper_pays(len(levels), weight_bound)) as helper:
+    first = max(len(levels), _HELPER_FIRST_LEVEL)
+    with _Helper() as helper:
         for w in range(len(levels), weight_bound + 1):
             n = w // 2
-            split = helper.proc is not None and w >= _HELPER_FIRST_LEVEL
-            if split and helper.writer is None:  # the first level the helper takes part in
-                helper.ask(levels, w)
+            if w == first and _helper_pays(w, weight_bound):
+                helper.start(levels, values, w)
+            split = helper.pid is not None
             theirs = _helper_points(n) if split else []
             mine = sorted(set(range(n)).difference(theirs))
             at = dict(zip(mine, _sums(levels, values, w, mine)))
@@ -284,8 +292,8 @@ def _send(fd: int, obj) -> None:
     """Write one object to a pipe: its length in 8 bytes, then its `marshal` form.
 
     Both ends run the same interpreter, so `marshal` is a format both read;
-    unlike `pickle` it is loaded at start-up and runs no code while loading.
-    The write is unbuffered, so nothing is left to flush at exit.
+    unlike `pickle` it runs no code while loading.  The write is unbuffered,
+    so nothing is left to flush at exit.
     """
     data = marshal.dumps(obj)
     data = memoryview(len(data).to_bytes(8, "little") + data)
@@ -305,101 +313,90 @@ def _receive(fh):
     return marshal.loads(data)
 
 
-# Runs in the helper: a fresh interpreter that imports the package from the
-# directory this one did, and never the caller's __main__.  It needs only the
-# standard library, so it starts isolated and without `site` (-I -S), which
-# can import third-party modules at start-up.  It ignores SIGINT, which a
-# terminal sends to both processes: the parent stops it.
-_HELPER_CODE = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
-                "sys.path.insert(0, sys.argv[1]); "
-                "from morsecensus.recurrence import _serve; _serve()")
-
-
 class _Helper:
     """The parent's end of the helper process (see :func:`_serve`).
 
-    `ask(levels, w)` sends the levels below w - 1 that the helper lacks,
-    which tells it to evaluate level w at its points; `answer(w)` reads
-    those values back.  The first message carries every level below the
-    first one the helper takes part in, so a thread writes it while this
-    process evaluates its own points and the helper starts up.  Later
-    messages carry one level each and are written after the helper's last
-    answer has been read, so the two processes write strictly in turn and
-    neither can block writing into a full pipe while the other does the
-    same.  Any failure turns the helper off with one warning on stderr,
-    after which `ask` does nothing and `answer` returns None.
+    `start(levels, values, w)` forks the helper, which inherits the levels
+    and the values computed so far and evaluates its points of level w at
+    once.  `answer(w)` reads those values back; `ask(levels, w)` then sends
+    the levels below w - 1 that the helper lacks (none the first time, one
+    later), which tells it to evaluate level w.  The two processes write
+    strictly in turn, so neither can block writing into a full pipe while
+    the other does the same.  Any failure turns the helper off with one
+    warning on stderr, after which `ask` does nothing and `answer` is not
+    called.  The helper is reaped on every path, and killed first when the
+    fill fails or a message does.
     """
 
-    def __init__(self, start: bool):
-        self.proc = None
-        self.sent = 0
-        self.writer = None
-        if start:
-            import subprocess  # loaded only by the fills that start a helper
-
-            package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-            try:
-                self.proc = subprocess.Popen([sys.executable, "-I", "-S", "-c", _HELPER_CODE,
-                                              package_dir],
-                                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-            except OSError as exc:
-                _warn_helper(exc, "start")
+    def __init__(self):
+        self.pid = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self.proc:
+        if self.pid:
             self._stop(kill=exc_type is not None)
 
-    def ask(self, levels: list[list[int]], w: int) -> None:
-        if not self.proc:
-            return
-        fd, new = self.proc.stdin.fileno(), levels[self.sent:w - 1]
-        self.sent = w - 1
-        if self.writer is None:
-            import threading
-
-            self.writer = threading.Thread(target=_send_to_helper, args=(fd, new))
-            self.writer.start()
-            return
-        self.writer.join()
+    def start(self, levels: list[list[int]], values: dict[int, list[int]], w: int) -> None:
+        fds: list[int] = []
         try:
-            _send(fd, new)
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError as exc:
+            for fd in fds:
+                os.close(fd)
+            _warn_helper(exc, "start")
+            return
+        down_read, down_write, up_read, up_write = fds
+        if pid == 0:
+            # The helper leaves only through os._exit, so it never flushes the
+            # caller's stdio buffers, runs atexit handlers or returns into the
+            # caller.  It ignores SIGINT, which a terminal sends to both: the
+            # parent stops it.
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(down_write)  # so that the parent's death ends its input
+                os.close(up_read)
+                _serve(levels, values, w, open(down_read, "rb"), up_write)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(down_read)
+        os.close(up_write)
+        self.pid, self.sent = pid, len(levels)
+        self.down, self.up = down_write, open(up_read, "rb")
+
+    def ask(self, levels: list[list[int]], w: int) -> None:
+        if not self.pid:
+            return
+        new, self.sent = levels[self.sent:w - 1], w - 1
+        try:
+            _send(self.down, new)
         except OSError as exc:
             self._fail(exc, w)
 
     def answer(self, w: int) -> list[int] | None:
-        if self.proc:
-            try:
-                return _receive(self.proc.stdout)
-            except (EOFError, ValueError) as exc:
-                self._fail(exc, w)
-        return None
+        try:
+            return _receive(self.up)
+        except (EOFError, ValueError) as exc:
+            self._fail(exc, w)
+            return None
 
     def _fail(self, exc: Exception, w: int) -> None:
         code = self._stop(kill=True)
         _warn_helper(f"{str(exc) or type(exc).__name__}; exit code {code}", f"level {w}")
 
     def _stop(self, kill: bool) -> int:
-        proc, self.proc = self.proc, None
+        pid, self.pid = self.pid, None
         if kill:
-            proc.kill()  # a killed helper's pipe fails the first message's write at once
-        if self.writer:
-            self.writer.join()
-        proc.stdin.close()  # end of input: the helper exits
-        code = proc.wait()
-        proc.stdout.close()
+            os.kill(pid, signal.SIGKILL)
+        os.close(self.down)  # end of input: the helper exits
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        self.up.close()
         return code
-
-
-def _send_to_helper(fd: int, new_levels: list[list[int]]) -> None:
-    """:func:`_send` for a writer thread; a failed write means the helper is
-    gone, which `_Helper.answer` then reads as the end of its output."""
-    try:
-        _send(fd, new_levels)
-    except OSError:
-        pass
 
 
 def _warn_helper(reason, where: str) -> None:
@@ -407,27 +404,23 @@ def _warn_helper(reason, where: str) -> None:
           file=sys.stderr)
 
 
-def _serve() -> None:
-    """Main loop of the helper process, on stdin and stdout pipes.
+def _serve(levels: list[list[int]], values: dict[int, list[int]], w: int, fh,
+           fd: int) -> None:
+    """Main loop of the helper process, on the pipes `fh` (in) and `fd` (out).
 
-    Reads lists of levels to append and answers each with the values at its
-    points of the level after the next (see :func:`_fill`).  It keeps the
-    values of the levels at its own points only.  Ends at end of input,
-    which is also what it reads when the parent dies, or when its answer can
-    no longer be written.
+    Answers with the values of level w at its points, reads the list of
+    levels to append, and goes on with level w + 1 (see :func:`_fill`).  Of
+    the values it inherits it extends those at its own points only.  Ends at
+    end of input, which is also what it reads when the parent dies, or when
+    its answer can no longer be written.
     """
-    levels: list[list[int]] = []
-    values: dict[int, list[int]] = {}
     while True:
         try:
-            levels += _receive(sys.stdin.buffer)
-        except (EOFError, ValueError):
+            _send(fd, _sums(levels, values, w, _helper_points(w // 2)))
+            levels += _receive(fh)
+        except (BrokenPipeError, EOFError, ValueError):
             return
-        w = len(levels) + 1
-        try:
-            _send(sys.stdout.fileno(), _sums(levels, values, w, _helper_points(w // 2)))
-        except BrokenPipeError:
-            return
+        w += 1
 
 
 def _fill_fractions(entries: dict[tuple[int, int], Fraction], w_start: int, w_stop: int) -> None:
@@ -562,8 +555,10 @@ def load_table(path: str | os.PathLike) -> CensusTable:
     """Read a cache file back; bit-exact inverse of :func:`save_table`.
 
     Files in the older v1 format (one "x y p/q" line per entry) are read too.
+    Bytes that are not UTF-8 are read as lone surrogates, which no pattern or
+    number accepts, so they raise CacheFormatError naming their line.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n")
         if m := _HEADER_RE.match(header):
             return _read_levels(fh, int(m.group(1)), m.group(2))
@@ -576,7 +571,7 @@ def _read_levels(fh, weight_bound: int, digest: str) -> CensusTable:
     body = hashlib.sha256()
     levels = []
     for line_no, line in enumerate(fh, start=2):
-        body.update(line.encode())
+        body.update(line.encode(errors="surrogateescape"))
         w = len(levels)
         try:
             level = [int(tok) for tok in line.split()]

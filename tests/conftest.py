@@ -40,6 +40,17 @@ def acceptance_scale() -> int:
     return REDUCED_MAX_INDEX
 
 
+@pytest.fixture(autouse=True)
+def no_leaked_child():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("test left a child process behind" + (f" (pid {pid}, unreaped)" if pid else ""))
+
+
 @pytest.fixture(scope="session")
 def acceptance_max_n() -> int:
     return acceptance_scale()

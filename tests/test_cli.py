@@ -90,6 +90,19 @@ class TestCacheBehavior:
         assert code == 3
         assert "line 3" in err
 
+    @pytest.mark.parametrize("content, line_no", [
+        (b"morse-htable v2 W=\xff2 sha256=" + b"0" * 64 + b"\n1\n2\n6 4\n", 1),
+        (b"morse-htable v2 W=2 sha256=" + b"0" * 64 + b"\n1\n2\n6 \xff4\n", 4),
+        (b"morse-htable v1 W=2\n0 0 1\n1 0 1/\xe92\n", 3),
+    ], ids=["v2-header", "v2-body-line", "v1-entry"])
+    def test_non_utf8_cache_is_hard_error_naming_line(self, capsys, tmp_path, content, line_no):
+        cache = tmp_path / "t.txt"
+        cache.write_bytes(content)
+        code, out, err = run(capsys, "census", "--max-n", "0", "--cache", str(cache))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"cache error: cache line {line_no}: ")
+
     def test_unwritable_cache_warns_and_computes(self, capsys, tmp_path):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("")

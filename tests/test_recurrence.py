@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -165,16 +166,24 @@ class TestInterpolate:
 
 @pytest.fixture
 def started(monkeypatch):
-    """The child processes started during the test."""
-    procs = []
-    popen = subprocess.Popen
+    """The helper processes forked during the test: pid -> exit code once reaped."""
+    procs = {}
+    fork, waitpid = os.fork, os.waitpid
 
-    def spy(*args, **kwargs):
-        proc = popen(*args, **kwargs)
-        procs.append(proc)
-        return proc
+    def fork_spy():
+        pid = fork()
+        if pid:
+            procs[pid] = None
+        return pid
 
-    monkeypatch.setattr(subprocess, "Popen", spy)
+    def waitpid_spy(pid, options):
+        done, status = waitpid(pid, options)
+        if done in procs:
+            procs[done] = os.waitstatus_to_exitcode(status)
+        return done, status
+
+    monkeypatch.setattr(os, "fork", fork_spy)
+    monkeypatch.setattr(os, "waitpid", waitpid_spy)
     return procs
 
 
@@ -207,9 +216,11 @@ class TestFillHelper:
         save_table(extend_table(None, 10), path)
         assert not helpers
         monkeypatch.setattr(recurrence, "_HELPER_MIN_WORK", 0)
+        threads = threading.active_count()
         assert extend_table(None, 40) == serial == reference
         assert extend_table(load_table(path), 40) == reference
-        assert [proc.returncode for proc in helpers] == [0, 0]
+        assert threading.active_count() == threads
+        assert list(helpers.values()) == [0, 0]
         assert capfd.readouterr().err == ""
 
     def test_small_fill_starts_no_helper(self, started):
@@ -218,8 +229,11 @@ class TestFillHelper:
         extend_table(None, 60)
         assert not started
 
-    def test_helper_that_cannot_start_warns_once(self, helpers, monkeypatch, tmp_path, capfd):
-        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    def test_helper_that_cannot_start_warns_once(self, helpers, monkeypatch, capfd):
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         table = extend_table(None, 40)
         assert table == extend_table(None, 40, use_fractions=True)
         assert not helpers
@@ -233,29 +247,30 @@ class TestFillHelper:
 
         def kill_at_level_25(levels, values, w, points):
             if w == 25 and 0 in points:  # this process's own points
-                os.kill(helpers[0].pid, signal.SIGKILL)
+                os.kill(next(iter(helpers)), signal.SIGKILL)
             return sums(levels, values, w, points)
 
         monkeypatch.setattr(recurrence, "_sums", kill_at_level_25)
         table = extend_table(None, 40)
         assert table == extend_table(None, 40, use_fractions=True)
-        assert helpers[0].returncode == -signal.SIGKILL
+        assert list(helpers.values()) == [-signal.SIGKILL]
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("warning: fill helper failed at level ")
-        assert "exit code -9" in err[0]
+        assert err[0].endswith("exit code -9); continuing on one core")
 
     def test_helper_exits_when_parent_is_killed(self, tmp_path):
         parent = (
-            "import os, subprocess, sys\n"
+            "import os, sys\n"
             f"sys.path.insert(0, {SRC!r})\n"
             "from morsecensus import recurrence\n"
-            "popen = subprocess.Popen\n"
-            "def spy(*args, **kwargs):\n"
-            "    proc = popen(*args, **kwargs)\n"
-            "    print(proc.pid, flush=True)\n"
-            "    return proc\n"
-            "subprocess.Popen = spy\n"
+            "fork = os.fork\n"
+            "def spy():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "os.fork = spy\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "recurrence._HELPER_MIN_WORK = 0\n"
             "recurrence._HELPER_FIRST_LEVEL = 2\n"
@@ -279,6 +294,8 @@ class TestFillHelper:
         assert (tmp_path / "stderr").read_text() == ""
 
     def test_unguarded_script_fills_with_a_helper(self, tmp_path):
+        # the text printed before the fork is still in the stdout buffer of
+        # the piped script when the helper is forked: it must appear once
         script = tmp_path / "unguarded.py"
         script.write_text(
             "import os, sys\n"
@@ -287,6 +304,7 @@ class TestFillHelper:
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "recurrence._HELPER_MIN_WORK = 0\n"
             "recurrence._HELPER_FIRST_LEVEL = 2\n"
+            "print('before the fill')\n"
             "table = recurrence.extend_table(None, 40)\n"
             "print(table.weight_bound, table.morse_count(20))\n"
         )
@@ -294,7 +312,7 @@ class TestFillHelper:
                               timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
-        assert done.stdout == f"40 {build_table(40).morse_count(20)}\n"
+        assert done.stdout == f"before the fill\n40 {build_table(40).morse_count(20)}\n"
 
 
 class TestCache:
