@@ -17,12 +17,10 @@ import mpmath
 
 from .exactmath import GUARD_BITS, bernoulli, catalan, factorial, format_rational, log_rational
 from .recurrence import CensusTable, TableRangeError
-from .series import scaled_tangent_series
 
 __all__ = [
     "AsymptoticRow",
     "asymptotic_row",
-    "check_lower_bound",
     "check_upper_bound",
     "check_conjecture",
     "growth_ratio",
@@ -75,12 +73,6 @@ def asymptotic_row(table: CensusTable, n: int, precision: int = 128) -> Asymptot
             + mpmath.log(2 * mpmath.pi) / 2
         )
         return AsymptoticRow(n, h, log_h, delta, delta / n)
-
-
-def check_lower_bound(n: int, table: CensusTable) -> bool:
-    """Exact comparison: normalized count at n >= ODE/tangent coefficient."""
-    u_n = scaled_tangent_series(n).coefficient(2 * n + 1)
-    return table.normalized_count(n) >= u_n
 
 
 def check_upper_bound(n: int, table: CensusTable) -> bool:

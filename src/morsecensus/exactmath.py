@@ -23,7 +23,6 @@ __all__ = [
     "bernoulli",
     "log_rational",
     "format_rational",
-    "parse_rational",
 ]
 
 # Entries near weight 400 have ~1000-digit numerators; keep int<->str
@@ -100,11 +99,3 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`."""
-    num, sep, den = text.partition("/")
-    if sep:
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))

@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul, sub
 
-from .exactmath import factorial, parse_rational
+from .exactmath import factorial
 
 __all__ = [
     "CensusTable",
@@ -510,8 +510,6 @@ def build_table(weight_bound: int, cache_path: str | os.PathLike | None = None) 
 # cache persistence
 
 _HEADER_RE = re.compile(r"^morse-htable v2 W=(\d+) sha256=([0-9a-f]{64})$")
-_V1_HEADER_RE = re.compile(r"^morse-htable v1 W=(\d+)$")
-_V1_ENTRY_RE = re.compile(r"^(\d+) (\d+) (-?\d+(?:/\d+)?)$")
 
 
 def save_table(table: CensusTable, path: str | os.PathLike) -> None:
@@ -536,17 +534,22 @@ def save_table(table: CensusTable, path: str | os.PathLike) -> None:
         except BlockingIOError:
             raise CacheLockError(f"cache {path} is locked by another writer ({lock_path})")
         tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "wb") as fh:
-            header = f"{CACHE_MAGIC} W={table.weight_bound} sha256=".encode()
-            fh.write(header + b"0" * 64 + b"\n")
-            digest = hashlib.sha256()
-            for level in table._levels:
-                line = (" ".join(map(str, level)) + "\n").encode()
-                digest.update(line)
-                fh.write(line)
-            fh.seek(len(header))
-            fh.write(digest.hexdigest().encode())
-        os.replace(tmp_path, path)
+        try:
+            with open(tmp_path, "wb") as fh:
+                header = f"{CACHE_MAGIC} W={table.weight_bound} sha256=".encode()
+                fh.write(header + b"0" * 64 + b"\n")
+                digest = hashlib.sha256()
+                for level in table._levels:
+                    line = (" ".join(map(str, level)) + "\n").encode()
+                    digest.update(line)
+                    fh.write(line)
+                fh.seek(len(header))
+                fh.write(digest.hexdigest().encode())
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
     finally:
         os.close(lock_fd)
 
@@ -554,16 +557,17 @@ def save_table(table: CensusTable, path: str | os.PathLike) -> None:
 def load_table(path: str | os.PathLike) -> CensusTable:
     """Read a cache file back; bit-exact inverse of :func:`save_table`.
 
-    Files in the older v1 format (one "x y p/q" line per entry) are read too.
-    Bytes that are not UTF-8 are read as lone surrogates, which no pattern or
-    number accepts, so they raise CacheFormatError naming their line.
+    A file in the older v1 format carries no digest, so it is refused on its
+    first line; delete it to rebuild the cache.  Bytes that are not UTF-8 are
+    read as lone surrogates, which no pattern or number accepts, so they
+    raise CacheFormatError naming their line.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n")
         if m := _HEADER_RE.match(header):
             return _read_levels(fh, int(m.group(1)), m.group(2))
-        if m := _V1_HEADER_RE.match(header):
-            return _read_v1_entries(fh, int(m.group(1)))
+    if header.startswith("morse-htable v1 "):
+        raise CacheFormatError(1, "v1 file carries no digest; delete it to rebuild the cache")
     raise CacheFormatError(1, f"bad header {header!r}")
 
 
@@ -588,32 +592,4 @@ def _read_levels(fh, weight_bound: int, digest: str) -> CensusTable:
         )
     if body.hexdigest() != digest:
         raise CacheFormatError(1, "body does not match its sha256 digest")
-    return CensusTable(weight_bound, levels)
-
-
-def _read_v1_entries(fh, weight_bound: int) -> CensusTable:
-    scaled: dict[tuple[int, int], int] = {}
-    last_key = (-1, -1)
-    for line_no, line in enumerate(fh, start=2):
-        m = _V1_ENTRY_RE.match(line.rstrip("\n"))
-        if not m:
-            raise CacheFormatError(line_no, f"bad entry {line.rstrip()!r}")
-        x, y = int(m.group(1)), int(m.group(2))
-        if x + 2 * y > weight_bound:
-            raise CacheFormatError(line_no, f"entry ({x},{y}) exceeds W={weight_bound}")
-        key = (x + 2 * y, x)
-        if key <= last_key:
-            raise CacheFormatError(line_no, f"entry ({x},{y}) out of order or duplicated")
-        last_key = key
-        s = parse_rational(m.group(3)) * _scale(x, y)
-        if s.denominator != 1:
-            raise CacheFormatError(line_no, f"entry ({x},{y}) does not scale to an integer")
-        scaled[(x, y)] = s.numerator
-    expected = sum(w // 2 + 1 for w in range(weight_bound + 1))
-    if len(scaled) != expected:
-        raise CacheFormatError(
-            1, f"W={weight_bound} needs {expected} entries, file has {len(scaled)}"
-        )
-    levels = [[scaled[(w - 2 * y, y)] for y in range(w // 2 + 1)]
-              for w in range(weight_bound + 1)]
     return CensusTable(weight_bound, levels)

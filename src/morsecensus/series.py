@@ -53,11 +53,6 @@ class Series1:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
 
-    def truncate(self, order: int) -> "Series1":
-        if order >= self.order:
-            return self
-        return Series1(self.coeffs[: order + 1])
-
     def __add__(self, other: "Series1") -> "Series1":
         n = min(self.order, other.order)
         return Series1([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])

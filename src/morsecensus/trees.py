@@ -9,8 +9,9 @@ are exactly n nodes and n+2 leaves.
 A planted trivalent planar tree (PTPT) is a rooted ordered tree whose
 root has exactly one child and whose other internal vertices have exactly
 two ordered children; with 2n+2 vertices there are Catalan(n) of them.
-Shapes are nested pairs: () is a leaf, (left, right) an internal vertex,
-and the planted root is implicit above the stem.
+Shapes are parenthesis strings: "()" is a leaf, "(" left right ")" an
+internal vertex, and the planted root is implicit above the stem.  A
+shape with n internal vertices is 4n+2 characters long.
 
 Every Morse tree maps injectively to a (PTPT, permutation) pair:
 
@@ -28,9 +29,9 @@ is the identity; pairs outside the image decode to an invalid labeled
 tree and are rejected.
 
 Every walk over a tree or a shape (encoding, decoding, walk numbering,
-both directions of the parenthesis text, and so equality and hashing of
-shapes) runs on an explicit stack or queue, so no depth limit applies: a
-comb of any index round-trips.
+reading the parenthesis text) runs on an explicit stack or queue or a
+scan of the text, so no depth limit applies: a comb of any index
+round-trips.
 
 Brute-force enumeration of Morse trees runs over degree-constrained
 Pruefer sequences: a vertex of degree d appears d-1 times, so the valid
@@ -89,31 +90,19 @@ class MorseTree:
         return adj
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Ptpt:
-    """Planted trivalent planar tree, held as its stem shape.
+    """Planted trivalent planar tree, held as the parenthesis text of its stem."""
 
-    Equality and hashing go through the stem's parenthesis text, not the
-    nested tuples, so they have no depth limit either.
-    """
-
-    stem: tuple
-
-    def __eq__(self, other):
-        if not isinstance(other, Ptpt):
-            return NotImplemented
-        return _stem_to_parens(self.stem) == _stem_to_parens(other.stem)
-
-    def __hash__(self) -> int:
-        return hash(_stem_to_parens(self.stem))
+    stem: str
 
     @property
     def n(self) -> int:
-        return (len(_walk(self.stem)) - 1) // 2
+        return (len(self.stem) - 2) // 4
 
     @property
     def vertex_count(self) -> int:
-        return len(_walk(self.stem)) + 1  # stem plus the planted root
+        return len(self.stem) // 2 + 1  # two characters per stem vertex, plus the planted root
 
 
 @dataclass(frozen=True)
@@ -241,14 +230,14 @@ def enumerate_ptpt(n: int) -> list[Ptpt]:
     return [Ptpt(stem) for stem in _full_binary_shapes(n)]
 
 
-def _full_binary_shapes(internal: int) -> list[tuple]:
+def _full_binary_shapes(internal: int) -> list[str]:
     if internal == 0:
-        return [()]
+        return ["()"]
     shapes = []
     for left_internal in range(internal):
         for left in _full_binary_shapes(left_internal):
             for right in _full_binary_shapes(internal - 1 - left_internal):
-                shapes.append((left, right))
+                shapes.append(f"({left}{right})")
     return shapes
 
 
@@ -256,23 +245,34 @@ def _full_binary_shapes(internal: int) -> list[tuple]:
 # the injection
 
 
-def _walk(stem: tuple) -> list[tuple[int, int]]:
+def _walk(stem: str) -> list[tuple[int, int]]:
     """(parent walk number, side) for walk numbers 1..2n+1, in walk order.
 
-    Entry i-1 belongs to walk number i; the planted root is walk number 0
-    and the stem vertex its side-0 child.  Sides are 0 for the first
-    child and 1 for the second.
+    Entry i-1 belongs to walk number i, the vertex opened by the i-th "("
+    of the stem text; the planted root is walk number 0 and the stem
+    vertex its side-0 child.  Sides are 0 for the first child and 1 for
+    the second.  A malformed shape raises ValueError naming the position.
     """
     walk: list[tuple[int, int]] = []
-    stack = [(stem, 0, 0)]
-    while stack:
-        shape, parent, side = stack.pop()
-        walk.append((parent, side))
-        if shape:
-            number = len(walk)
-            stack.append((shape[1], number, 1))
-            stack.append((shape[0], number, 0))
-    return walk
+    path = [[0, 0]]  # the open vertices as [walk number, children so far], root first
+    for pos, char in enumerate(stem):
+        if char == "(":
+            parent = path[-1]
+            if parent[1] == 2:
+                raise ValueError(f"a third child opens at position {pos} of the shape")
+            walk.append((parent[0], parent[1]))
+            parent[1] += 1
+            path.append([len(walk), 0])
+        elif char == ")" and len(path) > 1:
+            if path.pop()[1] == 1:
+                raise ValueError(f"the vertex closed at position {pos} of the shape has one child")
+            if len(path) == 1:
+                if pos + 1 < len(stem):
+                    raise ValueError(f"trailing characters at position {pos + 1} of the shape")
+                return walk
+        else:
+            raise ValueError(f"unexpected {char!r} at position {pos} of the shape")
+    raise ValueError("the shape ends before the stem vertex closes")
 
 
 def walk_labels(p: Ptpt) -> dict[tuple[int, ...], int]:
@@ -304,16 +304,18 @@ def encode(tree: MorseTree) -> EncodedPair:
     for v in reversed(order[1:]):
         low[parent[v]] = min(low[parent[v]], low[v])
     kids = {v: sorted((w for w in adj[v] if w != parent[v]), key=low.__getitem__) for v in order}
-    perm = []
+    perm, parens = [], []
     stack = [adj[0][0]]
     while stack:  # first-child-first preorder from the stem: the walk order
         v = stack.pop()
+        if v is None:  # every child is closed: close the vertex
+            parens.append(")")
+            continue
         perm.append(v)
+        parens.append("(")
+        stack.append(None)
         stack.extend(reversed(kids[v]))
-    shape_at: dict[int, tuple] = {}
-    for v in reversed(perm):  # every child is shaped before its parent
-        shape_at[v] = tuple(shape_at.pop(w) for w in kids[v])
-    return EncodedPair(Ptpt(shape_at[perm[0]]), tuple(perm))
+    return EncodedPair(Ptpt("".join(parens)), tuple(perm))
 
 
 def decode(pair: EncodedPair) -> MorseTree:
@@ -358,53 +360,16 @@ def tree_from_text(text: str) -> MorseTree:
     return MorseTree.from_edges(n, edges)
 
 
-def _stem_to_parens(stem: tuple) -> str:
-    out = []
-    stack: list = [stem]
-    while stack:
-        shape = stack.pop()
-        if shape is None:
-            out.append(")")
-        elif not shape:
-            out.append("()")
-        else:
-            out.append("(")
-            stack += (None, shape[1], shape[0])  # None closes the vertex
-    return "".join(out)
-
-
-def _stem_from_parens(text: str) -> tuple:
-    """Parse a stem; "()" is a leaf and "(" left right ")" a node."""
-    open_children: list[list[tuple]] = []  # one child list per open vertex
-    for pos, char in enumerate(text):
-        if char == "(":
-            open_children.append([])
-            continue
-        if char != ")" or not open_children:
-            raise ValueError(f"unexpected {char!r} at position {pos} of shape string")
-        kids = open_children.pop()
-        if len(kids) not in (0, 2):
-            raise ValueError(f"expected 0 or 2 children in the vertex closed at position {pos}, "
-                             f"found {len(kids)}")
-        shape = tuple(kids)
-        if not open_children:
-            if pos + 1 < len(text):
-                raise ValueError(f"trailing characters in shape string: {text[pos + 1:]!r}")
-            return shape
-        open_children[-1].append(shape)
-    raise ValueError("shape string ends before the stem vertex closes")
-
-
 def pair_to_text(pair: EncodedPair) -> str:
     """Balanced-parenthesis stem encoding plus the permutation word."""
     word = " ".join(str(v) for v in pair.perm)
-    return f"{_stem_to_parens(pair.ptpt.stem)}\nphi = {word}\n"
+    return f"{pair.ptpt.stem}\nphi = {word}\n"
 
 
 def pair_from_text(text: str) -> EncodedPair:
     lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
     if len(lines) != 2 or not lines[1].startswith("phi ="):
         raise ValueError("pair text must be a shape line then a 'phi = ...' line")
-    stem = _stem_from_parens(lines[0])
+    _walk(lines[0])  # raises on a malformed shape
     perm = tuple(int(tok) for tok in lines[1][len("phi =") :].split())
-    return EncodedPair(Ptpt(stem), perm)
+    return EncodedPair(Ptpt(lines[0]), perm)

@@ -9,7 +9,6 @@ from morsecensus.analysis import (
     asymptotic_row,
     bernoulli_growth_ratio,
     check_conjecture,
-    check_lower_bound,
     check_upper_bound,
     fit_residual_model,
     format_real,
@@ -45,11 +44,6 @@ class TestAsymptoticRow:
 
 
 class TestBoundChecks:
-    def test_lower_bound_small_cases(self, small_table):
-        # 1 >= 1, 1/3 >= 1/6, 19/120 >= 1/30
-        for n in range(3):
-            assert check_lower_bound(n, small_table)
-
     def test_upper_bound_small_cases(self, small_table):
         # 1 <= 1, 1/3 <= 1, 19/120 <= 2
         for n in range(3):

@@ -85,15 +85,24 @@ class TestCacheBehavior:
 
     def test_malformed_cache_is_hard_error_naming_line(self, capsys, tmp_path):
         cache = tmp_path / "t.txt"
-        cache.write_text("morse-htable v1 W=2\n0 0 1\n1 0 bogus\n")
+        cache.write_text("morse-htable v2 W=2 sha256=" + "0" * 64 + "\n1\nbogus\n6 4\n")
         code, _, err = run(capsys, "census", "--max-n", "1", "--cache", str(cache))
         assert code == 3
         assert "line 3" in err
 
+    def test_tampered_v1_cache_is_refused(self, capsys, tmp_path):
+        # T(0,1) = 2/3 in place of 1/3: a v1 file has no digest to catch it
+        cache = tmp_path / "t.txt"
+        cache.write_text("morse-htable v1 W=2\n0 0 1\n1 0 1/2\n0 1 2/3\n2 0 1/4\n")
+        code, out, err = run(capsys, "census", "--max-n", "1", "--cache", str(cache))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("cache error: cache line 1: ")
+
     @pytest.mark.parametrize("content, line_no", [
         (b"morse-htable v2 W=\xff2 sha256=" + b"0" * 64 + b"\n1\n2\n6 4\n", 1),
         (b"morse-htable v2 W=2 sha256=" + b"0" * 64 + b"\n1\n2\n6 \xff4\n", 4),
-        (b"morse-htable v1 W=2\n0 0 1\n1 0 1/\xe92\n", 3),
+        (b"morse-htable v1 W=2\n0 0 1\n1 0 1/\xe92\n", 1),
     ], ids=["v2-header", "v2-body-line", "v1-entry"])
     def test_non_utf8_cache_is_hard_error_naming_line(self, capsys, tmp_path, content, line_no):
         cache = tmp_path / "t.txt"

@@ -1,3 +1,4 @@
+import errno
 import fcntl
 import math
 import os
@@ -327,18 +328,13 @@ class TestCache:
             "6 4\n"
         )
 
-    def test_v1_golden_file_still_loads(self, tmp_path):
+    def test_v1_file_is_refused_on_its_header(self, tmp_path):
+        # v1 files carry no digest, so a changed entry would go unnoticed
         path = tmp_path / "t.txt"
         path.write_text(V1_GOLDEN)
-        assert load_table(path) == build_table(2)
-
-    def test_v1_entry_that_does_not_scale_names_line(self, tmp_path):
-        # S'(0,1) = 2 * 3! * T(0,1) must be an integer; 1/5 gives 12/5
-        path = tmp_path / "t.txt"
-        path.write_text(V1_GOLDEN.replace("0 1 1/3", "0 1 1/5"))
-        with pytest.raises(CacheFormatError) as err:
+        with pytest.raises(CacheFormatError, match="no digest; delete it") as err:
             load_table(path)
-        assert err.value.line_no == 4
+        assert err.value.line_no == 1
 
     def test_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -437,6 +433,17 @@ class TestCache:
         assert child.returncode == -signal.SIGKILL
         save_table(build_table(2), path)
         assert load_table(path) == build_table(2)
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        table = build_table(10, tmp_path / "d" / "c.txt")
+        assert table == build_table(10)
+        assert os.listdir(tmp_path / "d") == ["c.txt.lock"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: cache not written (")
 
     def test_lock_released_after_save(self, tmp_path):
         path = tmp_path / "t.txt"

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import sys
@@ -161,11 +162,11 @@ class TestPtpt:
 
 class TestWalkLabels:
     def test_trivial_shape(self):
-        labels = walk_labels(Ptpt(()))
+        labels = walk_labels(Ptpt("()"))
         assert labels == {(): 1}
 
     def test_single_node_shape(self):
-        labels = walk_labels(Ptpt(((), ())))
+        labels = walk_labels(Ptpt("(()())"))
         assert labels == {(): 1, (0,): 2, (1,): 3}
 
     def test_labels_are_a_bijection(self):
@@ -178,18 +179,18 @@ class TestWalkLabels:
 class TestEncodeDecode:
     def test_trivial_tree(self):
         pair = encode(EDGE)
-        assert pair == EncodedPair(Ptpt(()), (1,))
+        assert pair == EncodedPair(Ptpt("()"), (1,))
         assert decode(pair) == EDGE
 
     def test_star_at_one_gets_identity_word(self):
         pair = encode(STAR_AT_1)
-        assert pair.ptpt == Ptpt(((), ()))
+        assert pair.ptpt == Ptpt("(()())")
         assert pair.perm == (1, 2, 3)
 
     def test_star_at_two_swaps_first_two(self):
         # child subtrees {1} and {3} order as 1 before 3
         pair = encode(STAR_AT_2)
-        assert pair.ptpt == Ptpt(((), ()))
+        assert pair.ptpt == Ptpt("(()())")
         assert pair.perm == (2, 1, 3)
 
     def test_round_trip_identity_small_indices(self):
@@ -208,12 +209,12 @@ class TestEncodeDecode:
 
     def test_decode_rejects_non_bijection(self):
         with pytest.raises(NotInImageError):
-            decode(EncodedPair(Ptpt(((), ())), (1, 1, 3)))
+            decode(EncodedPair(Ptpt("(()())"), (1, 1, 3)))
 
     def test_decode_rejects_pair_outside_image(self):
         # top label at the node: the decoded tree has no higher neighbor there
         with pytest.raises(NotInImageError):
-            decode(EncodedPair(Ptpt(((), ())), (3, 1, 2)))
+            decode(EncodedPair(Ptpt("(()())"), (3, 1, 2)))
 
 
 class TestTextFormats:
@@ -250,6 +251,23 @@ class TestTextFormats:
     def test_bad_pair_text(self, text):
         with pytest.raises(ValueError):
             pair_from_text(text)
+
+    def test_pair_text_accepts_exactly_the_shapes(self):
+        # every string over "()" of length 4n+2: only the Catalan(n) shapes parse
+        for n in range(4):
+            shapes = {p.stem for p in enumerate_ptpt(n)}
+            accepted = set()
+            for chars in itertools.product("()", repeat=4 * n + 2):
+                stem = "".join(chars)
+                try:
+                    pair = pair_from_text(stem + "\nphi = 1\n")
+                except ValueError as exc:
+                    assert stem not in shapes
+                    assert "position" in str(exc) or "ends before" in str(exc)
+                else:
+                    assert pair.ptpt == Ptpt(stem)
+                    accepted.add(stem)
+            assert accepted == shapes and len(shapes) == catalan(n)
 
 
 class TestNoDepthLimit:
