@@ -34,7 +34,9 @@ __all__ = [
     "SUPPORTED_ARGUMENT_RANGE",
 ]
 
-# the integral's radicand is verified positive on [0, xi] for xi up to here
+# targets series_argument accepts; its radicand is positive for every target
+# (see there), and up to here one Gauss-Kronrod rule suffices (error estimate
+# 3.3e-17 at 0.3) and the argument stays inside the series' radius >= 1/2
 SUPPORTED_ARGUMENT_RANGE = 0.3
 
 
@@ -114,10 +116,6 @@ def bernoulli_growth_ratio(k: int, precision: int = 128) -> mpmath.mpf:
 # elliptic inversion of the one-variable generating series
 
 
-def _radicand(t: float, target: float) -> float:
-    return t**4 / 4 - t**2 + 2 * target * t + 1
-
-
 # QUADPACK's dqk21 (Piessens et al., QUADPACK, Springer 1983): abscissae of
 # the 21-point Kronrod rule on [-1, 1], largest first and the centre last;
 # those at odd positions (1-based even) are the 10-point Gauss abscissae.
@@ -164,8 +162,9 @@ def series_argument(target: float, tol: float = 1e-12) -> float:
     with one 21-point Gauss-Kronrod rule on [0, target], summed in the order
     of QUADPACK's dqk21.  The integrand is smooth there, so one rule is
     enough: if the Gauss-Kronrod difference |resk - resg| * h exceeds `tol`,
-    ValueError is raised rather than subdividing.  The radicand is checked
-    positive on 257 equally spaced points of [0, target] before integrating.
+    ValueError is raised rather than subdividing.  The radicand needs no
+    check: on [0, target], 2*target*t >= 2*t^2, so it is at least
+    t^4/4 + t^2 + 1 > 0.
     """
     if not 0 <= target <= SUPPORTED_ARGUMENT_RANGE:
         raise ValueError(
@@ -173,11 +172,9 @@ def series_argument(target: float, tol: float = 1e-12) -> float:
         )
     if target == 0:
         return 0.0
-    if min(_radicand(target * i / 256, target) for i in range(257)) <= 0:
-        raise ValueError(f"integrand radicand not strictly positive on [0, {target}]")
 
     def f(t: float) -> float:
-        return 1.0 / math.sqrt(_radicand(t, target))
+        return 1.0 / math.sqrt(t**4 / 4 - t**2 + 2 * target * t + 1)
 
     centre = 0.5 * target
     h = 0.5 * target

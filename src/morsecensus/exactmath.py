@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, factorial as _factorial
+from math import comb, factorial  # re-exported; raises ValueError on n < 0
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -31,13 +31,6 @@ if sys.get_int_max_str_digits() < 50_000:
     sys.set_int_max_str_digits(50_000)
 
 GUARD_BITS = 64
-
-
-def factorial(n: int) -> int:
-    """n! as an exact integer."""
-    if n < 0:
-        raise ValueError("factorial requires n >= 0")
-    return _factorial(n)
 
 
 def catalan(n: int) -> int:

@@ -158,9 +158,6 @@ class CensusTable:
             for y in reversed(range(len(level))):
                 yield (w - 2 * y, y), Fraction(level[y], _scale(w - 2 * y, y))
 
-    def __len__(self) -> int:
-        return sum(map(len, self._levels))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CensusTable):
             return NotImplemented
@@ -518,8 +515,11 @@ def save_table(table: CensusTable, path: str | os.PathLike) -> None:
 
     Holds an exclusive `flock` on `<path>.lock` (fail-fast) while it replaces
     the file atomically, so an interrupted write never corrupts an existing
-    cache.  The kernel drops the lock when its holder exits or is killed, so
-    a dead writer never leaves the cache locked; the lock file itself stays.
+    cache.  Under the lock it reads the existing file's header, and it writes
+    nothing when that names a larger W: another command saved a larger table
+    after this one loaded the cache, and a cache never shrinks.  The kernel
+    drops the lock when its holder exits or is killed, so a dead writer never
+    leaves the cache locked; the lock file itself stays.
     The levels are streamed: the header is written with a placeholder of the
     digest's length and rewritten once the body has been hashed.
     """
@@ -533,6 +533,13 @@ def save_table(table: CensusTable, path: str | os.PathLike) -> None:
             fcntl.flock(lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise CacheLockError(f"cache {path} is locked by another writer ({lock_path})")
+        try:
+            with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+                m = _HEADER_RE.match(fh.readline().rstrip("\n"))
+        except FileNotFoundError:
+            m = None
+        if m and int(m.group(1)) > table.weight_bound:
+            return
         tmp_path = f"{path}.tmp.{os.getpid()}"
         try:
             with open(tmp_path, "wb") as fh:

@@ -1,16 +1,18 @@
 """Truncated formal power series over exact rationals, in one and two variables.
 
-One-variable series are dense coefficient tuples; two-variable series are
-sparse maps keyed by (first-exponent, second-exponent) with an optional
-truncation bound on the second exponent.  All arithmetic is exact; binary
-operations truncate to the smaller order/bound of the operands.
+A one-variable series (Series1) is a dense coefficient tuple with no
+operators: the functions below build it, and callers read and compare its
+coefficients.  A two-variable series (Series2) is a sparse map keyed by
+(first-exponent, second-exponent) with an optional truncation bound on the
+second exponent.  Its arithmetic is exact; binary operations truncate to
+the smaller bound of the operands.
 
-The census connects to series three ways:
+The census connects to series two ways:
 
 * the tangent expansion written through Bernoulli numbers, against the
   coefficientwise solution of  du/dt = 1 + u^2/2, u(0) = 0  (the same
-  function sqrt(2)*tan(t/sqrt(2)), derived by two independent routes);
-* the one-variable generating series of the normalized counts;
+  function sqrt(2)*tan(t/sqrt(2)), derived by two independent routes),
+  which bounds the normalized counts from below coefficient by coefficient;
 * the two-variable generating series sum T(x,y) u^x v^(x+2y+1), which must
   annihilate the quasilinear PDE residual
       dv(s) - (1 + u s + u^2/2) du(s) - (s^2/2 + u s + 1).
@@ -28,7 +30,6 @@ __all__ = [
     "tangent_series_bernoulli",
     "ode_comparison_series",
     "scaled_tangent_series",
-    "generating_series",
     "bivariate_generating_series",
     "pde_residual",
 ]
@@ -53,47 +54,10 @@ class Series1:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
 
-    def __add__(self, other: "Series1") -> "Series1":
-        n = min(self.order, other.order)
-        return Series1([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-
-    def __sub__(self, other: "Series1") -> "Series1":
-        n = min(self.order, other.order)
-        return Series1([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
-
-    def __mul__(self, other: "Series1") -> "Series1":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series1(out)
-
-    def derivative(self) -> "Series1":
-        if self.order == 0:
-            return Series1([Fraction(0)])
-        return Series1([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series1):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def lines(self) -> list[str]:
-        """Nonzero coefficients as sorted "k: p/q" lines."""
-        from .exactmath import format_rational
-
-        return [f"{k}: {format_rational(c)}" for k, c in enumerate(self.coeffs) if c]
-
-    def __repr__(self) -> str:
-        return f"Series1(order={self.order}, nonzero={sum(1 for c in self.coeffs if c)})"
 
 
 class Series2:
@@ -175,17 +139,11 @@ class Series2:
             return NotImplemented
         return self.coeffs == other.coeffs and self.v_bound == other.v_bound
 
-    def __hash__(self):
-        return hash((frozenset(self.coeffs.items()), self.v_bound))
-
     def lines(self) -> list[str]:
         """Nonzero coefficients as sorted "a b: p/q" lines."""
         from .exactmath import format_rational
 
         return [f"{a} {b}: {format_rational(c)}" for (a, b), c in sorted(self.coeffs.items())]
-
-    def __repr__(self) -> str:
-        return f"Series2(v_bound={self.v_bound}, nonzero={len(self.coeffs)})"
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +191,6 @@ def scaled_tangent_series(order_index: int) -> Series1:
     coeffs = list(tan.coeffs)
     for k in range(order_index + 1):
         coeffs[2 * k + 1] /= 1 << k
-    return Series1(coeffs)
-
-
-def generating_series(table: CensusTable, max_index: int) -> Series1:
-    """One-variable generating series: normalized count of index n at power 2n+1."""
-    if 2 * max_index > table.weight_bound:
-        raise TableRangeError(
-            f"series through index {max_index} needs weight bound {2 * max_index}"
-        )
-    coeffs = [Fraction(0)] * (2 * max_index + 2)
-    for n in range(max_index + 1):
-        coeffs[2 * n + 1] = table.normalized_count(n)
     return Series1(coeffs)
 
 

@@ -11,7 +11,9 @@ root has exactly one child and whose other internal vertices have exactly
 two ordered children; with 2n+2 vertices there are Catalan(n) of them.
 Shapes are parenthesis strings: "()" is a leaf, "(" left right ")" an
 internal vertex, and the planted root is implicit above the stem.  A
-shape with n internal vertices is 4n+2 characters long.
+shape with n internal vertices is 4n+2 characters long.  No class wraps a
+shape: `enumerate_ptpt` returns the strings, and `EncodedPair.stem` holds
+one.
 
 Every Morse tree maps injectively to a (PTPT, permutation) pair:
 
@@ -47,13 +49,11 @@ from .exactmath import catalan
 
 __all__ = [
     "MorseTree",
-    "Ptpt",
     "EncodedPair",
     "NotInImageError",
     "is_morse_tree",
     "enumerate_morse_trees",
     "enumerate_ptpt",
-    "walk_labels",
     "encode",
     "decode",
     "tree_to_text",
@@ -91,28 +91,14 @@ class MorseTree:
 
 
 @dataclass(frozen=True)
-class Ptpt:
-    """Planted trivalent planar tree, held as the parenthesis text of its stem."""
-
-    stem: str
-
-    @property
-    def n(self) -> int:
-        return (len(self.stem) - 2) // 4
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.stem) // 2 + 1  # two characters per stem vertex, plus the planted root
-
-
-@dataclass(frozen=True)
 class EncodedPair:
     """Image of a Morse tree: shape plus permutation in one-line word form.
 
-    perm[i-1] is the Morse label of the vertex with walk number i.
+    `stem` is the shape's parenthesis string; perm[i-1] is the Morse label
+    of the vertex with walk number i.
     """
 
-    ptpt: Ptpt
+    stem: str
     perm: tuple[int, ...]
 
 
@@ -218,8 +204,8 @@ def enumerate_morse_trees(n: int) -> set[MorseTree]:
     return found
 
 
-def enumerate_ptpt(n: int) -> list[Ptpt]:
-    """All planted trivalent planar trees with 2n+2 vertices."""
+def enumerate_ptpt(n: int) -> list[str]:
+    """The shape strings of all planted trivalent planar trees with 2n+2 vertices."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > PTPT_ENUM_BUDGET:
@@ -227,7 +213,7 @@ def enumerate_ptpt(n: int) -> list[Ptpt]:
             f"enumeration budget is n <= {PTPT_ENUM_BUDGET} "
             f"(there are Catalan(n) shapes, Catalan({n}) = {catalan(n)}); got n={n}"
         )
-    return [Ptpt(stem) for stem in _full_binary_shapes(n)]
+    return _full_binary_shapes(n)
 
 
 def _full_binary_shapes(internal: int) -> list[str]:
@@ -275,19 +261,6 @@ def _walk(stem: str) -> list[tuple[int, int]]:
     raise ValueError("the shape ends before the stem vertex closes")
 
 
-def walk_labels(p: Ptpt) -> dict[tuple[int, ...], int]:
-    """Walk numbers 1..2n+1 for the stem vertices, keyed by path from the stem.
-
-    The counterclockwise boundary walk first meets vertices in
-    first-child-first preorder, which is what this returns.  Paths are
-    tuples of 0/1 child choices; () is the stem vertex under the root.
-    """
-    paths: list[tuple[int, ...]] = [(), ()]  # the planted root, then the stem
-    for parent, side in _walk(p.stem)[1:]:
-        paths.append(paths[parent] + (side,))
-    return {path: number for number, path in enumerate(paths[1:], 1)}
-
-
 def encode(tree: MorseTree) -> EncodedPair:
     """Injective image of a valid Morse tree as an (PTPT, permutation) pair."""
     if not is_morse_tree(tree):
@@ -315,7 +288,7 @@ def encode(tree: MorseTree) -> EncodedPair:
         parens.append("(")
         stack.append(None)
         stack.extend(reversed(kids[v]))
-    return EncodedPair(Ptpt("".join(parens)), tuple(perm))
+    return EncodedPair("".join(parens), tuple(perm))
 
 
 def decode(pair: EncodedPair) -> MorseTree:
@@ -325,7 +298,7 @@ def decode(pair: EncodedPair) -> MorseTree:
     image of its walk number; a reconstruction failing Morse validation
     means the pair was not in the image.
     """
-    walk = _walk(pair.ptpt.stem)
+    walk = _walk(pair.stem)
     n = (len(walk) - 1) // 2
     if sorted(pair.perm) != list(range(1, 2 * n + 2)):
         raise NotInImageError("permutation is not a bijection on 1..2n+1")
@@ -363,7 +336,7 @@ def tree_from_text(text: str) -> MorseTree:
 def pair_to_text(pair: EncodedPair) -> str:
     """Balanced-parenthesis stem encoding plus the permutation word."""
     word = " ".join(str(v) for v in pair.perm)
-    return f"{pair.ptpt.stem}\nphi = {word}\n"
+    return f"{pair.stem}\nphi = {word}\n"
 
 
 def pair_from_text(text: str) -> EncodedPair:
@@ -372,4 +345,4 @@ def pair_from_text(text: str) -> EncodedPair:
         raise ValueError("pair text must be a shape line then a 'phi = ...' line")
     _walk(lines[0])  # raises on a malformed shape
     perm = tuple(int(tok) for tok in lines[1][len("phi =") :].split())
-    return EncodedPair(Ptpt(lines[0]), perm)
+    return EncodedPair(lines[0], perm)

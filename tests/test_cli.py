@@ -1,4 +1,5 @@
 import fcntl
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from morsecensus import cli
-from morsecensus.recurrence import build_table, load_table
+from morsecensus.recurrence import build_table, load_table, save_table
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -198,6 +199,26 @@ class TestVerify:
             "ok elliptic round trip at 0.1: |error| = 1.388e-17\n"
             "ok elliptic round trip at 0.2: |error| = 0.000e+00\n"
         )
+
+    @pytest.mark.parametrize("argv, line", [
+        (("pde", "--order", "7"), "FAIL pde residual nonzero, first coefficient: 0 6: 11877/20"),
+        (("bounds", "--max-n", "6"), "FAIL upper bound at n=3: h=5350/63"),
+        (("conjecture", "--max-n", "6"), "FAIL g < (2n+1)! at n=3: h=5350/63"),
+    ], ids=["pde", "bounds", "conjecture"])
+    def test_wrong_count_fails(self, capsys, tmp_path, argv, line):
+        # S'(0,3), the 4th entry of level 6, times 1000 (g(3) = 428000), digest recomputed
+        cache = tmp_path / "t.txt"
+        save_table(build_table(12), cache)
+        lines = cache.read_text().splitlines(keepends=True)
+        level = lines[7].split()  # line 8 of the file holds level 6
+        level[3] = str(int(level[3]) * 1000)
+        lines[7] = " ".join(level) + "\n"
+        digest = hashlib.sha256("".join(lines[1:]).encode()).hexdigest()
+        lines[0] = f"morse-htable v2 W=12 sha256={digest}\n"
+        cache.write_text("".join(lines))
+        code, out, _ = run(capsys, "verify", *argv, "--cache", str(cache))
+        assert code == 1
+        assert out == line + "\n"
 
     def test_unknown_verifier_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

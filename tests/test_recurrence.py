@@ -79,8 +79,8 @@ class TestFill:
 
     def test_trivial_table(self):
         table = build_table(0)
-        assert len(table) == 1
-        assert table.entry(0, 0) == 1
+        assert table.weight_bound == 0
+        assert list(table.items()) == [((0, 0), 1)]
 
     def test_range_errors(self, table20):
         with pytest.raises(TableRangeError):
@@ -358,6 +358,21 @@ class TestCache:
         build_table(16, cache_path=path)
         table = build_table(10, cache_path=path)
         assert table.weight_bound == 16
+
+    def test_cache_never_shrinks(self, tmp_path, monkeypatch, capsys):
+        # another command saves W=60 while this one extends its loaded W=20 to 40
+        path = tmp_path / "t.txt"
+        build_table(20, cache_path=path)
+        extend = recurrence.extend_table
+
+        def extend_while_another_saves(table, weight_bound):
+            save_table(extend(None, 60), path)
+            return extend(table, weight_bound)
+
+        monkeypatch.setattr(recurrence, "extend_table", extend_while_another_saves)
+        assert build_table(40, cache_path=path).weight_bound == 40
+        assert load_table(path) == extend(None, 60)
+        assert capsys.readouterr().err == ""
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "t.txt"

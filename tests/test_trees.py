@@ -13,7 +13,6 @@ from morsecensus.trees import (
     EncodedPair,
     MorseTree,
     NotInImageError,
-    Ptpt,
     decode,
     encode,
     enumerate_morse_trees,
@@ -23,7 +22,6 @@ from morsecensus.trees import (
     pair_to_text,
     tree_from_text,
     tree_to_text,
-    walk_labels,
 )
 
 EDGE = MorseTree.from_edges(0, [(0, 1)])
@@ -153,44 +151,23 @@ class TestPtpt:
         with pytest.raises(ValueError, match="budget"):
             enumerate_ptpt(9)
 
-    def test_vertex_counts(self):
-        for n in range(5):
-            for p in enumerate_ptpt(n):
-                assert p.vertex_count == 2 * n + 2
-                assert p.n == n
-
-
-class TestWalkLabels:
-    def test_trivial_shape(self):
-        labels = walk_labels(Ptpt("()"))
-        assert labels == {(): 1}
-
-    def test_single_node_shape(self):
-        labels = walk_labels(Ptpt("(()())"))
-        assert labels == {(): 1, (0,): 2, (1,): 3}
-
-    def test_labels_are_a_bijection(self):
-        for n in range(6):
-            for p in enumerate_ptpt(n):
-                labels = walk_labels(p)
-                assert sorted(labels.values()) == list(range(1, 2 * n + 2))
 
 
 class TestEncodeDecode:
     def test_trivial_tree(self):
         pair = encode(EDGE)
-        assert pair == EncodedPair(Ptpt("()"), (1,))
+        assert pair == EncodedPair("()", (1,))
         assert decode(pair) == EDGE
 
     def test_star_at_one_gets_identity_word(self):
         pair = encode(STAR_AT_1)
-        assert pair.ptpt == Ptpt("(()())")
+        assert pair.stem == "(()())"
         assert pair.perm == (1, 2, 3)
 
     def test_star_at_two_swaps_first_two(self):
         # child subtrees {1} and {3} order as 1 before 3
         pair = encode(STAR_AT_2)
-        assert pair.ptpt == Ptpt("(()())")
+        assert pair.stem == "(()())"
         assert pair.perm == (2, 1, 3)
 
     def test_round_trip_identity_small_indices(self):
@@ -209,12 +186,12 @@ class TestEncodeDecode:
 
     def test_decode_rejects_non_bijection(self):
         with pytest.raises(NotInImageError):
-            decode(EncodedPair(Ptpt("(()())"), (1, 1, 3)))
+            decode(EncodedPair("(()())", (1, 1, 3)))
 
     def test_decode_rejects_pair_outside_image(self):
         # top label at the node: the decoded tree has no higher neighbor there
         with pytest.raises(NotInImageError):
-            decode(EncodedPair(Ptpt("(()())"), (3, 1, 2)))
+            decode(EncodedPair("(()())", (3, 1, 2)))
 
 
 class TestTextFormats:
@@ -255,7 +232,7 @@ class TestTextFormats:
     def test_pair_text_accepts_exactly_the_shapes(self):
         # every string over "()" of length 4n+2: only the Catalan(n) shapes parse
         for n in range(4):
-            shapes = {p.stem for p in enumerate_ptpt(n)}
+            shapes = set(enumerate_ptpt(n))
             accepted = set()
             for chars in itertools.product("()", repeat=4 * n + 2):
                 stem = "".join(chars)
@@ -265,7 +242,7 @@ class TestTextFormats:
                     assert stem not in shapes
                     assert "position" in str(exc) or "ends before" in str(exc)
                 else:
-                    assert pair.ptpt == Ptpt(stem)
+                    assert pair.stem == stem
                     accepted.add(stem)
             assert accepted == shapes and len(shapes) == catalan(n)
 
@@ -285,8 +262,6 @@ class TestNoDepthLimit:
         assert back == pair
         assert len({pair, back}) == 1
         assert pair_to_text(back) == text
-        assert back.ptpt.n == COMB_INDEX
-        assert len(walk_labels(back.ptpt)) == 2 * COMB_INDEX + 1
         assert decode(back) == tree
 
 
