@@ -184,9 +184,9 @@ def _cmd_oracle(args) -> int:
     enumerated = trees.enumerate_morse_trees(args.n)
     table = recurrence.build_table(2 * args.n, _cache_path(args))
     recurrence_count = table.morse_count(args.n)
-    pairs = {trees.encode(t) for t in enumerated}
-    injective = len(pairs) == len(enumerated)
-    round_trip = all(trees.decode(trees.encode(t)) == t for t in enumerated)
+    pairs = [trees.encode(t) for t in enumerated]
+    injective = len(set(pairs)) == len(enumerated)
+    round_trip = all(trees.decode(pair) == t for pair, t in zip(pairs, enumerated))
     print(f"oracle={len(enumerated)} recurrence={recurrence_count} "
           f"injective={'yes' if injective else 'no'}")
     if len(enumerated) != recurrence_count or not injective or not round_trip:

@@ -2,24 +2,28 @@
 
 A one-variable series (Series1) is a dense coefficient tuple with no
 operators: the functions below build it, and callers read and compare its
-coefficients.  A two-variable series (Series2) is a sparse map keyed by
-(first-exponent, second-exponent) with an optional truncation bound on the
-second exponent.  Its arithmetic is exact; binary operations truncate to
-the smaller bound of the operands.
+coefficients.  A two-variable series (Series2) is likewise a coefficient
+container: a sparse map keyed by (first-exponent, second-exponent) with an
+optional truncation bound on the second exponent.
 
 The census connects to series two ways:
 
 * the tangent expansion written through Bernoulli numbers, against the
   coefficientwise solution of  du/dt = 1 + u^2/2, u(0) = 0  (the same
   function sqrt(2)*tan(t/sqrt(2)), derived by two independent routes),
-  which bounds the normalized counts from below coefficient by coefficient;
+  which bounds the normalized counts from below coefficient by coefficient.
+  The ODE route runs on integers: scaling u_k by 2^k (2k+1)! clears every
+  division from its recurrence;
 * the two-variable generating series sum T(x,y) u^x v^(x+2y+1), which must
   annihilate the quasilinear PDE residual
       dv(s) - (1 + u s + u^2/2) du(s) - (s^2/2 + u s + 1).
+  The residual is computed on integers over one common denominator, and
+  only its nonzero coefficients become fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
 
 from .exactmath import bernoulli, factorial
 from .recurrence import CensusTable, TableRangeError
@@ -63,9 +67,8 @@ class Series1:
 class Series2:
     """Sparse two-variable series; second-variable exponents capped at `v_bound`.
 
-    `v_bound=None` means untruncated (polynomials, monomials).  Binary
-    operations keep the smaller bound; coefficients above it are discarded
-    as truncation noise.
+    `v_bound=None` means untruncated.  Zero coefficients and coefficients
+    above the bound are dropped on construction.
     """
 
     __slots__ = ("coeffs", "v_bound")
@@ -78,58 +81,8 @@ class Series2:
             if c and (v_bound is None or key[1] <= v_bound)
         }
 
-    @staticmethod
-    def monomial(coeff, u_exp: int = 0, v_exp: int = 0) -> "Series2":
-        return Series2({(u_exp, v_exp): Fraction(coeff)})
-
-    @staticmethod
-    def _merge_bound(a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
     def coefficient(self, u_exp: int, v_exp: int) -> Fraction:
         return self.coeffs.get((u_exp, v_exp), Fraction(0))
-
-    def __add__(self, other: "Series2") -> "Series2":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return Series2(out, self._merge_bound(self.v_bound, other.v_bound))
-
-    def __sub__(self, other: "Series2") -> "Series2":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) - c
-        return Series2(out, self._merge_bound(self.v_bound, other.v_bound))
-
-    def __mul__(self, other: "Series2") -> "Series2":
-        bound = self._merge_bound(self.v_bound, other.v_bound)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                b = b1 + b2
-                if bound is not None and b > bound:
-                    continue
-                key = (a1 + a2, b)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Series2(out, bound)
-
-    def derivative_u(self) -> "Series2":
-        return Series2(
-            {(a - 1, b): a * c for (a, b), c in self.coeffs.items() if a > 0},
-            self.v_bound,
-        )
-
-    def derivative_v(self) -> "Series2":
-        # coefficients at second-exponent b come from b+1, so the bound drops by one
-        bound = None if self.v_bound is None else self.v_bound - 1
-        return Series2(
-            {(a, b - 1): b * c for (a, b), c in self.coeffs.items() if b > 0},
-            bound,
-        )
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -168,17 +121,20 @@ def ode_comparison_series(order_index: int) -> Series1:
     """Coefficientwise solution of du/dt = 1 + u^2/2, u(0) = 0, through t^(2K+1).
 
     The solution is odd; with u_k the coefficient of t^(2k+1),
-    u_0 = 1 and (2k+1) u_k = (1/2) sum_{i+j=k-1} u_i u_j.
+    u_0 = 1 and (2k+1) u_k = (1/2) sum_{i+j=k-1} u_i u_j.  The integers
+    a_k = 2^k (2k+1)! u_k satisfy a_0 = 1 and
+    a_k = sum_{i+j=k-1} binom(2k, 2i+1) a_i a_j, a recurrence without a
+    division; each coefficient is then one fraction a_k / (2^k (2k+1)!).
     """
     if order_index < 0:
         raise ValueError("order_index must be >= 0")
-    odd = [Fraction(1)]
+    scaled = [1]
     for k in range(1, order_index + 1):
-        s = sum(odd[i] * odd[k - 1 - i] for i in range(k))
-        odd.append(s / (2 * (2 * k + 1)))
+        scaled.append(sum(comb(2 * k, 2 * i + 1) * scaled[i] * scaled[k - 1 - i]
+                          for i in range(k)))
     coeffs = [Fraction(0)] * (2 * order_index + 2)
-    for k, c in enumerate(odd):
-        coeffs[2 * k + 1] = c
+    for k, a in enumerate(scaled):
+        coeffs[2 * k + 1] = Fraction(a, factorial(2 * k + 1) << k)
     return Series1(coeffs)
 
 
@@ -213,6 +169,24 @@ def bivariate_generating_series(table: CensusTable, v_max: int) -> Series2:
     return Series2(coeffs, v_bound=v_max)
 
 
+def _truncated_product(x: dict, y: dict, bound: int | None) -> dict:
+    """Product of two integer-coefficient series, second exponents <= bound."""
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), c in y.items():
+        rows.setdefault(b, []).append((a, c))
+    rows_by_b = sorted(rows.items())
+    out: dict[tuple[int, int], int] = {}
+    for (a1, b1), c1 in x.items():
+        for b2, row in rows_by_b:
+            b = b1 + b2
+            if bound is not None and b > bound:
+                break
+            for a2, c2 in row:
+                key = (a1 + a2, b)
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
 def pde_residual(series: Series2) -> Series2:
     """Residual of the quasilinear PDE the bivariate series must satisfy.
 
@@ -221,11 +195,34 @@ def pde_residual(series: Series2) -> Series2:
     the input is complete through its bound V, and each retained residual
     coefficient (second exponent <= V-1) only consumes input coefficients
     with second exponent <= V.
+
+    With D the lcm of the input's denominators and s = N/D, N has integer
+    coefficients and
+        2 D^2 R = 2D dv(N) - (2D + 2uN + D u^2) du(N) - N^2 - 2D u N - 2D^2,
+    so the residual takes two truncated products of integer series and one
+    fraction per nonzero coefficient.
     """
-    one = Series2.monomial(1)
-    u = Series2.monomial(1, u_exp=1)
-    half_u_sq = Series2.monomial(Fraction(1, 2), u_exp=2)
-    half = Series2.monomial(Fraction(1, 2))
-    transport = one + u * series + half_u_sq
-    source = half * series * series + u * series + one
-    return series.derivative_v() - transport * series.derivative_u() - source
+    bound = None if series.v_bound is None else series.v_bound - 1
+    d = lcm(*(c.denominator for c in series.coeffs.values()))
+    n = {key: c.numerator * (d // c.denominator) for key, c in series.coeffs.items()}
+    du = {(a - 1, b): a * c for (a, b), c in n.items() if a > 0}
+    scaled: dict[tuple[int, int], int] = {}  # 2 D^2 times the residual
+
+    def add(a: int, b: int, c: int) -> None:
+        if bound is None or b <= bound:
+            scaled[(a, b)] = scaled.get((a, b), 0) + c
+
+    add(0, 0, -2 * d * d)
+    for (a, b), c in n.items():
+        if b > 0:
+            add(a, b - 1, 2 * d * b * c)
+        add(a + 1, b, -2 * d * c)
+    for (a, b), c in du.items():
+        add(a, b, -2 * d * c)
+        add(a + 2, b, -d * c)
+    for (a, b), c in _truncated_product(n, du, bound).items():
+        add(a + 1, b, -2 * c)
+    for (a, b), c in _truncated_product(n, n, bound).items():
+        add(a, b, -c)
+    denominator = 2 * d * d
+    return Series2({key: Fraction(c, denominator) for key, c in scaled.items() if c}, bound)

@@ -220,6 +220,19 @@ class TestVerify:
         assert code == 1
         assert out == line + "\n"
 
+    def test_tan_routes_disagree_fails(self, capsys, monkeypatch):
+        true_ode = cli.series.ode_comparison_series
+
+        def off_by_one_at_k3(order_index):
+            coeffs = list(true_ode(order_index).coeffs)
+            coeffs[7] += 1
+            return cli.series.Series1(coeffs)
+
+        monkeypatch.setattr(cli.series, "ode_comparison_series", off_by_one_at_k3)
+        code, out, _ = run(capsys, "verify", "tan", "--max-k", "10")
+        assert code == 1
+        assert out == "FAIL tan routes disagree at k=3: bernoulli=17/2520 ode=2537/2520\n"
+
     def test_unknown_verifier_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "verify", "everything")

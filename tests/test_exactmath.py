@@ -29,12 +29,12 @@ def catalan_by_convolution(n):
 
 
 def bernoulli_by_series_inversion(m):
-    # invert (e^t - 1)/t = sum t^k/(k+1)! coefficientwise; B_m = m! * c_m
+    """B_0, ..., B_m: invert (e^t - 1)/t = sum t^k/(k+1)! coefficientwise; B_k = k! * c_k."""
     denom = [Fraction(1, math.factorial(k + 1)) for k in range(m + 1)]
     inv = [Fraction(1)]
     for k in range(1, m + 1):
         inv.append(-sum(denom[j] * inv[k - j] for j in range(1, k + 1)))
-    return inv[m] * math.factorial(m)
+    return [c * math.factorial(k) for k, c in enumerate(inv)]
 
 
 class TestFactorial:
@@ -71,8 +71,8 @@ class TestBernoulli:
         assert bernoulli(3) == 0
 
     def test_against_series_inversion(self):
-        for m in range(41):
-            assert bernoulli(m) == bernoulli_by_series_inversion(m)
+        for m, expected in enumerate(bernoulli_by_series_inversion(120)):
+            assert bernoulli(m) == expected
 
     def test_odd_indices_vanish(self):
         for k in range(1, 26):
