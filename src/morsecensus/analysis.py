@@ -1,5 +1,7 @@
-"""Numerical asymptotics and every bound/identity check on the census.
+"""Numerical asymptotics of the census.
 
+The functions take the counts g(0), g(1), ... as a list of ints (see
+:func:`inversion.morse_counts`) and read h(n) = g(n)/(2n+1)! from them.
 All logarithms are natural.  High-precision values are mpmath floats
 computed at an explicit precision (default 128 bits, guard bits included
 by the exactmath helpers); exact comparisons stay in integers/rationals
@@ -15,14 +17,12 @@ from typing import Sequence
 
 import mpmath
 
-from .exactmath import GUARD_BITS, bernoulli, catalan, factorial, format_rational, log_rational
-from .recurrence import CensusTable, TableRangeError
+from .exactmath import GUARD_BITS, bernoulli, factorial, format_rational, log_rational
+from .recurrence import TableRangeError
 
 __all__ = [
     "AsymptoticRow",
     "asymptotic_row",
-    "check_upper_bound",
-    "check_conjecture",
     "growth_ratio",
     "bernoulli_growth_ratio",
     "series_argument",
@@ -51,7 +51,14 @@ class AsymptoticRow:
     delta_over_n: mpmath.mpf
 
 
-def asymptotic_row(table: CensusTable, n: int, precision: int = 128) -> AsymptoticRow:
+def _normalized(counts: Sequence[int], n: int) -> Fraction:
+    """h(n) = g(n) / (2n+1)!."""
+    if not 0 <= n < len(counts):
+        raise TableRangeError(f"n={n} outside the counts g(0..{len(counts) - 1})")
+    return Fraction(counts[n], factorial(2 * n + 1))
+
+
+def asymptotic_row(counts: Sequence[int], n: int, precision: int = 128) -> AsymptoticRow:
     """Stirling residual of the normalized count at index n.
 
     delta = log h - 2n (1 + log(n/(2n+1))) + (3/2) log(2n+1) - 1
@@ -63,7 +70,7 @@ def asymptotic_row(table: CensusTable, n: int, precision: int = 128) -> Asymptot
     """
     if n < 1:
         raise TableRangeError("asymptotic rows are defined for n >= 1")
-    h = table.normalized_count(n)
+    h = _normalized(counts, n)
     log_h = log_rational(h, precision)
     with mpmath.workprec(precision + GUARD_BITS):
         nn = mpmath.mpf(n)
@@ -77,26 +84,11 @@ def asymptotic_row(table: CensusTable, n: int, precision: int = 128) -> Asymptot
         return AsymptoticRow(n, h, log_h, delta, delta / n)
 
 
-def check_upper_bound(n: int, table: CensusTable) -> bool:
-    """Exact comparisons: h <= Catalan(n) and the sharper integer estimate
-    g * (n+1) <= 2^(2n) * (2n+1)!."""
-    if table.normalized_count(n) > catalan(n):
-        return False
-    return table.morse_count(n) * (n + 1) <= (1 << (2 * n)) * factorial(2 * n + 1)
-
-
-def check_conjecture(n: int, table: CensusTable) -> bool:
-    """Conjectured strict bound g < (2n+1)!, i.e. h < 1, for n >= 1."""
-    if n < 1:
-        raise ValueError("the conjecture is tested for n >= 1 (equality holds at n=0)")
-    return table.normalized_count(n) < 1
-
-
-def growth_ratio(n: int, table: CensusTable, precision: int = 128) -> mpmath.mpf:
+def growth_ratio(n: int, counts: Sequence[int], precision: int = 128) -> mpmath.mpf:
     """log g(n) / (n log n); tends to 2 from below on the computed range."""
     if n < 2:
         raise TableRangeError("growth ratio needs n >= 2 (log n must exceed 0 cleanly)")
-    log_h = log_rational(table.normalized_count(n), precision)
+    log_h = log_rational(_normalized(counts, n), precision)
     with mpmath.workprec(precision + GUARD_BITS):
         log_fact = mpmath.log(mpmath.mpf(factorial(2 * n + 1)))
         return (log_h + log_fact) / (n * mpmath.log(n))
@@ -193,18 +185,18 @@ def series_argument(target: float, tol: float = 1e-12) -> float:
     return resk * h
 
 
-def series_value(table: CensusTable, argument: float, terms: int = 50) -> float:
+def series_value(counts: Sequence[int], argument: float, terms: int = 50) -> float:
     """Evaluate sum_{n <= terms} h(n) * argument^(2n+1) in double precision.
 
     Convergence: h(n) <= Catalan(n) ~ 4^n gives radius >= 1/2, so 50 terms
     leave truncation error far below 1e-8 for arguments below 0.25.
     """
-    if 2 * terms > table.weight_bound:
-        raise TableRangeError(f"{terms} series terms need weight bound {2 * terms}")
+    if terms >= len(counts):
+        raise TableRangeError(f"{terms} series terms need the counts to n={terms}")
     acc = 0.0
     sq = argument * argument
     for n in reversed(range(terms + 1)):
-        acc = acc * sq + float(table.normalized_count(n))
+        acc = acc * sq + float(_normalized(counts, n))
     return acc * argument
 
 

@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Subcommands: census, table, verify, oracle, encode, decode.  The default
-cache path comes from the MORSECENSUS_CACHE environment variable when no
---cache flag is given; with neither, everything is computed in memory.
+Subcommands: census, table, verify, oracle, encode, decode.  The counts
+that `census`, `table` and `verify bounds|conjecture|elliptic` print or
+check come from the one-variable route of :mod:`inversion`, in memory.
+`verify pde` and `oracle` read the two-parameter table of :mod:`recurrence`
+through the cache file, whose path comes from --cache or, without it, from
+the MORSECENSUS_CACHE environment variable; with neither, the table is
+computed in memory.  `census`, `table` and `verify` accept --cache as well,
+and only `verify pde` among them reads it.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 I/O error.
@@ -13,9 +18,10 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
-from . import recurrence, series, trees
-from .exactmath import format_rational
+from . import inversion, recurrence, series, trees
+from .exactmath import factorial, format_rational
 
 CACHE_ENV_VAR = "MORSECENSUS_CACHE"
 REFERENCE_TABLE_POINTS = (10, 20, 30, 40, 50, 100, 150, 200)
@@ -37,20 +43,24 @@ def _cache_path(args) -> str | None:
 # census
 
 
+def _normalized(n: int, g: int) -> Fraction:
+    """h(n) = g(n) / (2n+1)!."""
+    return Fraction(g, factorial(2 * n + 1))
+
+
 def _cmd_census(args) -> int:
-    table = recurrence.build_table(2 * args.max_n, _cache_path(args))
-    rows = [(n, table.normalized_count(n), table.morse_count(n))
-            for n in range(args.max_n + 1)]
+    rows = [(n, format_rational(_normalized(n, g)), format_rational(g))
+            for n, g in enumerate(inversion.morse_counts(args.max_n))]
     if args.format == "json":
-        records = [{"n": n, "h": format_rational(h), "g": str(g)} for n, h, g in rows]
+        records = [{"n": n, "h": h, "g": g} for n, h, g in rows]
         print(json.dumps(records, indent=2))
     elif args.format == "csv":
         print("n,h,g")
         for n, h, g in rows:
-            print(f"{n},{format_rational(h)},{g}")
+            print(f"{n},{h},{g}")
     else:
         for n, h, g in rows:
-            print(f"n={n} h={format_rational(h)} g={g}")
+            print(f"n={n} h={h} g={g}")
     return EXIT_OK
 
 
@@ -62,8 +72,8 @@ def _cmd_table(args) -> int:
     from . import analysis  # loads mpmath, which the exact commands never need
 
     points = args.points
-    table = recurrence.build_table(2 * max(points), _cache_path(args))
-    rows = [analysis.asymptotic_row(table, n, args.precision) for n in points]
+    counts = inversion.morse_counts(max(points))
+    rows = [analysis.asymptotic_row(counts, n, args.precision) for n in points]
     if args.format == "json":
         sys.stdout.write(analysis.rows_to_json(rows))
     elif args.format == "csv":
@@ -84,16 +94,15 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cache = _cache_path(args)
     if args.which == "tan":
         return _verify_tan(args.max_k)
     if args.which == "pde":
-        return _verify_pde(args.order, cache)
+        return _verify_pde(args.order, _cache_path(args))
     if args.which == "bounds":
-        return _verify_bounds(args.max_n, cache)
+        return _verify_bounds(args.max_n)
     if args.which == "conjecture":
-        return _verify_conjecture(args.max_n, cache)
-    return _verify_elliptic(cache)
+        return _verify_conjecture(args.max_n)
+    return _verify_elliptic()
 
 
 def _verify_tan(max_k: int) -> int:
@@ -121,45 +130,39 @@ def _verify_pde(order: int, cache: str | None) -> int:
     return EXIT_OK
 
 
-def _verify_bounds(max_n: int, cache: str | None) -> int:
-    from . import analysis
-
-    table = recurrence.build_table(2 * max_n, cache)
+def _verify_bounds(max_n: int) -> int:
     ode = series.scaled_tangent_series(max_n)
-    for n in range(max_n + 1):
-        h = table.normalized_count(n)
+    for n, g in enumerate(inversion.morse_counts(max_n)):
+        h = _normalized(n, g)
         if h < ode.coefficient(2 * n + 1):
             print(f"FAIL lower bound at n={n}: h={format_rational(h)}")
             return EXIT_VERIFY_FAIL
-        if not analysis.check_upper_bound(n, table):
+        if not inversion.check_upper_bound(n, g):
             print(f"FAIL upper bound at n={n}: h={format_rational(h)}")
             return EXIT_VERIFY_FAIL
-        if n >= 1 and not analysis.check_conjecture(n, table):
+        if n >= 1 and not inversion.check_conjecture(n, g):
             print(f"FAIL conjecture g < (2n+1)! at n={n}")
             return EXIT_VERIFY_FAIL
     print(f"ok sandwich + sharper upper estimate + conjecture hold for n <= {max_n}")
     return EXIT_OK
 
 
-def _verify_conjecture(max_n: int, cache: str | None) -> int:
-    from . import analysis
-
-    table = recurrence.build_table(2 * max_n, cache)
-    for n in range(1, max_n + 1):
-        if not analysis.check_conjecture(n, table):
-            print(f"FAIL g < (2n+1)! at n={n}: h={format_rational(table.normalized_count(n))}")
+def _verify_conjecture(max_n: int) -> int:
+    for n, g in enumerate(inversion.morse_counts(max_n)):
+        if n >= 1 and not inversion.check_conjecture(n, g):
+            print(f"FAIL g < (2n+1)! at n={n}: h={format_rational(_normalized(n, g))}")
             return EXIT_VERIFY_FAIL
     print(f"ok g(n) < (2n+1)! for 1 <= n <= {max_n}")
     return EXIT_OK
 
 
-def _verify_elliptic(cache: str | None) -> int:
+def _verify_elliptic() -> int:
     from . import analysis
 
-    table = recurrence.build_table(100, cache)
+    counts = inversion.morse_counts(50)
     for target in ELLIPTIC_POINTS:
         theta = analysis.series_argument(target, tol=1e-12)
-        recovered = analysis.series_value(table, theta, terms=50)
+        recovered = analysis.series_value(counts, theta, terms=50)
         if abs(recovered - target) > 1e-8:
             print(f"FAIL elliptic round trip at {target}: recovered {recovered!r}")
             return EXIT_VERIFY_FAIL
@@ -233,7 +236,8 @@ def _cmd_decode(args) -> int:
 
 
 def _add_cache_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache", help=f"table cache file (default: ${CACHE_ENV_VAR})")
+    p.add_argument("--cache", help=f"table cache file, read by `verify pde` and `oracle` "
+                                   f"(default: ${CACHE_ENV_VAR})")
 
 
 def _points_list(text: str) -> list[int]:

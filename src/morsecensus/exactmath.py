@@ -25,11 +25,6 @@ __all__ = [
     "format_rational",
 ]
 
-# Entries near weight 400 have ~1000-digit numerators; keep int<->str
-# conversions unrestricted well past that.
-if sys.get_int_max_str_digits() < 50_000:
-    sys.set_int_max_str_digits(50_000)
-
 GUARD_BITS = 64
 
 
@@ -99,8 +94,18 @@ def log_rational(q: Fraction, precision: int = 128) -> mpmath.mpf:
         return mpmath.log(mpmath.mpf(q.numerator)) - mpmath.log(mpmath.mpf(q.denominator))
 
 
-def format_rational(q: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1; sign leads."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def format_rational(q: Fraction | int) -> str:
+    """Serialize as "p/q", or "p" when the denominator is 1; sign leads.
+
+    Counts pass CPython's limit on the digits of an int<->str conversion
+    (g(1000) has 5,622), so it is lifted for these conversions only: the
+    limit still guards the parsing of cache files and codec input.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)

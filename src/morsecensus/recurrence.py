@@ -1,5 +1,12 @@
 """Two-parameter recurrence table behind the census of Morse classes.
 
+The commands that need only the counts g(n) (`census`, `table` and
+`verify bounds|conjecture|elliptic`) take them from the one-variable route
+of :mod:`inversion`.  The table is read where it is the subject:
+`verify pde` needs T(x, y) off the diagonal, `oracle` holds it to the
+enumerated trees, and the tests hold the one-variable route to it.  Only
+these read and write the cache file (:func:`build_table`).
+
 The table holds exact rationals T(x, y) for x + 2y <= W, filled in
 increasing weight w = x + 2y:
 
@@ -44,19 +51,13 @@ for an integer polynomial, D^k x^m at 0 is k! times a Stirling number of
 the second kind, so every D^k V(0) is a multiple of k!.  A remainder means
 the values are not those of an integer polynomial, which only a bug can
 cause; it raises ConsistencyError.
-
-A large fill on a machine with two usable CPUs forks one helper process
-that evaluates V at three in five of the points of each level (see
-:func:`_fill`); the table is the same bit for bit.
 """
 from __future__ import annotations
 
 import fcntl
 import hashlib
-import marshal
 import os
 import re
-import signal
 import sys
 from fractions import Fraction
 from math import comb
@@ -168,20 +169,6 @@ class CensusTable:
 # fill routines
 
 
-# A fill hands part of each level to a helper process from level
-# _HELPER_FIRST_LEVEL on: below it a level takes a few milliseconds or less,
-# too little for the round trip to the helper to pay.  It forks a helper only
-# when the work of its levels from there on, the sum of w**3 over them (a
-# level's time grows like w**3 to w**3.5 between weights 120 and 300),
-# reaches _HELPER_MIN_WORK.  On a 2-CPU Xeon, extending a table with and
-# without the helper in turn (medians of 8), the helper lost on levels
-# 100..150 (0.34 s against 0.28 s on one core) and won on levels 100..180
-# (0.45-0.68 s against 0.69-0.77 s in two runs), on levels 120..200 (0.69 s
-# against 1.13 s) and on levels 200..300 (3.8 s against 5.9 s, medians of 4).
-_HELPER_FIRST_LEVEL = 100
-_HELPER_MIN_WORK = sum(w**3 for w in range(100, 191))
-
-
 def _sums(levels: list[list[int]], values: dict[int, list[int]], w: int,
           points: list[int]) -> list[int]:
     """V(p) = sum of C(w, w1 + 1) L_{w1}(p) L_{w - 2 - w1}(p) over w1, at each p in `points`.
@@ -235,189 +222,17 @@ def _fill(levels: list[list[int]], weight_bound: int) -> None:
 
     Level w needs the coefficients of z^0..z^(n-1), n = w // 2, of the
     polynomial V of :func:`_sums`.  They come from its values at the n
-    points 0..n-1 by :func:`_interpolate`.  A helper process, forked at the
-    first level it takes part in, evaluates V at the points of
-    :func:`_helper_points` when the fill is large enough to pay for one and
-    a second CPU is usable; this process evaluates the others, and the
-    helper's too without a helper, or from the level at which a helper
-    fails on.  Level w + 1 reads no level above w - 1, so the helper is
-    asked for it as soon as its values of level w are in, and works on it
-    while this process interpolates level w.  Every value is exact, so the
-    levels are the same either way.
+    points 0..n-1 by :func:`_interpolate`.
     """
     values: dict[int, list[int]] = {}
-    first = max(len(levels), _HELPER_FIRST_LEVEL)
-    with _Helper() as helper:
-        for w in range(len(levels), weight_bound + 1):
-            n = w // 2
-            if w == first and _helper_pays(w, weight_bound):
-                helper.start(levels, values, w)
-            split = helper.pid is not None
-            theirs = _helper_points(n) if split else []
-            mine = sorted(set(range(n)).difference(theirs))
-            at = dict(zip(mine, _sums(levels, values, w, mine)))
-            if split:
-                got = helper.answer(w)
-                if w < weight_bound:
-                    helper.ask(levels, w + 1)
-                at.update(zip(theirs, _sums(levels, values, w, theirs) if got is None else got))
-            conv = [0, *_interpolate([at[p] for p in range(n)])]
-            below = levels[w - 1] + [0]  # S'(-1, y) = 0
-            level = [factorial(w + 1)]
-            for y in range(1, n + 1):
-                level.append((w - 2 * y + 1) * (below[y - 1] + below[y] + conv[y]))
-            levels.append(level)
-
-
-def _helper_points(n: int) -> list[int]:
-    """The points of 0..n-1 at which the helper evaluates: three in five.
-
-    This process interpolates as well, which costs about a fifth of the
-    sums near weight 200 and less above, so it keeps two points in five.
-    """
-    return [p for p in range(n) if p % 5 in (1, 3, 4)]
-
-
-def _helper_pays(w_start: int, weight_bound: int) -> bool:
-    """Whether a helper process is worth starting to fill levels w_start..weight_bound."""
-    work = sum(w**3 for w in range(max(w_start, _HELPER_FIRST_LEVEL), weight_bound + 1))
-    return (work >= _HELPER_MIN_WORK and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
-def _send(fd: int, obj) -> None:
-    """Write one object to a pipe: its length in 8 bytes, then its `marshal` form.
-
-    Both ends run the same interpreter, so `marshal` is a format both read;
-    unlike `pickle` it runs no code while loading.  The write is unbuffered,
-    so nothing is left to flush at exit.
-    """
-    data = marshal.dumps(obj)
-    data = memoryview(len(data).to_bytes(8, "little") + data)
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _receive(fh):
-    """Read one object written by :func:`_send`; EOFError if the input ends first."""
-    header = fh.read(8)
-    if len(header) < 8:
-        raise EOFError("input ended")
-    size = int.from_bytes(header, "little")
-    data = fh.read(size)
-    if len(data) < size:
-        raise EOFError("input ended inside a message")
-    return marshal.loads(data)
-
-
-class _Helper:
-    """The parent's end of the helper process (see :func:`_serve`).
-
-    `start(levels, values, w)` forks the helper, which inherits the levels
-    and the values computed so far and evaluates its points of level w at
-    once.  `answer(w)` reads those values back; `ask(levels, w)` then sends
-    the levels below w - 1 that the helper lacks (none the first time, one
-    later), which tells it to evaluate level w.  The two processes write
-    strictly in turn, so neither can block writing into a full pipe while
-    the other does the same.  Any failure turns the helper off with one
-    warning on stderr, after which `ask` does nothing and `answer` is not
-    called.  The helper is reaped on every path, and killed first when the
-    fill fails or a message does.
-    """
-
-    def __init__(self):
-        self.pid = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self.pid:
-            self._stop(kill=exc_type is not None)
-
-    def start(self, levels: list[list[int]], values: dict[int, list[int]], w: int) -> None:
-        fds: list[int] = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError as exc:
-            for fd in fds:
-                os.close(fd)
-            _warn_helper(exc, "start")
-            return
-        down_read, down_write, up_read, up_write = fds
-        if pid == 0:
-            # The helper leaves only through os._exit, so it never flushes the
-            # caller's stdio buffers, runs atexit handlers or returns into the
-            # caller.  It ignores SIGINT, which a terminal sends to both: the
-            # parent stops it.
-            code = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(down_write)  # so that the parent's death ends its input
-                os.close(up_read)
-                _serve(levels, values, w, open(down_read, "rb"), up_write)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(down_read)
-        os.close(up_write)
-        self.pid, self.sent = pid, len(levels)
-        self.down, self.up = down_write, open(up_read, "rb")
-
-    def ask(self, levels: list[list[int]], w: int) -> None:
-        if not self.pid:
-            return
-        new, self.sent = levels[self.sent:w - 1], w - 1
-        try:
-            _send(self.down, new)
-        except OSError as exc:
-            self._fail(exc, w)
-
-    def answer(self, w: int) -> list[int] | None:
-        try:
-            return _receive(self.up)
-        except (EOFError, ValueError) as exc:
-            self._fail(exc, w)
-            return None
-
-    def _fail(self, exc: Exception, w: int) -> None:
-        code = self._stop(kill=True)
-        _warn_helper(f"{str(exc) or type(exc).__name__}; exit code {code}", f"level {w}")
-
-    def _stop(self, kill: bool) -> int:
-        pid, self.pid = self.pid, None
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        os.close(self.down)  # end of input: the helper exits
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        self.up.close()
-        return code
-
-
-def _warn_helper(reason, where: str) -> None:
-    print(f"warning: fill helper failed at {where} ({reason}); continuing on one core",
-          file=sys.stderr)
-
-
-def _serve(levels: list[list[int]], values: dict[int, list[int]], w: int, fh,
-           fd: int) -> None:
-    """Main loop of the helper process, on the pipes `fh` (in) and `fd` (out).
-
-    Answers with the values of level w at its points, reads the list of
-    levels to append, and goes on with level w + 1 (see :func:`_fill`).  Of
-    the values it inherits it extends those at its own points only.  Ends at
-    end of input, which is also what it reads when the parent dies, or when
-    its answer can no longer be written.
-    """
-    while True:
-        try:
-            _send(fd, _sums(levels, values, w, _helper_points(w // 2)))
-            levels += _receive(fh)
-        except (BrokenPipeError, EOFError, ValueError):
-            return
-        w += 1
+    for w in range(len(levels), weight_bound + 1):
+        n = w // 2
+        conv = [0, *_interpolate(_sums(levels, values, w, list(range(n))))]
+        below = levels[w - 1] + [0]  # S'(-1, y) = 0
+        level = [factorial(w + 1)]
+        for y in range(1, n + 1):
+            level.append((w - 2 * y + 1) * (below[y - 1] + below[y] + conv[y]))
+        levels.append(level)
 
 
 def _fill_fractions(entries: dict[tuple[int, int], Fraction], w_start: int, w_stop: int) -> None:

@@ -1,12 +1,16 @@
-"""Shared fixtures: session-wide census tables and the acceptance summary.
+"""Shared fixtures: session-wide counts and tables, and the acceptance summary.
 
-The acceptance suite runs at one of two scales:
+The counts g(n) come from the one-variable route of `inversion`; the
+two-parameter table is the reference the tests hold them to.  The
+acceptance suite runs at one of two scales:
 
-* reduced gate (default): indices up to 100, weight bound 200, well under
-  ten minutes even cold;
-* full gate: indices up to 200 (weight bound 400, about 20 s cold),
-  enabled by MORSECENSUS_ACCEPT_FULL=1 or by a warm cache of weight >= 400
-  at $MORSECENSUS_CACHE.
+* reduced gate (default): indices up to 100, table weight bound 200, a
+  second or two cold;
+* full gate: indices up to 200, table weight bound 400, enabled by
+  MORSECENSUS_ACCEPT_FULL=1 or by a warm cache of weight >= 400 at
+  $MORSECENSUS_CACHE.  Cold, the weight-400 table takes about 32 s on one
+  core of a 2-CPU Xeon.  With both variables set, the run builds that
+  cache, and later runs read it: no command writes a table that large.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import os
 
 import pytest
 
-from morsecensus import recurrence
+from morsecensus import inversion, recurrence
 
 FULL_MAX_INDEX = 200
 REDUCED_MAX_INDEX = 100
@@ -57,9 +61,20 @@ def acceptance_max_n() -> int:
 
 
 @pytest.fixture(scope="session")
+def census_counts(acceptance_max_n):
+    """g(0..acceptance_max_n), shared by analysis and acceptance tests."""
+    return inversion.morse_counts(acceptance_max_n)
+
+
+@pytest.fixture(scope="session")
 def census_table(acceptance_max_n):
-    """The one expensive table, shared by analysis and acceptance tests."""
+    """The one expensive table, the reference for the counts."""
     return recurrence.build_table(2 * acceptance_max_n, cache_path=_cache_path())
+
+
+@pytest.fixture(scope="session")
+def small_counts():
+    return inversion.morse_counts(15)
 
 
 @pytest.fixture(scope="session")

@@ -1,21 +1,23 @@
 """Acceptance suite: one test per criterion, exact tolerances pinned.
 
-Runs at the reduced gate (indices <= 100) by default; the full gate
-(indices <= 200) turns on via MORSECENSUS_ACCEPT_FULL=1 or a warm cache,
-see conftest.  A PASS/FAIL line per criterion is printed in the terminal
+The counts come from the one-variable route (`inversion`), and criterion
+11 holds them to the two-parameter table.  Runs at the reduced gate
+(indices <= 100) by default; the full gate (indices <= 200) turns on via
+MORSECENSUS_ACCEPT_FULL=1 or a warm cache, see conftest.  A PASS/FAIL line per criterion is printed in the terminal
 summary.
 """
 import time
 
+from fractions import Fraction
+
 from morsecensus.analysis import (
-    check_conjecture,
-    check_upper_bound,
     growth_ratio,
     asymptotic_row,
     series_argument,
     series_value,
 )
 from morsecensus.exactmath import catalan, factorial
+from morsecensus.inversion import check_conjecture, check_upper_bound
 from morsecensus.recurrence import build_table
 from morsecensus.series import (
     bivariate_generating_series,
@@ -50,37 +52,37 @@ def test_criterion_01_exact_counts_match_tree_oracle():
     assert time.monotonic() - start < 60
 
 
-def test_criterion_02_reference_delta_rows(census_table, acceptance_max_n):
+def test_criterion_02_reference_delta_rows(census_counts, acceptance_max_n):
     """delta_n / n reproduces every tabulated 3-decimal value within 1e-3."""
     checked = 0
     for n, expected in REFERENCE_DELTA_OVER_N.items():
         if n > acceptance_max_n:
             continue
-        row = asymptotic_row(census_table, n, precision=128)
+        row = asymptotic_row(census_counts, n, precision=128)
         assert abs(float(row.delta_over_n) - expected) <= 1e-3, f"row n={n}"
         checked += 1
     assert checked >= 4
 
 
-def test_criterion_03_sandwich_bounds_exact(census_table, acceptance_max_n):
+def test_criterion_03_sandwich_bounds_exact(census_counts, acceptance_max_n):
     """ODE coefficients <= normalized counts <= Catalan numbers, exactly,
     plus the sharper integer estimate g (n+1) <= 2^(2n) (2n+1)!."""
     ode = scaled_tangent_series(acceptance_max_n)
     for n in range(acceptance_max_n + 1):
-        h = census_table.normalized_count(n)
+        h = Fraction(census_counts[n], factorial(2 * n + 1))
         assert h >= ode.coefficient(2 * n + 1), f"lower bound at n={n}"
         assert h <= catalan(n), f"upper bound at n={n}"
-        assert check_upper_bound(n, census_table), f"sharper estimate at n={n}"
+        assert check_upper_bound(n, census_counts[n]), f"sharper estimate at n={n}"
 
 
-def test_criterion_04_strict_factorial_bound(census_table, acceptance_max_n):
+def test_criterion_04_strict_factorial_bound(census_counts, acceptance_max_n):
     """g(n) < (2n+1)!, i.e. h(n) < 1, for every 1 <= n in range, exactly."""
     for n in range(1, acceptance_max_n + 1):
-        assert check_conjecture(n, census_table), f"h(n) >= 1 at n={n}"
+        assert check_conjecture(n, census_counts[n]), f"h(n) >= 1 at n={n}"
 
 
 def test_criterion_05_integrality(census_table, acceptance_max_n):
-    """(2n+1)! * h(n) is an integer for every n in range."""
+    """The table's (2n+1)! * T(0, n) is an integer for every n in range."""
     for n in range(acceptance_max_n + 1):
         value = census_table.normalized_count(n) * factorial(2 * n + 1)
         assert value.denominator == 1, f"non-integer count at n={n}"
@@ -106,22 +108,22 @@ def test_criterion_07_pde_residual_vanishes():
     assert time.monotonic() - start < 60
 
 
-def test_criterion_08_elliptic_identity_round_trip(census_table):
+def test_criterion_08_elliptic_identity_round_trip(census_counts):
     """Series value at the quadrature-inverted argument recovers the input
     to 1e-8, quadrature tolerance 1e-12, 50 series terms."""
     start = time.monotonic()
     for target in (0.05, 0.1, 0.2):
         theta = series_argument(target, tol=1e-12)
-        recovered = series_value(census_table, theta, terms=50)
+        recovered = series_value(census_counts, theta, terms=50)
         assert abs(recovered - target) <= 1e-8, f"target {target}"
     assert time.monotonic() - start < 10
 
 
-def test_criterion_09_growth_ratio_trend(census_table, acceptance_max_n):
+def test_criterion_09_growth_ratio_trend(census_counts, acceptance_max_n):
     """log g(n) / (n log n) increases strictly across the sample points and
     stays below 2; the limit itself is exactly 2, approached from below."""
     points = [n for n in TREND_POINTS if n <= acceptance_max_n]
-    ratios = [growth_ratio(n, census_table) for n in points]
+    ratios = [growth_ratio(n, census_counts) for n in points]
     for a, b in zip(ratios, ratios[1:]):
         assert a < b
     assert all(r < 2 for r in ratios)
@@ -138,3 +140,12 @@ def test_criterion_10_injection_and_catalan_shapes():
             assert decode(encode(t)) == t
     for n in range(9):
         assert len(enumerate_ptpt(n)) == catalan(n)
+
+
+def test_criterion_11_one_variable_route_matches_table(census_counts, census_table,
+                                                      acceptance_max_n):
+    """The counts of the one-variable route equal the two-parameter table's,
+    exactly, for every n in range."""
+    assert len(census_counts) == acceptance_max_n + 1
+    for n in range(acceptance_max_n + 1):
+        assert census_counts[n] == census_table.morse_count(n), f"n={n}"

@@ -8,8 +8,6 @@ from morsecensus.analysis import (
     AsymptoticRow,
     asymptotic_row,
     bernoulli_growth_ratio,
-    check_conjecture,
-    check_upper_bound,
     fit_residual_model,
     format_real,
     growth_ratio,
@@ -19,57 +17,58 @@ from morsecensus.analysis import (
     series_value,
 )
 from morsecensus.exactmath import GUARD_BITS, factorial
+from morsecensus.inversion import check_conjecture, check_upper_bound
 from morsecensus.recurrence import TableRangeError
 
 
 class TestAsymptoticRow:
-    def test_delta_over_n_at_ten(self, small_table):
-        row = asymptotic_row(small_table, 10)
+    def test_delta_over_n_at_ten(self, small_counts):
+        row = asymptotic_row(small_counts, 10)
         assert abs(float(row.delta_over_n) + 0.634) <= 1e-3
 
-    def test_row_internal_consistency(self, small_table):
-        row = asymptotic_row(small_table, 7)
+    def test_row_internal_consistency(self, small_counts):
+        row = asymptotic_row(small_counts, 7)
         assert row.n == 7
-        assert row.h == small_table.normalized_count(7)
+        assert row.h == Fraction(small_counts[7], factorial(15))
         with mpmath.workprec(256):
             assert abs(row.delta_over_n - row.delta / 7) < mpmath.mpf(2) ** -120
 
-    def test_needs_positive_index(self, small_table):
+    def test_needs_positive_index(self, small_counts):
         with pytest.raises(TableRangeError):
-            asymptotic_row(small_table, 0)
+            asymptotic_row(small_counts, 0)
 
-    def test_out_of_range(self, small_table):
+    def test_out_of_range(self, small_counts):
         with pytest.raises(TableRangeError):
-            asymptotic_row(small_table, small_table.max_index + 1)
+            asymptotic_row(small_counts, len(small_counts))
 
 
 class TestBoundChecks:
-    def test_upper_bound_small_cases(self, small_table):
+    def test_upper_bound_small_cases(self, small_counts):
         # 1 <= 1, 1/3 <= 1, 19/120 <= 2
         for n in range(3):
-            assert check_upper_bound(n, small_table)
+            assert check_upper_bound(n, small_counts[n])
 
-    def test_conjecture_small_cases(self, small_table):
-        assert check_conjecture(1, small_table)
-        assert check_conjecture(2, small_table)
+    def test_conjecture_small_cases(self, small_counts):
+        assert check_conjecture(1, small_counts[1])
+        assert check_conjecture(2, small_counts[2])
 
-    def test_conjecture_excludes_index_zero(self, small_table):
+    def test_conjecture_excludes_index_zero(self, small_counts):
         # h(0) = 1 exactly: the strict bound starts at n = 1
         with pytest.raises(ValueError):
-            check_conjecture(0, small_table)
+            check_conjecture(0, small_counts[0])
 
 
 class TestGrowthRatio:
-    def test_increasing_and_below_two(self, small_table):
-        r10 = growth_ratio(10, small_table)
-        r15 = growth_ratio(15, small_table)
+    def test_increasing_and_below_two(self, small_counts):
+        r10 = growth_ratio(10, small_counts)
+        r15 = growth_ratio(15, small_counts)
         assert r10 < r15 < 2
 
-    def test_stirling_bookkeeping_identity(self, small_table):
+    def test_stirling_bookkeeping_identity(self, small_counts):
         # reassembling log g from the residual row must reproduce the ratio
         n = 12
-        row = asymptotic_row(small_table, n)
-        ratio = growth_ratio(n, small_table)
+        row = asymptotic_row(small_counts, n)
+        ratio = growth_ratio(n, small_counts)
         with mpmath.workprec(128 + GUARD_BITS):
             log_h = (
                 row.delta
@@ -83,9 +82,9 @@ class TestGrowthRatio:
             )
             assert abs(ratio - reassembled) < mpmath.mpf(2) ** -100
 
-    def test_needs_n_at_least_two(self, small_table):
+    def test_needs_n_at_least_two(self, small_counts):
         with pytest.raises(TableRangeError):
-            growth_ratio(1, small_table)
+            growth_ratio(1, small_counts)
 
 
 class TestBernoulliRatio:
@@ -113,10 +112,10 @@ class TestEllipticInversion:
     def test_small_argument_near_identity(self):
         assert abs(series_argument(0.1) - 0.1) < 1e-2
 
-    def test_round_trip_through_series(self, census_table):
+    def test_round_trip_through_series(self, census_counts):
         for target in (0.05, 0.1, 0.2):
             theta = series_argument(target, tol=1e-12)
-            assert abs(series_value(census_table, theta, terms=50) - target) <= 1e-8
+            assert abs(series_value(census_counts, theta, terms=50) - target) <= 1e-8
 
     @pytest.mark.parametrize("target, bits", [
         (0.05, "0x1.9942554b3efe3p-5"),
@@ -138,9 +137,9 @@ class TestEllipticInversion:
         with pytest.raises(ValueError):
             series_argument(-0.01)
 
-    def test_series_needs_enough_table(self, small_table):
+    def test_series_needs_enough_table(self, small_counts):
         with pytest.raises(TableRangeError):
-            series_value(small_table, 0.1, terms=small_table.max_index + 1)
+            series_value(small_counts, 0.1, terms=len(small_counts))
 
 
 class TestResidualFit:
@@ -177,31 +176,31 @@ class TestResidualFit:
 
 
 class TestResidualFitOnComputedRows:
-    # these need the weight-400 table; they run only at the full gate
+    # these need the counts to n = 200; they run only at the full gate
 
     @staticmethod
-    def _full_table_or_skip(census_table):
-        if census_table.weight_bound < 400:
-            pytest.skip("needs the full-gate table (weight 400)")
-        return census_table
+    def _full_counts_or_skip(census_counts):
+        if len(census_counts) <= 200:
+            pytest.skip("needs the full-gate counts (n <= 200)")
+        return census_counts
 
-    def test_eight_reference_rows_fit(self, census_table):
-        table = self._full_table_or_skip(census_table)
-        rows = [asymptotic_row(table, n) for n in (10, 20, 30, 40, 50, 100, 150, 200)]
+    def test_eight_reference_rows_fit(self, census_counts):
+        counts = self._full_counts_or_skip(census_counts)
+        rows = [asymptotic_row(counts, n) for n in (10, 20, 30, 40, 50, 100, 150, 200)]
         a = fit_residual_model(rows)[0]
         # the decimal expansion of the suggested slope begins -0.8
         assert -0.9 < a < -0.8
 
-    def test_fit_stable_across_row_subsets(self, census_table):
-        table = self._full_table_or_skip(census_table)
-        high = [asymptotic_row(table, n) for n in range(50, 201, 10)]
-        higher = [asymptotic_row(table, n) for n in range(100, 201, 10)]
+    def test_fit_stable_across_row_subsets(self, census_counts):
+        counts = self._full_counts_or_skip(census_counts)
+        high = [asymptotic_row(counts, n) for n in range(50, 201, 10)]
+        higher = [asymptotic_row(counts, n) for n in range(100, 201, 10)]
         assert abs(fit_residual_model(high)[0] - fit_residual_model(higher)[0]) <= 0.02
 
 
 class TestRowOutput:
-    def test_csv_format(self, small_table):
-        text = rows_to_csv([asymptotic_row(small_table, 10)])
+    def test_csv_format(self, small_counts):
+        text = rows_to_csv([asymptotic_row(small_counts, 10)])
         lines = text.splitlines()
         assert lines[0] == "n,h,log_h,delta,delta_over_n"
         fields = lines[1].split(",")
@@ -209,10 +208,10 @@ class TestRowOutput:
         assert "/" in fields[1]
         assert fields[4].startswith("-0.634")
 
-    def test_json_field_names(self, small_table):
+    def test_json_field_names(self, small_counts):
         import json
 
-        records = json.loads(rows_to_json([asymptotic_row(small_table, 10)]))
+        records = json.loads(rows_to_json([asymptotic_row(small_counts, 10)]))
         assert list(records[0].keys()) == ["n", "h", "log_h", "delta", "delta_over_n"]
         assert isinstance(records[0]["h"], str)
         assert abs(records[0]["delta_over_n"] + 0.634) <= 1e-3

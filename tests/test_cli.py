@@ -62,32 +62,35 @@ class TestCensus:
 
 
 class TestCacheBehavior:
+    # `verify pde` and `oracle` read the table through the cache file
+
     def test_cold_then_warm_identical(self, capsys, tmp_path):
         cache = str(tmp_path / "t.txt")
-        code, cold, _ = run(capsys, "census", "--max-n", "4", "--cache", cache)
+        code, cold, _ = run(capsys, "verify", "pde", "--order", "9", "--cache", cache)
         assert code == 0
-        code, warm, _ = run(capsys, "census", "--max-n", "4", "--cache", cache)
+        code, warm, _ = run(capsys, "verify", "pde", "--order", "9", "--cache", cache)
         assert code == 0
         assert cold == warm
         assert load_table(cache).weight_bound == 8
 
     def test_cache_extends_in_place(self, capsys, tmp_path):
         cache = str(tmp_path / "t.txt")
-        run(capsys, "census", "--max-n", "2", "--cache", cache)
-        run(capsys, "census", "--max-n", "5", "--cache", cache)
+        run(capsys, "oracle", "1", "--cache", cache)
+        assert load_table(cache).weight_bound == 2
+        run(capsys, "verify", "pde", "--order", "11", "--cache", cache)
         assert load_table(cache).weight_bound == 10
 
     def test_env_var_supplies_default_path(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "from_env.txt"
         monkeypatch.setenv(cli.CACHE_ENV_VAR, str(cache))
-        code, _, _ = run(capsys, "census", "--max-n", "2")
+        code, _, _ = run(capsys, "oracle", "2")
         assert code == 0
         assert cache.exists()
 
     def test_malformed_cache_is_hard_error_naming_line(self, capsys, tmp_path):
         cache = tmp_path / "t.txt"
         cache.write_text("morse-htable v2 W=2 sha256=" + "0" * 64 + "\n1\nbogus\n6 4\n")
-        code, _, err = run(capsys, "census", "--max-n", "1", "--cache", str(cache))
+        code, _, err = run(capsys, "verify", "pde", "--order", "2", "--cache", str(cache))
         assert code == 3
         assert "line 3" in err
 
@@ -95,7 +98,7 @@ class TestCacheBehavior:
         # T(0,1) = 2/3 in place of 1/3: a v1 file has no digest to catch it
         cache = tmp_path / "t.txt"
         cache.write_text("morse-htable v1 W=2\n0 0 1\n1 0 1/2\n0 1 2/3\n2 0 1/4\n")
-        code, out, err = run(capsys, "census", "--max-n", "1", "--cache", str(cache))
+        code, out, err = run(capsys, "oracle", "1", "--cache", str(cache))
         assert code == 3
         assert out == ""
         assert err.startswith("cache error: cache line 1: ")
@@ -108,7 +111,7 @@ class TestCacheBehavior:
     def test_non_utf8_cache_is_hard_error_naming_line(self, capsys, tmp_path, content, line_no):
         cache = tmp_path / "t.txt"
         cache.write_bytes(content)
-        code, out, err = run(capsys, "census", "--max-n", "0", "--cache", str(cache))
+        code, out, err = run(capsys, "oracle", "0", "--cache", str(cache))
         assert code == 3
         assert out == ""
         assert err.startswith(f"cache error: cache line {line_no}: ")
@@ -117,19 +120,46 @@ class TestCacheBehavior:
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("")
         cache = str(blocker / "t.txt")  # parent is a file: mkdir/open must fail
-        code, out, err = run(capsys, "census", "--max-n", "2", "--cache", cache)
+        code, out, err = run(capsys, "oracle", "2", "--cache", cache)
         assert code == 0
         assert "warning" in err and "compute-only" in err
-        assert out.splitlines()[-1] == "n=2 h=19/120 g=19"
+        assert out == "oracle=19 recurrence=19 injective=yes\n"
 
     def test_locked_cache_warns_and_computes(self, capsys, tmp_path):
         cache = tmp_path / "t.txt"
         with open(tmp_path / "t.txt.lock", "w") as held:
             fcntl.flock(held, fcntl.LOCK_EX)
-            code, out, err = run(capsys, "census", "--max-n", "1", "--cache", str(cache))
+            code, out, err = run(capsys, "verify", "pde", "--order", "5", "--cache", str(cache))
         assert code == 0
         assert "warning" in err and "locked" in err
-        assert out.splitlines()[-1] == "n=1 h=1/3 g=2"
+        assert out.startswith("ok pde residual identically zero at truncation 5")
+
+
+class TestCountingCommandsReadNoTable:
+    @pytest.mark.parametrize("argv", [
+        ("census", "--max-n", "30"),
+        ("table", "--points", "4,6,8,10,30"),
+        ("verify", "bounds", "--max-n", "30"),
+        ("verify", "conjecture", "--max-n", "30"),
+        ("verify", "elliptic"),
+    ], ids=["census", "table", "bounds", "conjecture", "elliptic"])
+    def test_no_fill_and_no_cache_read(self, capsys, tmp_path, monkeypatch, argv):
+        cache = tmp_path / "t.txt"
+        build_table(4, cache_path=cache)
+        before = cache.read_bytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the two-parameter table was touched")
+
+        monkeypatch.setattr(cli.recurrence, "extend_table", refuse)
+        monkeypatch.setattr(cli.recurrence, "load_table", refuse)
+        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(cache))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
+        code, again, _ = run(capsys, *argv, "--cache", str(cache))
+        assert (code, again) == (0, out)
+        assert cache.read_bytes() == before
 
 
 class TestTable:
@@ -189,10 +219,8 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "conjecture", "--max-n", "12")
         assert code == 0 and out.startswith("ok")
 
-    def test_elliptic(self, capsys, tmp_path):
-        cache = str(tmp_path / "t.txt")
-        build_table(100, cache_path=cache)
-        code, out, _ = run(capsys, "verify", "elliptic", "--cache", cache)
+    def test_elliptic(self, capsys):
+        code, out, _ = run(capsys, "verify", "elliptic")
         assert code == 0
         assert out == (
             "ok elliptic round trip at 0.05: |error| = 0.000e+00\n"
@@ -205,8 +233,18 @@ class TestVerify:
         (("bounds", "--max-n", "6"), "FAIL upper bound at n=3: h=5350/63"),
         (("conjecture", "--max-n", "6"), "FAIL g < (2n+1)! at n=3: h=5350/63"),
     ], ids=["pde", "bounds", "conjecture"])
-    def test_wrong_count_fails(self, capsys, tmp_path, argv, line):
-        # S'(0,3), the 4th entry of level 6, times 1000 (g(3) = 428000), digest recomputed
+    def test_wrong_count_fails(self, capsys, tmp_path, monkeypatch, argv, line):
+        # g(3) = 428000 in place of 428, both in the counts of the one-variable
+        # route and in a cache: there S'(0,3), the 4th entry of level 6, times
+        # 1000, with the digest recomputed
+        counts = cli.inversion.morse_counts
+
+        def wrong_g3(max_n):
+            g = counts(max_n)
+            g[3] *= 1000
+            return g
+
+        monkeypatch.setattr(cli.inversion, "morse_counts", wrong_g3)
         cache = tmp_path / "t.txt"
         save_table(build_table(12), cache)
         lines = cache.read_text().splitlines(keepends=True)
@@ -253,13 +291,10 @@ class TestVerify:
 
 
 class TestDependencies:
-    def test_float_commands_load_neither_numpy_nor_scipy(self, tmp_path):
-        cache = str(tmp_path / "t.txt")
-        build_table(100, cache_path=cache)
+    def test_float_commands_load_neither_numpy_nor_scipy(self):
         child = (
             "import runpy, sys\n"
-            "table = ['table', '--points', '4,6,8,10']\n"
-            "for argv in (table, ['verify', 'elliptic', '--cache', sys.argv[1]]):\n"
+            "for argv in (['table', '--points', '4,6,8,10'], ['verify', 'elliptic']):\n"
             "    sys.argv = ['morsecensus', *argv]\n"
             "    try:\n"
             "        runpy.run_module('morsecensus.cli', run_name='__main__', alter_sys=True)\n"
@@ -269,7 +304,7 @@ class TestDependencies:
         )
         env = {**os.environ, "PYTHONPATH": SRC}
         env.pop(cli.CACHE_ENV_VAR, None)
-        proc = subprocess.run([sys.executable, "-c", child, cache], capture_output=True,
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("loaded: []\n") == 2
@@ -279,20 +314,23 @@ class TestDependencies:
             "import runpy, sys\n"
             "import morsecensus.recurrence\n"
             "print('recurrence:', 'mpmath' in sys.modules)\n"
-            "sys.argv = ['morsecensus', 'census', '--max-n', '5', '--cache', sys.argv[1]]\n"
-            "try:\n"
-            "    runpy.run_module('morsecensus.cli', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0\n"
-            "print('census:', 'mpmath' in sys.modules)\n"
+            "for argv in (['census', '--max-n', '5'], ['verify', 'bounds', '--max-n', '20'],\n"
+            "             ['verify', 'conjecture', '--max-n', '20']):\n"
+            "    sys.argv = ['morsecensus', *argv, '--cache', sys.argv[1]]\n"
+            "    try:\n"
+            "        runpy.run_module('morsecensus.cli', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, argv\n"
+            "    print(argv[-3] + ':', 'mpmath' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": SRC}
         env.pop(cli.CACHE_ENV_VAR, None)
         proc = subprocess.run([sys.executable, "-c", child, str(tmp_path / "t.txt")],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("recurrence: False\n")
-        assert proc.stdout.endswith("census: False\n")
+        flags = [line for line in proc.stdout.splitlines() if line.endswith((": False", ": True"))]
+        assert flags == ["recurrence: False", "census: False", "bounds: False",
+                         "conjecture: False"]
 
 
 class TestOracle:

@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from morsecensus import exactmath
 from morsecensus.exactmath import (
     bernoulli,
     catalan,
@@ -120,3 +125,24 @@ class TestSerialization:
     def test_fraction_form_with_leading_sign(self):
         assert format_rational(Fraction(-19, 120)) == "-19/120"
         assert format_rational(Fraction(1, 2)) == "1/2"
+
+    def test_past_the_default_int_digit_limit(self):
+        # g(1000) has 5,622 digits, more than CPython's default limit of 4,300
+        limit = sys.get_int_max_str_digits()
+        big = 10**5999 + 7
+        digits = "1" + "0" * 5998 + "7"
+        assert format_rational(Fraction(big, 3)) == digits + "/3"
+        assert format_rational(big) == digits
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_import_leaves_the_int_digit_limit(self):
+        child = (
+            "import sys\n"
+            "import morsecensus.cli\n"
+            "print(sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(exactmath.__file__).resolve().parents[1])}
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr

@@ -5,10 +5,7 @@ import os
 import signal
 import subprocess
 import sys
-import threading
-import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +23,6 @@ from morsecensus.recurrence import (
     save_table,
 )
 
-
-SRC = str(Path(recurrence.__file__).resolve().parents[1])
 
 V1_GOLDEN = (
     "morse-htable v1 W=2\n"
@@ -163,157 +158,6 @@ class TestInterpolate:
         # x(x-1)/2 at 0, 1, 2; 2^x; a perturbed zero polynomial
         with pytest.raises(ConsistencyError):
             recurrence._interpolate(values)
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The helper processes forked during the test: pid -> exit code once reaped."""
-    procs = {}
-    fork, waitpid = os.fork, os.waitpid
-
-    def fork_spy():
-        pid = fork()
-        if pid:
-            procs[pid] = None
-        return pid
-
-    def waitpid_spy(pid, options):
-        done, status = waitpid(pid, options)
-        if done in procs:
-            procs[done] = os.waitstatus_to_exitcode(status)
-        return done, status
-
-    monkeypatch.setattr(os, "fork", fork_spy)
-    monkeypatch.setattr(os, "waitpid", waitpid_spy)
-    return procs
-
-
-@pytest.fixture
-def helpers(started, monkeypatch):
-    """Make every integer fill start a helper process, and use it from level 2
-    on; collects the ones started."""
-    monkeypatch.setattr(recurrence, "_HELPER_MIN_WORK", 0)
-    monkeypatch.setattr(recurrence, "_HELPER_FIRST_LEVEL", 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return started
-
-
-def _gone(pid: int) -> bool:
-    """True once `pid` has exited (a zombie nobody reaps counts as exited)."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] in "ZX"
-    except FileNotFoundError:
-        return True
-
-
-class TestFillHelper:
-    def test_helper_fill_matches_serial_fill_and_oracle(self, helpers, monkeypatch, tmp_path,
-                                                        capfd):
-        reference = extend_table(None, 40, use_fractions=True)
-        path = tmp_path / "t.txt"
-        monkeypatch.setattr(recurrence, "_HELPER_MIN_WORK", math.inf)
-        serial = extend_table(None, 40)
-        save_table(extend_table(None, 10), path)
-        assert not helpers
-        monkeypatch.setattr(recurrence, "_HELPER_MIN_WORK", 0)
-        threads = threading.active_count()
-        assert extend_table(None, 40) == serial == reference
-        assert extend_table(load_table(path), 40) == reference
-        assert threading.active_count() == threads
-        assert list(helpers.values()) == [0, 0]
-        assert capfd.readouterr().err == ""
-
-    def test_small_fill_starts_no_helper(self, started):
-        # the first cold `census` (weights 0..120) stays on one core
-        assert not recurrence._helper_pays(1, 120)
-        extend_table(None, 60)
-        assert not started
-
-    def test_helper_that_cannot_start_warns_once(self, helpers, monkeypatch, capfd):
-        def no_fork():
-            raise OSError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        table = extend_table(None, 40)
-        assert table == extend_table(None, 40, use_fractions=True)
-        assert not helpers
-        err = capfd.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("warning: fill helper failed at start (")
-        assert err[0].endswith("); continuing on one core")
-
-    def test_helper_killed_mid_fill_warns_once(self, helpers, monkeypatch, capfd):
-        sums = recurrence._sums
-
-        def kill_at_level_25(levels, values, w, points):
-            if w == 25 and 0 in points:  # this process's own points
-                os.kill(next(iter(helpers)), signal.SIGKILL)
-            return sums(levels, values, w, points)
-
-        monkeypatch.setattr(recurrence, "_sums", kill_at_level_25)
-        table = extend_table(None, 40)
-        assert table == extend_table(None, 40, use_fractions=True)
-        assert list(helpers.values()) == [-signal.SIGKILL]
-        err = capfd.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("warning: fill helper failed at level ")
-        assert err[0].endswith("exit code -9); continuing on one core")
-
-    def test_helper_exits_when_parent_is_killed(self, tmp_path):
-        parent = (
-            "import os, sys\n"
-            f"sys.path.insert(0, {SRC!r})\n"
-            "from morsecensus import recurrence\n"
-            "fork = os.fork\n"
-            "def spy():\n"
-            "    pid = fork()\n"
-            "    if pid:\n"
-            "        print(pid, flush=True)\n"
-            "    return pid\n"
-            "os.fork = spy\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "recurrence._HELPER_MIN_WORK = 0\n"
-            "recurrence._HELPER_FIRST_LEVEL = 2\n"
-            "recurrence.extend_table(None, 400)\n"
-        )
-        with open(tmp_path / "stderr", "w") as err:
-            child = subprocess.Popen([sys.executable, "-c", parent], stdout=subprocess.PIPE,
-                                     stderr=err, text=True)
-        try:
-            helper_pid = int(child.stdout.readline())
-            time.sleep(0.5)  # let the fill get under way
-        finally:
-            child.send_signal(signal.SIGKILL)
-            child.wait(timeout=30)
-            child.stdout.close()
-        assert child.returncode == -signal.SIGKILL
-        deadline = time.monotonic() + 30
-        while not _gone(helper_pid) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert _gone(helper_pid)
-        assert (tmp_path / "stderr").read_text() == ""
-
-    def test_unguarded_script_fills_with_a_helper(self, tmp_path):
-        # the text printed before the fork is still in the stdout buffer of
-        # the piped script when the helper is forked: it must appear once
-        script = tmp_path / "unguarded.py"
-        script.write_text(
-            "import os, sys\n"
-            f"sys.path.insert(0, {SRC!r})\n"
-            "from morsecensus import recurrence\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "recurrence._HELPER_MIN_WORK = 0\n"
-            "recurrence._HELPER_FIRST_LEVEL = 2\n"
-            "print('before the fill')\n"
-            "table = recurrence.extend_table(None, 40)\n"
-            "print(table.weight_bound, table.morse_count(20))\n"
-        )
-        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stderr == ""
-        assert done.stdout == f"before the fill\n40 {build_table(40).morse_count(20)}\n"
 
 
 class TestCache:
