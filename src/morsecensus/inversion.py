@@ -111,8 +111,13 @@ def morse_counts(max_n: int) -> list[int]:
 
 
 def check_upper_bound(n: int, g: int) -> bool:
-    """h(n) <= Catalan(n) and the sharper estimate g (n+1) <= 4^n (2n+1)!,
-    for the count g = g(n), on integers."""
+    """h(n) <= Catalan(n) and the estimate g (n+1) <= 4^n (2n+1)!, for the
+    count g = g(n), on integers.
+
+    The second comparison is weaker, not sharper: it follows from the first,
+    as Catalan(n) (n+1) = C(2n, n) <= 4^n.  The `verify bounds` output still
+    names it the "sharper upper estimate".
+    """
     scale = factorial(2 * n + 1)
     return g <= catalan(n) * scale and g * (n + 1) <= (scale << (2 * n))
 

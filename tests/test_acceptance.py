@@ -66,13 +66,14 @@ def test_criterion_02_reference_delta_rows(census_counts, acceptance_max_n):
 
 def test_criterion_03_sandwich_bounds_exact(census_counts, acceptance_max_n):
     """ODE coefficients <= normalized counts <= Catalan numbers, exactly,
-    plus the sharper integer estimate g (n+1) <= 2^(2n) (2n+1)!."""
+    plus the integer estimate g (n+1) <= 2^(2n) (2n+1)!, which the Catalan
+    bound implies."""
     ode = scaled_tangent_series(acceptance_max_n)
     for n in range(acceptance_max_n + 1):
         h = Fraction(census_counts[n], factorial(2 * n + 1))
         assert h >= ode.coefficient(2 * n + 1), f"lower bound at n={n}"
         assert h <= catalan(n), f"upper bound at n={n}"
-        assert check_upper_bound(n, census_counts[n]), f"sharper estimate at n={n}"
+        assert check_upper_bound(n, census_counts[n]), f"integer estimate at n={n}"
 
 
 def test_criterion_04_strict_factorial_bound(census_counts, acceptance_max_n):

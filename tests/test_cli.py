@@ -389,6 +389,15 @@ class TestCodecs:
         assert code == 1
         assert "image" in err
 
+    def test_decode_subtrees_out_of_order_fails(self, capsys, tmp_path):
+        # the re-labeled shape is a Morse tree, but it encodes as ((()())()) / 1 2 3 4 5
+        src = tmp_path / "pair.txt"
+        src.write_text("(()(()()))\nphi = 1 5 2 3 4\n")
+        code, out, err = run(capsys, "decode", str(src))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("not in the encoding's image:")
+
     def test_encode_non_utf8_fails(self, capsys, tmp_path):
         src = tmp_path / "tree.txt"
         src.write_bytes(b"\xff\xfe")

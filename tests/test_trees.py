@@ -1,5 +1,5 @@
+import heapq
 import itertools
-import os
 import random
 import sys
 
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsecensus.exactmath import catalan
+from morsecensus.inversion import morse_counts
 from morsecensus.recurrence import build_table
 from morsecensus.trees import (
     EncodedPair,
@@ -75,6 +76,150 @@ def morse_trees(draw, max_n: int = 499):
     return MorseTree.from_edges(n, [(label[v], label[w]) for v in children for w in children[v]])
 
 
+# ---------------------------------------------------------------------------
+# references: the unpruned enumerator, validator and encoder
+
+
+def reference_is_morse_tree(tree: MorseTree) -> bool:
+    """Every Morse-tree condition, checked on a dict adjacency."""
+    m = 2 * tree.n + 2
+    if tree.n < 0 or len(tree.edges) != m - 1:
+        return False
+    seen = set()
+    for a, b in tree.edges:
+        if not (0 <= a < m and 0 <= b < m) or a == b or (a, b) in seen:
+            return False
+        seen.add((a, b))
+    adj = {v: [] for v in range(m)}
+    for a, b in tree.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    stack, reached = [0], {0}
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) != m:
+        return False
+    for v in range(m):
+        neighbors = adj[v]
+        if len(neighbors) == 1:
+            continue
+        if len(neighbors) != 3:
+            return False
+        if not any(w > v for w in neighbors) or not any(w < v for w in neighbors):
+            return False
+    return True
+
+
+def reference_multiset_permutations(items):
+    if not items:
+        yield ()
+        return
+    prev = None
+    for i, head in enumerate(items):
+        if head == prev:
+            continue
+        prev = head
+        for rest in reference_multiset_permutations(items[:i] + items[i + 1 :]):
+            yield (head,) + rest
+
+
+def reference_prufer_to_edges(seq, m):
+    degree = [1] * m
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(m) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, v), max(leaf, v)))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    a, b = heapq.heappop(leaves), heapq.heappop(leaves)
+    edges.append((min(a, b), max(a, b)))
+    return edges
+
+
+def reference_enumerate_morse_trees(n: int) -> set:
+    """Every Pruefer string in which n labels of 0..2n+1 appear twice, each validated in full."""
+    m = 2 * n + 2
+    found = set()
+    for nodes in itertools.combinations(range(m), n):
+        for seq in reference_multiset_permutations(tuple(sorted(nodes + nodes))):
+            tree = MorseTree.from_edges(n, reference_prufer_to_edges(seq, m))
+            if reference_is_morse_tree(tree):
+                found.add(tree)
+    return found
+
+
+def reference_encode(tree: MorseTree) -> EncodedPair:
+    """Breadth-first parents, subtree minima, children sorted by minimum, preorder walk."""
+    if not reference_is_morse_tree(tree):
+        raise ValueError("encode requires a valid Morse tree")
+    adj = {v: [] for v in range(2 * tree.n + 2)}
+    for a, b in tree.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = [-1] * len(adj)
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    low = list(range(len(adj)))
+    for v in reversed(order[1:]):
+        low[parent[v]] = min(low[parent[v]], low[v])
+    kids = {v: sorted((w for w in adj[v] if w != parent[v]), key=low.__getitem__) for v in order}
+    perm, parens = [], []
+    stack = [adj[0][0]]
+    while stack:
+        v = stack.pop()
+        if v is None:
+            parens.append(")")
+            continue
+        perm.append(v)
+        parens.append("(")
+        stack.append(None)
+        stack.extend(reversed(kids[v]))
+    return EncodedPair("".join(parens), tuple(perm))
+
+
+@st.composite
+def malformed_edge_tuples(draw):
+    """A small Morse tree's edges, some flipped and shuffled, then one defect or none.
+
+    Defects: a duplicate in either orientation, a loop, an out-of-range
+    label, an edge too many or too few, a negative n.
+    """
+    tree = draw(morse_trees(max_n=3))
+    n, m = tree.n, 2 * tree.n + 2
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in tree.edges]
+    edges = draw(st.permutations(edges))
+    defect = draw(st.sampled_from(
+        ("none", "duplicate", "flipped-duplicate", "loop", "out-of-range", "extra", "missing", "negative-n")))
+    i = draw(st.integers(0, len(edges) - 1))
+    a, b = edges[i]
+    if defect in ("duplicate", "flipped-duplicate"):  # in place of another edge
+        edges[(i + 1) % len(edges)] = (a, b) if defect == "duplicate" else (b, a)
+    elif defect == "loop":
+        edges[i] = (a, a)
+    elif defect == "out-of-range":
+        bad = draw(st.sampled_from((-1, m, m + 5)))
+        edges[i] = (bad, b) if draw(st.booleans()) else (a, bad)
+    elif defect == "extra":
+        edges.append((draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))))
+    elif defect == "missing":
+        del edges[i]
+    elif defect == "negative-n":
+        n = draw(st.integers(-3, -1))
+    return MorseTree(n, tuple(edges))
+
+
 class TestValidation:
     def test_single_edge_valid(self):
         assert is_morse_tree(EDGE)
@@ -94,11 +239,20 @@ class TestValidation:
         assert not is_morse_tree(MorseTree(1, ((0, 1), (2, 3), (1, 2), (0, 3))))  # edge count
         assert not is_morse_tree(MorseTree(1, ((0, 1), (0, 1), (2, 3))))  # duplicate edge
         assert not is_morse_tree(MorseTree(1, ((0, 1), (1, 2), (3, 9))))  # label range
+        assert not is_morse_tree(MorseTree(1, ((0, 1), (1, 2), (-1, 1))))  # -1 would index vertex 3
         assert not is_morse_tree(MorseTree(1, ((0, 1), (1, 1), (2, 3))))  # loop
         assert not is_morse_tree(MorseTree(1, ((0, 1), (1, 2), (0, 2))))  # cycle, 3 isolated
+        # degrees 1 and 3 and every node condition hold, but 0-7 is cut off
+        # from the triangle 2-3-4 and its leaves 1, 5, 6
+        assert not is_morse_tree(MorseTree(3, ((0, 7), (1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (4, 6))))
 
     def test_path_of_degree_two_invalid(self):
         assert not is_morse_tree(MorseTree.from_edges(1, [(0, 1), (1, 2), (2, 3)]))
+
+    @ROUND_TRIP
+    @given(malformed_edge_tuples())
+    def test_matches_reference_on_malformed_edges(self, tree):
+        assert is_morse_tree(tree) == reference_is_morse_tree(tree)
 
 
 class TestEnumeration:
@@ -116,13 +270,14 @@ class TestEnumeration:
         for n in range(4):
             assert len(enumerate_morse_trees(n)) == table.morse_count(n)
 
-    @pytest.mark.skipif(
-        os.environ.get("MORSECENSUS_EXTENDED") != "1",
-        reason="n=4 sweeps ~5*10^5 sequences; enable with MORSECENSUS_EXTENDED=1",
-    )
     def test_index_four_matches_recurrence(self):
-        table = build_table(8)
-        assert len(enumerate_morse_trees(4)) == table.morse_count(4)
+        count = len(enumerate_morse_trees(4))
+        assert count == build_table(8).morse_count(4)
+        assert count == morse_counts(4)[4] == 17746
+
+    def test_sets_match_reference(self):
+        for n in range(4):
+            assert enumerate_morse_trees(n) == reference_enumerate_morse_trees(n)
 
     def test_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):
@@ -192,6 +347,27 @@ class TestEncodeDecode:
         # top label at the node: the decoded tree has no higher neighbor there
         with pytest.raises(NotInImageError):
             decode(EncodedPair("(()())", (3, 1, 2)))
+
+    def test_decode_rejects_subtrees_out_of_order(self):
+        # a Morse tree once decoded, but the first subtree under 1 has minimum 5, the second 2
+        with pytest.raises(NotInImageError, match="minimum 5, above the second's 2"):
+            decode(EncodedPair("(()(()()))", (1, 5, 2, 3, 4)))
+
+    def test_decode_accepts_exactly_the_image(self):
+        # every (shape, permutation) pair: a pair decodes iff it encodes an enumerated tree
+        for n, count in enumerate((1, 2, 19, 428)):
+            image = {encode(t) for t in enumerate_morse_trees(n)}
+            decoded = set()
+            for stem in enumerate_ptpt(n):
+                for perm in itertools.permutations(range(1, 2 * n + 2)):
+                    pair = EncodedPair(stem, perm)
+                    try:
+                        tree = decode(pair)
+                    except NotInImageError:
+                        continue
+                    assert encode(tree) == pair
+                    decoded.add(pair)
+            assert decoded == image and len(image) == count
 
 
 class TestTextFormats:
@@ -266,6 +442,11 @@ class TestNoDepthLimit:
 
 
 class TestRoundTripProperties:
+    @ROUND_TRIP
+    @given(morse_trees())
+    def test_encode_matches_reference(self, tree):
+        assert encode(tree) == reference_encode(tree)
+
     @ROUND_TRIP
     @given(morse_trees())
     def test_decode_inverts_encode(self, tree):
