@@ -6,19 +6,22 @@ All logarithms are natural.  High-precision values are mpmath floats
 computed at an explicit precision (default 128 bits, guard bits included
 by the exactmath helpers); exact comparisons stay in integers/rationals
 and never pass through floating point.
+
+The CLI imports this module for `table` and `verify elliptic` only.
+mpmath is imported inside each function that computes with it, and `json`
+inside :func:`rows_to_json`, so `verify elliptic`, which runs the
+plain-float :func:`series_argument` and :func:`series_value`, never loads
+mpmath: `table` is the one command that does.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-import mpmath
-
-from .exactmath import GUARD_BITS, bernoulli, factorial, format_rational, log_rational
-from .recurrence import TableRangeError
+from .exactmath import (GUARD_BITS, TableRangeError, bernoulli, factorial, format_rational,
+                        log_rational)
 
 __all__ = [
     "AsymptoticRow",
@@ -40,15 +43,11 @@ __all__ = [
 SUPPORTED_ARGUMENT_RANGE = 0.3
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
-    """One row of the finite-size correction table."""
+class AsymptoticRow(namedtuple("AsymptoticRow", "n h log_h delta delta_over_n")):
+    """One row of the finite-size correction table: the int n, the Fraction h
+    and the mpmath floats log_h, delta and delta_over_n."""
 
-    n: int
-    h: Fraction
-    log_h: mpmath.mpf
-    delta: mpmath.mpf
-    delta_over_n: mpmath.mpf
+    __slots__ = ()
 
 
 def _normalized(counts: Sequence[int], n: int) -> Fraction:
@@ -68,6 +67,8 @@ def asymptotic_row(counts: Sequence[int], n: int, precision: int = 128) -> Asymp
     main terms from log h; its /n column is the quantity tabulated by the
     asymptotic experiments.
     """
+    import mpmath
+
     if n < 1:
         raise TableRangeError("asymptotic rows are defined for n >= 1")
     h = _normalized(counts, n)
@@ -86,6 +87,8 @@ def asymptotic_row(counts: Sequence[int], n: int, precision: int = 128) -> Asymp
 
 def growth_ratio(n: int, counts: Sequence[int], precision: int = 128) -> mpmath.mpf:
     """log g(n) / (n log n); tends to 2 from below on the computed range."""
+    import mpmath
+
     if n < 2:
         raise TableRangeError("growth ratio needs n >= 2 (log n must exceed 0 cleanly)")
     log_h = log_rational(_normalized(counts, n), precision)
@@ -96,6 +99,8 @@ def growth_ratio(n: int, counts: Sequence[int], precision: int = 128) -> mpmath.
 
 def bernoulli_growth_ratio(k: int, precision: int = 128) -> mpmath.mpf:
     """|B_2k| (4 pi^2)^k / (2 (2k)!), which decreases to 1 from above."""
+    import mpmath
+
     if k < 1:
         raise ValueError("bernoulli_growth_ratio requires k >= 1")
     b = abs(bernoulli(2 * k))
@@ -211,6 +216,8 @@ def fit_residual_model(rows: Sequence[AsymptoticRow]) -> tuple[float, float, flo
     Heuristic only: the model is suggested by the data, no error bars are
     claimed.  Needs at least 4 rows with distinct n.
     """
+    import mpmath
+
     ns = sorted({row.n for row in rows})
     if len(ns) < 4:
         raise ValueError(f"fit needs at least 4 distinct indices, got {len(ns)}")
@@ -227,6 +234,8 @@ def fit_residual_model(rows: Sequence[AsymptoticRow]) -> tuple[float, float, flo
 
 def format_real(x: mpmath.mpf) -> str:
     """Real number at the 9 significant digits used by all CLI output."""
+    import mpmath
+
     return mpmath.nstr(x, 9)
 
 
@@ -241,6 +250,8 @@ def rows_to_csv(rows: Sequence[AsymptoticRow]) -> str:
 
 
 def rows_to_json(rows: Sequence[AsymptoticRow]) -> str:
+    import json
+
     records = [
         {
             "n": row.n,

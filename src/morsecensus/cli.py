@@ -9,19 +9,26 @@ the MORSECENSUS_CACHE environment variable; with neither, the table is
 computed in memory.  `census`, `table` and `verify` accept --cache as well,
 and only `verify pde` among them reads it.
 
+Each command imports the layers it runs, inside its handler, so a process
+loads no more than its command needs:
+
+* census, verify bounds|conjecture: inversion (and series for bounds);
+* verify tan: series;  verify elliptic: inversion and analysis, without mpmath;
+* table: inversion and analysis, with mpmath, the only command that loads it;
+* verify pde: recurrence and series;  oracle: recurrence and trees;
+* encode, decode: trees.
+
+Only `argparse`, `os` and `sys` load with this module, and `json` only for
+`census --format json`.
+
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 I/O error.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
-
-from . import inversion, recurrence, series, trees
-from .exactmath import factorial, format_rational
 
 CACHE_ENV_VAR = "MORSECENSUS_CACHE"
 REFERENCE_TABLE_POINTS = (10, 20, 30, 40, 50, 100, 150, 200)
@@ -39,19 +46,40 @@ def _cache_path(args) -> str | None:
     return os.environ.get(CACHE_ENV_VAR) or None
 
 
+def _table(weight_bound: int, args):
+    """The two-parameter table through the cache, or None once a malformed
+    cache has been reported on stderr (exit 3)."""
+    from . import recurrence
+
+    try:
+        return recurrence.build_table(weight_bound, _cache_path(args))
+    except recurrence.CacheFormatError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
+        return None
+
+
 # ---------------------------------------------------------------------------
 # census
 
 
-def _normalized(n: int, g: int) -> Fraction:
-    """h(n) = g(n) / (2n+1)!."""
+def _normalized(n: int, g: int):
+    """h(n) = g(n) / (2n+1)!, a Fraction."""
+    from fractions import Fraction
+
+    from .exactmath import factorial
+
     return Fraction(g, factorial(2 * n + 1))
 
 
 def _cmd_census(args) -> int:
+    from . import inversion
+    from .exactmath import format_rational
+
     rows = [(n, format_rational(_normalized(n, g)), format_rational(g))
             for n, g in enumerate(inversion.morse_counts(args.max_n))]
     if args.format == "json":
+        import json
+
         records = [{"n": n, "h": h, "g": g} for n, h, g in rows]
         print(json.dumps(records, indent=2))
     elif args.format == "csv":
@@ -69,7 +97,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from . import analysis  # loads mpmath, which the exact commands never need
+    from . import analysis, inversion
 
     points = args.points
     counts = inversion.morse_counts(max(points))
@@ -97,7 +125,7 @@ def _cmd_verify(args) -> int:
     if args.which == "tan":
         return _verify_tan(args.max_k)
     if args.which == "pde":
-        return _verify_pde(args.order, _cache_path(args))
+        return _verify_pde(args)
     if args.which == "bounds":
         return _verify_bounds(args.max_n)
     if args.which == "conjecture":
@@ -106,6 +134,8 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_tan(max_k: int) -> int:
+    from . import series
+
     via_bernoulli = series.scaled_tangent_series(max_k)
     via_ode = series.ode_comparison_series(max_k)
     for k in range(max_k + 1):
@@ -118,8 +148,13 @@ def _verify_tan(max_k: int) -> int:
     return EXIT_OK
 
 
-def _verify_pde(order: int, cache: str | None) -> int:
-    table = recurrence.build_table(max(order - 1, 0), cache)
+def _verify_pde(args) -> int:
+    from . import series
+
+    order = args.order
+    table = _table(max(order - 1, 0), args)
+    if table is None:
+        return EXIT_IO
     residual = series.pde_residual(series.bivariate_generating_series(table, order))
     if not residual.is_zero():
         first = residual.lines()[0]
@@ -131,6 +166,9 @@ def _verify_pde(order: int, cache: str | None) -> int:
 
 
 def _verify_bounds(max_n: int) -> int:
+    from . import inversion, series
+    from .exactmath import format_rational
+
     ode = series.scaled_tangent_series(max_n)
     for n, g in enumerate(inversion.morse_counts(max_n)):
         h = _normalized(n, g)
@@ -148,6 +186,9 @@ def _verify_bounds(max_n: int) -> int:
 
 
 def _verify_conjecture(max_n: int) -> int:
+    from . import inversion
+    from .exactmath import format_rational
+
     for n, g in enumerate(inversion.morse_counts(max_n)):
         if n >= 1 and not inversion.check_conjecture(n, g):
             print(f"FAIL g < (2n+1)! at n={n}: h={format_rational(_normalized(n, g))}")
@@ -157,7 +198,7 @@ def _verify_conjecture(max_n: int) -> int:
 
 
 def _verify_elliptic() -> int:
-    from . import analysis
+    from . import analysis, inversion
 
     counts = inversion.morse_counts(50)
     for target in ELLIPTIC_POINTS:
@@ -175,6 +216,8 @@ def _verify_elliptic() -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import trees
+
     budget = 4 if args.extended else 3
     if args.n < 0:
         print(f"oracle index must be >= 0; got n={args.n}", file=sys.stderr)
@@ -184,8 +227,10 @@ def _cmd_oracle(args) -> int:
               f"{'' if args.extended else ' (use --extended for n=4)'}; got n={args.n}",
               file=sys.stderr)
         return EXIT_USAGE
+    table = _table(2 * args.n, args)
+    if table is None:
+        return EXIT_IO
     enumerated = trees.enumerate_morse_trees(args.n)
-    table = recurrence.build_table(2 * args.n, _cache_path(args))
     recurrence_count = table.morse_count(args.n)
     pairs = [trees.encode(t) for t in enumerated]
     injective = len(set(pairs)) == len(enumerated)
@@ -205,6 +250,8 @@ def _read_text(path: str) -> str:
 
 
 def _cmd_encode(args) -> int:
+    from . import trees
+
     try:
         text = _read_text(args.path)  # UnicodeDecodeError is a ValueError
         tree = trees.tree_from_text(text)
@@ -217,6 +264,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from . import trees
+
     try:
         text = _read_text(args.path)
         pair = trees.pair_from_text(text)
@@ -314,9 +363,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--order must be >= 1")
     try:
         return args.func(args)
-    except (recurrence.CacheFormatError,) as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

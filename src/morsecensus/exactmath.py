@@ -12,12 +12,10 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import comb, factorial, gcd  # factorial re-exported; raises ValueError on n < 0
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import mpmath
 
 __all__ = [
+    "TableRangeError",
+    "ConsistencyError",
     "factorial",
     "catalan",
     "bernoulli",
@@ -26,6 +24,16 @@ __all__ = [
 ]
 
 GUARD_BITS = 64
+
+
+# Shared by every layer; `recurrence` re-exports both, so a layer raises or
+# catches them without loading the table code.
+class TableRangeError(ValueError):
+    """Requested index lies outside the table's weight bound."""
+
+
+class ConsistencyError(RuntimeError):
+    """A value the recurrence makes integral is not an integer: a recurrence bug."""
 
 
 def catalan(n: int) -> int:

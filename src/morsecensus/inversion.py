@@ -66,8 +66,7 @@ from __future__ import annotations
 from math import comb
 from operator import mul
 
-from .exactmath import catalan, factorial
-from .recurrence import ConsistencyError
+from .exactmath import ConsistencyError, catalan, factorial
 
 __all__ = ["morse_counts", "check_upper_bound", "check_conjecture"]
 

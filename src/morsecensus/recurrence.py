@@ -63,7 +63,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul, sub
 
-from .exactmath import factorial
+from .exactmath import ConsistencyError, TableRangeError, factorial
 
 __all__ = [
     "CensusTable",
@@ -78,14 +78,6 @@ __all__ = [
 ]
 
 CACHE_MAGIC = "morse-htable v2"
-
-
-class TableRangeError(ValueError):
-    """Requested index lies outside the table's weight bound."""
-
-
-class ConsistencyError(RuntimeError):
-    """A value the recurrence makes integral is not an integer: a recurrence bug."""
 
 
 class CacheFormatError(ValueError):

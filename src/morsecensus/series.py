@@ -25,8 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 
-from .exactmath import bernoulli, factorial
-from .recurrence import CensusTable, TableRangeError
+from .exactmath import TableRangeError, bernoulli, factorial, format_rational
+
+# CensusTable (from :mod:`recurrence`) appears only in annotations, which are
+# never evaluated here, so `verify tan|bounds` do not load the table code.
 
 __all__ = [
     "Series1",
@@ -94,8 +96,6 @@ class Series2:
 
     def lines(self) -> list[str]:
         """Nonzero coefficients as sorted "a b: p/q" lines."""
-        from .exactmath import format_rational
-
         return [f"{a} {b}: {format_rational(c)}" for (a, b), c in sorted(self.coeffs.items())]
 
 

@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import lru_cache
 
 from .exactmath import catalan
 
@@ -75,12 +76,10 @@ class NotInImageError(ValueError):
     """The pair is not the encoding of any Morse tree."""
 
 
-@dataclass(frozen=True)
-class MorseTree:
+class MorseTree(namedtuple("MorseTree", "n edges")):
     """Labeled tree on vertices 0..2n+1; edges normalized (a < b, sorted)."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @staticmethod
     def from_edges(n: int, edges) -> "MorseTree":
@@ -88,16 +87,14 @@ class MorseTree:
         return MorseTree(n, normalized)
 
 
-@dataclass(frozen=True)
-class EncodedPair:
+class EncodedPair(namedtuple("EncodedPair", "stem perm")):
     """Image of a Morse tree: shape plus permutation in one-line word form.
 
     `stem` is the shape's parenthesis string; perm[i-1] is the Morse label
     of the vertex with walk number i.
     """
 
-    stem: str
-    perm: tuple[int, ...]
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +232,16 @@ def _full_binary_shapes(internal: int) -> list[str]:
 # the injection
 
 
-def _walk(stem: str) -> list[tuple[int, int]]:
+@lru_cache(maxsize=1)
+def _walk(stem: str) -> tuple[tuple[int, int], ...]:
     """(parent walk number, side) for walk numbers 1..2n+1, in walk order.
 
     Entry i-1 belongs to walk number i, the vertex opened by the i-th "("
     of the stem text; the planted root is walk number 0 and the stem
     vertex its side-0 child.  Sides are 0 for the first child and 1 for
     the second.  A malformed shape raises ValueError naming the position.
+    The last shape's walk is kept, so `decode` reuses the walk that
+    `pair_from_text` made when it validated the same text.
     """
     walk: list[tuple[int, int]] = []
     path = [[0, 0]]  # the open vertices as [walk number, children so far], root first
@@ -259,7 +259,7 @@ def _walk(stem: str) -> list[tuple[int, int]]:
             if len(path) == 1:
                 if pos + 1 < len(stem):
                     raise ValueError(f"trailing characters at position {pos + 1} of the shape")
-                return walk
+                return tuple(walk)
         else:
             raise ValueError(f"unexpected {char!r} at position {pos} of the shape")
     raise ValueError("the shape ends before the stem vertex closes")

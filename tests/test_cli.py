@@ -1,4 +1,5 @@
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from morsecensus import cli
+from morsecensus import cli, inversion, recurrence, series
 from morsecensus.recurrence import build_table, load_table, save_table
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -151,8 +152,8 @@ class TestCountingCommandsReadNoTable:
         def refuse(*args, **kwargs):
             raise AssertionError("the two-parameter table was touched")
 
-        monkeypatch.setattr(cli.recurrence, "extend_table", refuse)
-        monkeypatch.setattr(cli.recurrence, "load_table", refuse)
+        monkeypatch.setattr(recurrence, "extend_table", refuse)
+        monkeypatch.setattr(recurrence, "load_table", refuse)
         monkeypatch.setenv(cli.CACHE_ENV_VAR, str(cache))
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
@@ -237,14 +238,14 @@ class TestVerify:
         # g(3) = 428000 in place of 428, both in the counts of the one-variable
         # route and in a cache: there S'(0,3), the 4th entry of level 6, times
         # 1000, with the digest recomputed
-        counts = cli.inversion.morse_counts
+        counts = inversion.morse_counts
 
         def wrong_g3(max_n):
             g = counts(max_n)
             g[3] *= 1000
             return g
 
-        monkeypatch.setattr(cli.inversion, "morse_counts", wrong_g3)
+        monkeypatch.setattr(inversion, "morse_counts", wrong_g3)
         cache = tmp_path / "t.txt"
         save_table(build_table(12), cache)
         lines = cache.read_text().splitlines(keepends=True)
@@ -259,14 +260,14 @@ class TestVerify:
         assert out == line + "\n"
 
     def test_tan_routes_disagree_fails(self, capsys, monkeypatch):
-        true_ode = cli.series.ode_comparison_series
+        true_ode = series.ode_comparison_series
 
         def off_by_one_at_k3(order_index):
             coeffs = list(true_ode(order_index).coeffs)
             coeffs[7] += 1
-            return cli.series.Series1(coeffs)
+            return series.Series1(coeffs)
 
-        monkeypatch.setattr(cli.series, "ode_comparison_series", off_by_one_at_k3)
+        monkeypatch.setattr(series, "ode_comparison_series", off_by_one_at_k3)
         code, out, _ = run(capsys, "verify", "tan", "--max-k", "10")
         assert code == 1
         assert out == "FAIL tan routes disagree at k=3: bernoulli=17/2520 ode=2537/2520\n"
@@ -290,47 +291,70 @@ class TestVerify:
         assert message in out.err
 
 
-class TestDependencies:
-    def test_float_commands_load_neither_numpy_nor_scipy(self):
-        child = (
-            "import runpy, sys\n"
-            "for argv in (['table', '--points', '4,6,8,10'], ['verify', 'elliptic']):\n"
-            "    sys.argv = ['morsecensus', *argv]\n"
-            "    try:\n"
-            "        runpy.run_module('morsecensus.cli', run_name='__main__', alter_sys=True)\n"
-            "    except SystemExit as exc:\n"
-            "        assert exc.code == 0, argv\n"
-            "    print('loaded:', sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": SRC}
-        env.pop(cli.CACHE_ENV_VAR, None)
-        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("loaded: []\n") == 2
+_MODULES_MARKER = "-- sys.modules --"
 
-    def test_counting_path_loads_no_mpmath(self, tmp_path):
-        child = (
-            "import runpy, sys\n"
-            "import morsecensus.recurrence\n"
-            "print('recurrence:', 'mpmath' in sys.modules)\n"
-            "for argv in (['census', '--max-n', '5'], ['verify', 'bounds', '--max-n', '20'],\n"
-            "             ['verify', 'conjecture', '--max-n', '20']):\n"
-            "    sys.argv = ['morsecensus', *argv, '--cache', sys.argv[1]]\n"
-            "    try:\n"
-            "        runpy.run_module('morsecensus.cli', run_name='__main__', alter_sys=True)\n"
-            "    except SystemExit as exc:\n"
-            "        assert exc.code == 0, argv\n"
-            "    print(argv[-3] + ':', 'mpmath' in sys.modules)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": SRC}
-        env.pop(cli.CACHE_ENV_VAR, None)
-        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path / "t.txt")],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        flags = [line for line in proc.stdout.splitlines() if line.endswith((": False", ": True"))]
-        assert flags == ["recurrence: False", "census: False", "bounds: False",
-                         "conjecture: False"]
+
+@functools.cache
+def _modules_after(statements: str) -> frozenset[str]:
+    """sys.modules of a fresh interpreter that has run `statements`."""
+    child = f"{statements}\nimport sys\nprint({_MODULES_MARKER!r}, *sys.modules, sep='\\n')\n"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop(cli.CACHE_ENV_VAR, None)
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.rpartition(_MODULES_MARKER)[2].split())
+
+
+def modules_loaded_by(statements: str) -> frozenset[str]:
+    """The modules that running `statements` in a fresh interpreter loads beyond
+    those of a bare interpreter in the same environment.
+
+    Relative, not absolute: whatever `site` and .pth files load at start-up
+    (typing, re or pathlib, in some environments) is in both sets.
+    """
+    return _modules_after(statements) - _modules_after("pass")
+
+
+def command_modules(*argv: str) -> frozenset[str]:
+    """The modules that one CLI command loads beyond a bare interpreter."""
+    return modules_loaded_by("from morsecensus.cli import main\n"
+                             f"if main({list(argv)!r}): raise SystemExit('command failed')")
+
+
+_COUNTING = frozenset({"morsecensus.recurrence", "morsecensus.trees", "morsecensus.analysis",
+                       "mpmath", "hashlib", "dataclasses", "json"})
+
+
+class TestDependencies:
+    """Each command imports the layers it runs and no other."""
+
+    @pytest.mark.parametrize("argv, loads, never", [
+        (("census", "--max-n", "5"), {"morsecensus.inversion"}, _COUNTING),
+        (("verify", "bounds", "--max-n", "20"), {"morsecensus.series"}, _COUNTING),
+        (("verify", "conjecture", "--max-n", "20"), {"morsecensus.inversion"}, _COUNTING),
+        (("verify", "elliptic"), {"morsecensus.analysis"}, {"mpmath"}),
+        (("table", "--points", "4,6,8,10"), {"mpmath"},
+         {"morsecensus.trees", "morsecensus.recurrence"}),
+        (("oracle", "3"), {"morsecensus.recurrence", "morsecensus.trees"},
+         {"mpmath", "morsecensus.analysis", "dataclasses"}),
+        (("verify", "pde"), {"morsecensus.recurrence", "morsecensus.series"},
+         {"mpmath", "morsecensus.analysis"}),
+    ], ids=["census", "bounds", "conjecture", "elliptic", "table", "oracle", "pde"])
+    def test_command_loads_only_its_layers(self, argv, loads, never):
+        loaded = command_modules(*argv)
+        assert loads <= loaded  # the guard sees the layers the command does run
+        assert not never & loaded
+
+    def test_float_commands_load_neither_numpy_nor_scipy(self):
+        for argv in (("table", "--points", "4,6,8,10"), ("verify", "elliptic")):
+            assert not {"numpy", "scipy"} & command_modules(*argv), argv
+
+    def test_counting_path_loads_no_mpmath(self):
+        assert "mpmath" not in modules_loaded_by("import morsecensus.recurrence")
+        for argv in (("census", "--max-n", "5"), ("verify", "bounds", "--max-n", "20"),
+                     ("verify", "conjecture", "--max-n", "20")):
+            assert "mpmath" not in command_modules(*argv), argv
 
 
 class TestOracle:
