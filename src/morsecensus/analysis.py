@@ -23,6 +23,10 @@ from fractions import Fraction
 from .exactmath import (GUARD_BITS, TableRangeError, bernoulli, factorial, format_rational,
                         log_rational)
 
+# `mpmath.mpf` in annotations is unbound here, like mpmath itself (see the
+# module docstring), so typing.get_type_hints raises NameError on those
+# functions: the annotations name the result type for readers only.
+
 __all__ = [
     "AsymptoticRow",
     "asymptotic_row",
@@ -45,7 +49,11 @@ SUPPORTED_ARGUMENT_RANGE = 0.3
 
 class AsymptoticRow(namedtuple("AsymptoticRow", "n h log_h delta delta_over_n")):
     """One row of the finite-size correction table: the int n, the Fraction h
-    and the mpmath floats log_h, delta and delta_over_n."""
+    and the mpmath floats log_h, delta and delta_over_n.
+
+    A tuple of those five fields: it unpacks and indexes as one, and
+    compares equal to any tuple with the same values.
+    """
 
     __slots__ = ()
 

@@ -13,6 +13,10 @@ import sys
 from fractions import Fraction
 from math import comb, factorial, gcd  # factorial re-exported; raises ValueError on n < 0
 
+# `mpmath.mpf` in annotations names the result type for readers only: mpmath
+# is imported inside the function that uses it, so the name is unbound here
+# and typing.get_type_hints raises NameError on those functions, on purpose.
+
 __all__ = [
     "TableRangeError",
     "ConsistencyError",

@@ -28,7 +28,8 @@ from math import comb, lcm
 from .exactmath import TableRangeError, bernoulli, factorial, format_rational
 
 # CensusTable (from :mod:`recurrence`) appears only in annotations, which are
-# never evaluated here, so `verify tan|bounds` do not load the table code.
+# never evaluated here, so `verify tan|bounds` do not load the table code.  The
+# name is unbound on purpose: typing.get_type_hints raises NameError on them.
 
 __all__ = [
     "Series1",

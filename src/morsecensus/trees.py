@@ -77,7 +77,11 @@ class NotInImageError(ValueError):
 
 
 class MorseTree(namedtuple("MorseTree", "n edges")):
-    """Labeled tree on vertices 0..2n+1; edges normalized (a < b, sorted)."""
+    """Labeled tree on vertices 0..2n+1; edges normalized (a < b, sorted).
+
+    A tuple (n, edges): it unpacks, indexes and hashes as one, and compares
+    equal to any tuple with the same fields, a bare tuple included.
+    """
 
     __slots__ = ()
 
@@ -91,7 +95,8 @@ class EncodedPair(namedtuple("EncodedPair", "stem perm")):
     """Image of a Morse tree: shape plus permutation in one-line word form.
 
     `stem` is the shape's parenthesis string; perm[i-1] is the Morse label
-    of the vertex with walk number i.
+    of the vertex with walk number i.  A tuple (stem, perm), with
+    MorseTree's tuple semantics.
     """
 
     __slots__ = ()

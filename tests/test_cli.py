@@ -341,7 +341,9 @@ class TestDependencies:
         (("verify", "pde"), {"morsecensus.recurrence", "morsecensus.series"},
          {"mpmath", "morsecensus.analysis"}),
     ], ids=["census", "bounds", "conjecture", "elliptic", "table", "oracle", "pde"])
-    def test_command_loads_only_its_layers(self, argv, loads, never):
+    def test_command_loads_only_its_layers(self, argv, loads, never, tmp_path):
+        if never == _COUNTING:  # nor when a cache file is configured
+            argv += ("--cache", str(tmp_path / "t.txt"))
         loaded = command_modules(*argv)
         assert loads <= loaded  # the guard sees the layers the command does run
         assert not never & loaded
@@ -350,11 +352,12 @@ class TestDependencies:
         for argv in (("table", "--points", "4,6,8,10"), ("verify", "elliptic")):
             assert not {"numpy", "scipy"} & command_modules(*argv), argv
 
-    def test_counting_path_loads_no_mpmath(self):
+    def test_counting_path_loads_no_mpmath(self, tmp_path):
         assert "mpmath" not in modules_loaded_by("import morsecensus.recurrence")
         for argv in (("census", "--max-n", "5"), ("verify", "bounds", "--max-n", "20"),
                      ("verify", "conjecture", "--max-n", "20")):
-            assert "mpmath" not in command_modules(*argv), argv
+            loaded = command_modules(*argv, "--cache", str(tmp_path / "t.txt"))
+            assert "mpmath" not in loaded, argv
 
 
 class TestOracle:

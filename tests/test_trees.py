@@ -314,6 +314,15 @@ class TestEncodeDecode:
         assert pair == EncodedPair("()", (1,))
         assert decode(pair) == EDGE
 
+    def test_codec_returns_its_own_types(self):
+        # both are tuples and compare equal to a bare tuple of their fields,
+        # so == alone would not catch a plain tuple returned by mistake
+        pair = encode(STAR_AT_2)
+        assert type(pair) is EncodedPair
+        assert type(pair_from_text(pair_to_text(pair))) is EncodedPair
+        assert type(decode(pair)) is MorseTree
+        assert type(tree_from_text(tree_to_text(STAR_AT_2))) is MorseTree
+
     def test_star_at_one_gets_identity_word(self):
         pair = encode(STAR_AT_1)
         assert pair.stem == "(()())"
