@@ -3,11 +3,9 @@
 Subcommands: census, table, verify, oracle, encode, decode.  The counts
 that `census`, `table` and `verify bounds|conjecture|elliptic` print or
 check come from the one-variable route of :mod:`inversion`, in memory.
-`verify pde` and `oracle` read the two-parameter table of :mod:`recurrence`
-through the cache file, whose path comes from --cache or, without it, from
-the MORSECENSUS_CACHE environment variable; with neither, the table is
-computed in memory.  `census`, `table` and `verify` accept --cache as well,
-and only `verify pde` among them reads it.
+`verify pde` and `oracle` fill the small two-parameter table of
+:mod:`recurrence` they need, in memory too: weight 79 at `verify pde
+--order 80`, weight 8 for `oracle`.
 
 Each command imports the layers it runs, inside its handler, so a process
 loads no more than its command needs:
@@ -18,7 +16,7 @@ loads no more than its command needs:
 * verify pde: recurrence and series;  oracle: recurrence and trees;
 * encode, decode: trees.
 
-Only `argparse`, `os` and `sys` load with this module, and `json` only for
+Only `argparse` and `sys` load with this module, and `json` only for
 `census --format json`.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
@@ -27,10 +25,8 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-CACHE_ENV_VAR = "MORSECENSUS_CACHE"
 REFERENCE_TABLE_POINTS = (10, 20, 30, 40, 50, 100, 150, 200)
 ELLIPTIC_POINTS = (0.05, 0.1, 0.2)
 
@@ -38,24 +34,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _cache_path(args) -> str | None:
-    if args.cache is not None:
-        return args.cache
-    return os.environ.get(CACHE_ENV_VAR) or None
-
-
-def _table(weight_bound: int, args):
-    """The two-parameter table through the cache, or None once a malformed
-    cache has been reported on stderr (exit 3)."""
-    from . import recurrence
-
-    try:
-        return recurrence.build_table(weight_bound, _cache_path(args))
-    except recurrence.CacheFormatError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +103,7 @@ def _cmd_verify(args) -> int:
     if args.which == "tan":
         return _verify_tan(args.max_k)
     if args.which == "pde":
-        return _verify_pde(args)
+        return _verify_pde(args.order)
     if args.which == "bounds":
         return _verify_bounds(args.max_n)
     if args.which == "conjecture":
@@ -148,13 +126,10 @@ def _verify_tan(max_k: int) -> int:
     return EXIT_OK
 
 
-def _verify_pde(args) -> int:
-    from . import series
+def _verify_pde(order: int) -> int:
+    from . import recurrence, series
 
-    order = args.order
-    table = _table(max(order - 1, 0), args)
-    if table is None:
-        return EXIT_IO
+    table = recurrence.extend_table(None, order - 1)
     residual = series.pde_residual(series.bivariate_generating_series(table, order))
     if not residual.is_zero():
         first = residual.lines()[0]
@@ -216,7 +191,7 @@ def _verify_elliptic() -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from . import trees
+    from . import recurrence, trees
 
     budget = 4 if args.extended else 3
     if args.n < 0:
@@ -227,9 +202,7 @@ def _cmd_oracle(args) -> int:
               f"{'' if args.extended else ' (use --extended for n=4)'}; got n={args.n}",
               file=sys.stderr)
         return EXIT_USAGE
-    table = _table(2 * args.n, args)
-    if table is None:
-        return EXIT_IO
+    table = recurrence.extend_table(None, 2 * args.n)
     enumerated = trees.enumerate_morse_trees(args.n)
     recurrence_count = table.morse_count(args.n)
     pairs = [trees.encode(t) for t in enumerated]
@@ -285,8 +258,8 @@ def _cmd_decode(args) -> int:
 
 
 def _add_cache_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache", help=f"table cache file, read by `verify pde` and `oracle` "
-                                   f"(default: ${CACHE_ENV_VAR})")
+    # inert: goes once the benchmark's command lines stop passing --cache <file>
+    p.add_argument("--cache", help=argparse.SUPPRESS)
 
 
 def _points_list(text: str) -> list[int]:

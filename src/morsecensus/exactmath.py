@@ -111,7 +111,7 @@ def format_rational(q: Fraction | int) -> str:
 
     Counts pass CPython's limit on the digits of an int<->str conversion
     (g(1000) has 5,622), so it is lifted for these conversions only: the
-    limit still guards the parsing of cache files and codec input.
+    limit still guards the parsing of codec input.
     """
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

@@ -2,10 +2,10 @@
 
 The commands that need only the counts g(n) (`census`, `table` and
 `verify bounds|conjecture|elliptic`) take them from the one-variable route
-of :mod:`inversion`.  The table is read where it is the subject:
-`verify pde` needs T(x, y) off the diagonal, `oracle` holds it to the
-enumerated trees, and the tests hold the one-variable route to it.  Only
-these read and write the cache file (:func:`build_table`).
+of :mod:`inversion`.  The table is built where it is the subject, in
+memory and for a small weight: `verify pde` needs T(x, y) off the diagonal
+(weight 79 at order 80), `oracle` holds it to the enumerated trees (weight
+8), and the tests hold the one-variable route to it.
 
 The table holds exact rationals T(x, y) for x + 2y <= W, filled in
 increasing weight w = x + 2y:
@@ -54,11 +54,6 @@ cause; it raises ConsistencyError.
 """
 from __future__ import annotations
 
-import fcntl
-import hashlib
-import os
-import re
-import sys
 from fractions import Fraction
 from math import comb
 from operator import mul, sub
@@ -67,29 +62,10 @@ from .exactmath import ConsistencyError, TableRangeError, factorial
 
 __all__ = [
     "CensusTable",
-    "build_table",
     "extend_table",
-    "save_table",
-    "load_table",
-    "CacheFormatError",
-    "CacheLockError",
     "TableRangeError",
     "ConsistencyError",
 ]
-
-CACHE_MAGIC = "morse-htable v2"
-
-
-class CacheFormatError(ValueError):
-    """Cache file malformed; `line_no` names the offending line."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"cache line {line_no}: {message}")
-        self.line_no = line_no
-
-
-class CacheLockError(OSError):
-    """Another writer holds the cache lock."""
 
 
 def _scale(x: int, y: int) -> int:
@@ -283,127 +259,4 @@ def extend_table(table: CensusTable | None, weight_bound: int,
         return CensusTable(weight_bound, _pack(entries, weight_bound))
     levels = list(table._levels)
     _fill(levels, weight_bound)
-    return CensusTable(weight_bound, levels)
-
-
-def build_table(weight_bound: int, cache_path: str | os.PathLike | None = None) -> CensusTable:
-    """Build the table for all x + 2y <= weight_bound.
-
-    With `cache_path`, a valid cache file is loaded and extended instead of
-    recomputed, and the extension is written back (atomic rename).  A failed
-    write, a held lock included, is reported on stderr and the table is
-    returned anyway.  The returned table covers at least the requested
-    bound; it is larger when the cache already was.
-    """
-    cached = None
-    if cache_path and os.path.exists(cache_path):
-        cached = load_table(cache_path)
-        if cached.weight_bound >= weight_bound:
-            return cached
-    table = extend_table(cached, weight_bound)
-    if cache_path:
-        try:
-            save_table(table, cache_path)
-        except OSError as exc:
-            print(f"warning: cache not written ({exc}); continuing compute-only",
-                  file=sys.stderr)
-    return table
-
-
-# ---------------------------------------------------------------------------
-# cache persistence
-
-_HEADER_RE = re.compile(r"^morse-htable v2 W=(\d+) sha256=([0-9a-f]{64})$")
-
-
-def save_table(table: CensusTable, path: str | os.PathLike) -> None:
-    """Write the cache file: a header with W and the SHA-256 of the body, then
-    one line per weight level w holding S'(w - 2y, y) for y = 0, 1, ...
-
-    Holds an exclusive `flock` on `<path>.lock` (fail-fast) while it replaces
-    the file atomically, so an interrupted write never corrupts an existing
-    cache.  Under the lock it reads the existing file's header, and it writes
-    nothing when that names a larger W: another command saved a larger table
-    after this one loaded the cache, and a cache never shrinks.  The kernel
-    drops the lock when its holder exits or is killed, so a dead writer never
-    leaves the cache locked; the lock file itself stays.
-    The levels are streamed: the header is written with a placeholder of the
-    digest's length and rewritten once the body has been hashed.
-    """
-    path = os.fspath(path)
-    parent = os.path.dirname(path) or "."
-    os.makedirs(parent, exist_ok=True)
-    lock_path = path + ".lock"
-    lock_fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
-    try:
-        try:
-            fcntl.flock(lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise CacheLockError(f"cache {path} is locked by another writer ({lock_path})")
-        try:
-            with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-                m = _HEADER_RE.match(fh.readline().rstrip("\n"))
-        except FileNotFoundError:
-            m = None
-        if m and int(m.group(1)) > table.weight_bound:
-            return
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp_path, "wb") as fh:
-                header = f"{CACHE_MAGIC} W={table.weight_bound} sha256=".encode()
-                fh.write(header + b"0" * 64 + b"\n")
-                digest = hashlib.sha256()
-                for level in table._levels:
-                    line = (" ".join(map(str, level)) + "\n").encode()
-                    digest.update(line)
-                    fh.write(line)
-                fh.seek(len(header))
-                fh.write(digest.hexdigest().encode())
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
-    finally:
-        os.close(lock_fd)
-
-
-def load_table(path: str | os.PathLike) -> CensusTable:
-    """Read a cache file back; bit-exact inverse of :func:`save_table`.
-
-    A file in the older v1 format carries no digest, so it is refused on its
-    first line; delete it to rebuild the cache.  Bytes that are not UTF-8 are
-    read as lone surrogates, which no pattern or number accepts, so they
-    raise CacheFormatError naming their line.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        header = fh.readline().rstrip("\n")
-        if m := _HEADER_RE.match(header):
-            return _read_levels(fh, int(m.group(1)), m.group(2))
-    if header.startswith("morse-htable v1 "):
-        raise CacheFormatError(1, "v1 file carries no digest; delete it to rebuild the cache")
-    raise CacheFormatError(1, f"bad header {header!r}")
-
-
-def _read_levels(fh, weight_bound: int, digest: str) -> CensusTable:
-    body = hashlib.sha256()
-    levels = []
-    for line_no, line in enumerate(fh, start=2):
-        body.update(line.encode(errors="surrogateescape"))
-        w = len(levels)
-        try:
-            level = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise CacheFormatError(line_no, f"level {w} has a non-integer entry") from None
-        if len(level) != w // 2 + 1:
-            raise CacheFormatError(
-                line_no, f"level {w} needs {w // 2 + 1} entries, line has {len(level)}"
-            )
-        levels.append(level)
-    if len(levels) != weight_bound + 1:
-        raise CacheFormatError(
-            1, f"W={weight_bound} needs {weight_bound + 1} levels, file has {len(levels)}"
-        )
-    if body.hexdigest() != digest:
-        raise CacheFormatError(1, "body does not match its sha256 digest")
     return CensusTable(weight_bound, levels)

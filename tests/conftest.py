@@ -7,10 +7,8 @@ acceptance suite runs at one of two scales:
 * reduced gate (default): indices up to 100, table weight bound 200, a
   second or two cold;
 * full gate: indices up to 200, table weight bound 400, enabled by
-  MORSECENSUS_ACCEPT_FULL=1 or by a warm cache of weight >= 400 at
-  $MORSECENSUS_CACHE.  Cold, the weight-400 table takes about 32 s on one
-  core of a 2-CPU Xeon.  With both variables set, the run builds that
-  cache, and later runs read it: no command writes a table that large.
+  MORSECENSUS_ACCEPT_FULL=1.  The weight-400 table is filled in memory on
+  every such run, about 32 s on one core of a 2-CPU Xeon.
 """
 from __future__ import annotations
 
@@ -24,22 +22,8 @@ FULL_MAX_INDEX = 200
 REDUCED_MAX_INDEX = 100
 
 
-def _cache_path() -> str | None:
-    return os.environ.get("MORSECENSUS_CACHE") or None
-
-
-def _cached_weight(path: str) -> int:
-    try:
-        return recurrence.load_table(path).weight_bound
-    except (OSError, recurrence.CacheFormatError):
-        return -1
-
-
 def acceptance_scale() -> int:
     if os.environ.get("MORSECENSUS_ACCEPT_FULL") == "1":
-        return FULL_MAX_INDEX
-    cache = _cache_path()
-    if cache and _cached_weight(cache) >= 2 * FULL_MAX_INDEX:
         return FULL_MAX_INDEX
     return REDUCED_MAX_INDEX
 
@@ -69,7 +53,7 @@ def census_counts(acceptance_max_n):
 @pytest.fixture(scope="session")
 def census_table(acceptance_max_n):
     """The one expensive table, the reference for the counts."""
-    return recurrence.build_table(2 * acceptance_max_n, cache_path=_cache_path())
+    return recurrence.extend_table(None, 2 * acceptance_max_n)
 
 
 @pytest.fixture(scope="session")
@@ -79,7 +63,7 @@ def small_counts():
 
 @pytest.fixture(scope="session")
 def small_table():
-    return recurrence.build_table(30)
+    return recurrence.extend_table(None, 30)
 
 
 # --- one pass/fail line per acceptance criterion ---------------------------

@@ -1,6 +1,5 @@
-import fcntl
+import ast
 import functools
-import hashlib
 import json
 import os
 import subprocess
@@ -10,15 +9,12 @@ from pathlib import Path
 import pytest
 
 from morsecensus import cli, inversion, recurrence, series
-from morsecensus.recurrence import build_table, load_table, save_table
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
+BENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
-
-@pytest.fixture(autouse=True)
-def isolated_cache_env(monkeypatch):
-    # keep CLI tests independent of any ambient cache configuration
-    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+# T(0,1) = 2/3 in place of 1/3, in the retired v1 cache format
+TAMPERED_V1_CACHE = "morse-htable v1 W=2\n0 0 1\n1 0 1/2\n0 1 2/3\n2 0 1/4\n"
 
 
 def run(capsys, *argv):
@@ -62,78 +58,46 @@ class TestCensus:
         assert first == second
 
 
-class TestCacheBehavior:
-    # `verify pde` and `oracle` read the table through the cache file
+def _bench_command_lines() -> list[list[str]]:
+    """The CLI arguments of every command the benchmark runs, read from the
+    SCALES literal of perfbench/run.py without importing it."""
+    tree = ast.parse(BENCH_RUN.read_text())
+    scales = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "SCALES" for t in node.targets))
+    lines = []
+    for spec in scales.values():
+        steps = [*spec["cold"], spec["warm_build"], *spec["warm_pass"]]
+        lines += [args for _, args in steps]
+    return lines
 
-    def test_cold_then_warm_identical(self, capsys, tmp_path):
-        cache = str(tmp_path / "t.txt")
-        code, cold, _ = run(capsys, "verify", "pde", "--order", "9", "--cache", cache)
+
+class TestInertCache:
+    # --cache and $MORSECENSUS_CACHE name no file that any command reads or
+    # writes; the flag still parses because the benchmark passes it
+
+    @pytest.mark.parametrize("argv", [("verify", "pde", "--order", "9"), ("oracle", "1")],
+                             ids=["pde", "oracle"])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_cache_file_is_neither_read_nor_written(self, capsys, tmp_path, monkeypatch,
+                                                    argv, via):
+        code, expected, _ = run(capsys, *argv)
         assert code == 0
-        code, warm, _ = run(capsys, "verify", "pde", "--order", "9", "--cache", cache)
-        assert code == 0
-        assert cold == warm
-        assert load_table(cache).weight_bound == 8
-
-    def test_cache_extends_in_place(self, capsys, tmp_path):
-        cache = str(tmp_path / "t.txt")
-        run(capsys, "oracle", "1", "--cache", cache)
-        assert load_table(cache).weight_bound == 2
-        run(capsys, "verify", "pde", "--order", "11", "--cache", cache)
-        assert load_table(cache).weight_bound == 10
-
-    def test_env_var_supplies_default_path(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "from_env.txt"
-        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(cache))
-        code, _, _ = run(capsys, "oracle", "2")
-        assert code == 0
-        assert cache.exists()
-
-    def test_malformed_cache_is_hard_error_naming_line(self, capsys, tmp_path):
         cache = tmp_path / "t.txt"
-        cache.write_text("morse-htable v2 W=2 sha256=" + "0" * 64 + "\n1\nbogus\n6 4\n")
-        code, _, err = run(capsys, "verify", "pde", "--order", "2", "--cache", str(cache))
-        assert code == 3
-        assert "line 3" in err
+        cache.write_text(TAMPERED_V1_CACHE)
+        if via == "flag":
+            argv += ("--cache", str(cache))
+        else:
+            monkeypatch.setenv("MORSECENSUS_CACHE", str(cache))
+        assert run(capsys, *argv) == (0, expected, "")
+        assert cache.read_text() == TAMPERED_V1_CACHE
+        assert os.listdir(tmp_path) == ["t.txt"]  # no .lock, no .tmp.<pid>
 
-    def test_tampered_v1_cache_is_refused(self, capsys, tmp_path):
-        # T(0,1) = 2/3 in place of 1/3: a v1 file has no digest to catch it
-        cache = tmp_path / "t.txt"
-        cache.write_text("morse-htable v1 W=2\n0 0 1\n1 0 1/2\n0 1 2/3\n2 0 1/4\n")
-        code, out, err = run(capsys, "oracle", "1", "--cache", str(cache))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("cache error: cache line 1: ")
-
-    @pytest.mark.parametrize("content, line_no", [
-        (b"morse-htable v2 W=\xff2 sha256=" + b"0" * 64 + b"\n1\n2\n6 4\n", 1),
-        (b"morse-htable v2 W=2 sha256=" + b"0" * 64 + b"\n1\n2\n6 \xff4\n", 4),
-        (b"morse-htable v1 W=2\n0 0 1\n1 0 1/\xe92\n", 1),
-    ], ids=["v2-header", "v2-body-line", "v1-entry"])
-    def test_non_utf8_cache_is_hard_error_naming_line(self, capsys, tmp_path, content, line_no):
-        cache = tmp_path / "t.txt"
-        cache.write_bytes(content)
-        code, out, err = run(capsys, "oracle", "0", "--cache", str(cache))
-        assert code == 3
-        assert out == ""
-        assert err.startswith(f"cache error: cache line {line_no}: ")
-
-    def test_unwritable_cache_warns_and_computes(self, capsys, tmp_path):
-        blocker = tmp_path / "not_a_dir"
-        blocker.write_text("")
-        cache = str(blocker / "t.txt")  # parent is a file: mkdir/open must fail
-        code, out, err = run(capsys, "oracle", "2", "--cache", cache)
-        assert code == 0
-        assert "warning" in err and "compute-only" in err
-        assert out == "oracle=19 recurrence=19 injective=yes\n"
-
-    def test_locked_cache_warns_and_computes(self, capsys, tmp_path):
-        cache = tmp_path / "t.txt"
-        with open(tmp_path / "t.txt.lock", "w") as held:
-            fcntl.flock(held, fcntl.LOCK_EX)
-            code, out, err = run(capsys, "verify", "pde", "--order", "5", "--cache", str(cache))
-        assert code == 0
-        assert "warning" in err and "locked" in err
-        assert out.startswith("ok pde residual identically zero at truncation 5")
+    def test_benchmark_command_lines_parse_with_cache(self):
+        lines = _bench_command_lines()
+        assert ["verify", "pde", "--order", "40"] in lines
+        for args in lines:
+            assert cli.build_parser().parse_args([*args, "--cache", "x"]).cache == "x"
 
 
 class TestCountingCommandsReadNoTable:
@@ -144,23 +108,16 @@ class TestCountingCommandsReadNoTable:
         ("verify", "conjecture", "--max-n", "30"),
         ("verify", "elliptic"),
     ], ids=["census", "table", "bounds", "conjecture", "elliptic"])
-    def test_no_fill_and_no_cache_read(self, capsys, tmp_path, monkeypatch, argv):
-        cache = tmp_path / "t.txt"
-        build_table(4, cache_path=cache)
-        before = cache.read_bytes()
-
+    def test_no_fill_and_no_cache_read(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("the two-parameter table was touched")
 
         monkeypatch.setattr(recurrence, "extend_table", refuse)
-        monkeypatch.setattr(recurrence, "load_table", refuse)
-        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(cache))
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out
-        code, again, _ = run(capsys, *argv, "--cache", str(cache))
+        code, again, _ = run(capsys, *argv, "--cache", "unused.txt")
         assert (code, again) == (0, out)
-        assert cache.read_bytes() == before
 
 
 class TestTable:
@@ -234,28 +191,25 @@ class TestVerify:
         (("bounds", "--max-n", "6"), "FAIL upper bound at n=3: h=5350/63"),
         (("conjecture", "--max-n", "6"), "FAIL g < (2n+1)! at n=3: h=5350/63"),
     ], ids=["pde", "bounds", "conjecture"])
-    def test_wrong_count_fails(self, capsys, tmp_path, monkeypatch, argv, line):
+    def test_wrong_count_fails(self, capsys, monkeypatch, argv, line):
         # g(3) = 428000 in place of 428, both in the counts of the one-variable
-        # route and in a cache: there S'(0,3), the 4th entry of level 6, times
-        # 1000, with the digest recomputed
+        # route and in the table's fill: there S'(0,3), the 4th entry of
+        # level 6, times 1000
         counts = inversion.morse_counts
+        fill = recurrence._fill
 
         def wrong_g3(max_n):
             g = counts(max_n)
             g[3] *= 1000
             return g
 
+        def wrong_level_6(levels, weight_bound):
+            fill(levels, weight_bound)
+            levels[6] = [*levels[6][:3], levels[6][3] * 1000]
+
         monkeypatch.setattr(inversion, "morse_counts", wrong_g3)
-        cache = tmp_path / "t.txt"
-        save_table(build_table(12), cache)
-        lines = cache.read_text().splitlines(keepends=True)
-        level = lines[7].split()  # line 8 of the file holds level 6
-        level[3] = str(int(level[3]) * 1000)
-        lines[7] = " ".join(level) + "\n"
-        digest = hashlib.sha256("".join(lines[1:]).encode()).hexdigest()
-        lines[0] = f"morse-htable v2 W=12 sha256={digest}\n"
-        cache.write_text("".join(lines))
-        code, out, _ = run(capsys, "verify", *argv, "--cache", str(cache))
+        monkeypatch.setattr(recurrence, "_fill", wrong_level_6)
+        code, out, _ = run(capsys, "verify", *argv)
         assert code == 1
         assert out == line + "\n"
 
@@ -299,7 +253,6 @@ def _modules_after(statements: str) -> frozenset[str]:
     """sys.modules of a fresh interpreter that has run `statements`."""
     child = f"{statements}\nimport sys\nprint({_MODULES_MARKER!r}, *sys.modules, sep='\\n')\n"
     env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop(cli.CACHE_ENV_VAR, None)
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -337,12 +290,12 @@ class TestDependencies:
         (("table", "--points", "4,6,8,10"), {"mpmath"},
          {"morsecensus.trees", "morsecensus.recurrence"}),
         (("oracle", "3"), {"morsecensus.recurrence", "morsecensus.trees"},
-         {"mpmath", "morsecensus.analysis", "dataclasses"}),
+         {"mpmath", "morsecensus.analysis", "dataclasses", "hashlib", "fcntl"}),
         (("verify", "pde"), {"morsecensus.recurrence", "morsecensus.series"},
-         {"mpmath", "morsecensus.analysis"}),
+         {"mpmath", "morsecensus.analysis", "hashlib", "fcntl"}),
     ], ids=["census", "bounds", "conjecture", "elliptic", "table", "oracle", "pde"])
     def test_command_loads_only_its_layers(self, argv, loads, never, tmp_path):
-        if never == _COUNTING:  # nor when a cache file is configured
+        if never == _COUNTING:  # nor when a cache file is named
             argv += ("--cache", str(tmp_path / "t.txt"))
         loaded = command_modules(*argv)
         assert loads <= loaded  # the guard sees the layers the command does run

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsecensus.recurrence import TableRangeError, build_table
+from morsecensus.recurrence import TableRangeError, extend_table
 from morsecensus.series import (
     Series1,
     Series2,
@@ -181,7 +181,7 @@ class TestGeneratingSeries:
 
 class TestPdeResidual:
     def test_residual_vanishes_at_order_25(self):
-        table = build_table(24)
+        table = extend_table(None, 24)
         residual = pde_residual(bivariate_generating_series(table, 25))
         assert residual.v_bound == 24
         assert residual.is_zero()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from morsecensus.exactmath import catalan
 from morsecensus.inversion import morse_counts
-from morsecensus.recurrence import build_table
+from morsecensus.recurrence import extend_table
 from morsecensus.trees import (
     EncodedPair,
     MorseTree,
@@ -266,13 +266,13 @@ class TestEnumeration:
         assert len(enumerate_morse_trees(2)) == 19
 
     def test_counts_match_recurrence(self):
-        table = build_table(6)
+        table = extend_table(None, 6)
         for n in range(4):
             assert len(enumerate_morse_trees(n)) == table.morse_count(n)
 
     def test_index_four_matches_recurrence(self):
         count = len(enumerate_morse_trees(4))
-        assert count == build_table(8).morse_count(4)
+        assert count == extend_table(None, 8).morse_count(4)
         assert count == morse_counts(4)[4] == 17746
 
     def test_sets_match_reference(self):
