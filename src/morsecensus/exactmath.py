@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import comb, factorial, gcd  # factorial re-exported; raises ValueError on n < 0
+from operator import add, mul
 
 # `mpmath.mpf` in annotations names the result type for readers only: mpmath
 # is imported inside the function that uses it, so the name is unbound here
@@ -22,6 +23,7 @@ __all__ = [
     "ConsistencyError",
     "factorial",
     "catalan",
+    "binomial_rows",
     "bernoulli",
     "log_rational",
     "format_rational",
@@ -49,6 +51,21 @@ def catalan(n: int) -> int:
     return q
 
 
+def binomial_rows(m: int):
+    """Every second row of Pascal's triangle from row m on: the lists
+    [C(m, 0), ..., C(m, m)], [C(m+2, 0), ..., C(m+2, m+2)], ...
+
+    Only the first row calls math.comb; each later one takes two steps of
+    Pascal's rule, C(r+1, i) = C(r, i-1) + C(r, i), so the row of index r
+    costs r additions in place of r+1 binomials.
+    """
+    row = [comb(m, i) for i in range(m + 1)]
+    while True:
+        yield row
+        row = list(map(add, row + [0], [0] + row))
+        row = list(map(add, row + [0], [0] + row))
+
+
 # D B_0, D B_2, D B_4, ...: the even-index Bernoulli numbers computed so far
 # as integers over D, the lcm of their denominators and of the 2 of B_1.
 # Since B_0 = 1, the first entry is D itself.
@@ -72,6 +89,7 @@ def bernoulli(m: int) -> Fraction:
         return Fraction(0)
     half = m // 2
     scaled = _bernoulli_even_scaled
+    rows = binomial_rows(2 * len(scaled) + 1)
     while len(scaled) <= half:
         n = 2 * len(scaled)
         # D times the recurrence's sum, over the even indices below n plus
@@ -81,7 +99,7 @@ def bernoulli(m: int) -> Fraction:
         # every prime factor below n: it divides n!, and at n = 600 it has
         # 813 bits against 4678 for n!.
         d = scaled[0]
-        s = sum(comb(n + 1, 2 * i) * x for i, x in enumerate(scaled)) - (n + 1) * (d // 2)
+        s = sum(map(mul, next(rows)[0::2], scaled)) - (n + 1) * (d // 2)  # C(n+1, 2i) D B_2i
         b = Fraction(-s, d * (n + 1))
         grow = b.denominator // gcd(d, b.denominator)
         if grow > 1:

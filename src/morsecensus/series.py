@@ -23,9 +23,10 @@ The census connects to series two ways:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
+from operator import mul
 
-from .exactmath import TableRangeError, bernoulli, factorial, format_rational
+from .exactmath import TableRangeError, bernoulli, binomial_rows, factorial, format_rational
 
 # CensusTable (from :mod:`recurrence`) appears only in annotations, which are
 # never evaluated here, so `verify tan|bounds` do not load the table code.  The
@@ -130,9 +131,8 @@ def ode_comparison_series(order_index: int) -> Series1:
     if order_index < 0:
         raise ValueError("order_index must be >= 0")
     scaled = [1]
-    for k in range(1, order_index + 1):
-        scaled.append(sum(comb(2 * k, 2 * i + 1) * scaled[i] * scaled[k - 1 - i]
-                          for i in range(k)))
+    for _, row in zip(range(order_index), binomial_rows(2)):  # row C(2k, .) for k = 1..K
+        scaled.append(sum(map(mul, map(mul, row[1::2], scaled), reversed(scaled))))
     coeffs = [Fraction(0)] * (2 * order_index + 2)
     for k, a in enumerate(scaled):
         coeffs[2 * k + 1] = Fraction(a, factorial(2 * k + 1) << k)

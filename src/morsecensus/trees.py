@@ -42,7 +42,12 @@ Pruefer sequences: a vertex of degree d appears d-1 times, so the valid
 strings are exactly those in which some n labels appear twice each.
 Those n labels are the nodes, and as 0 has no lower neighbor and 2n+1 no
 higher one, they come from 1..2n: C(2n, n) (2n)!/2^n candidates, 1,800
-at n = 3 and 176,400 at n = 4.
+at n = 3 and 176,400 at n = 4.  Two facts of Pruefer decoding prune them
+before any is decoded: 0 is the first leaf removed, so its one neighbor
+is seq[0], and 2n+1 is never removed, so its one neighbor is seq[-1].  A
+node 1 needs 0 as its lower neighbor, so it starts the string, and a
+node 2n needs 2n+1 as its higher one, so it ends it.  That leaves 768
+strings to decode at n = 3 and 65,700 at n = 4.
 """
 from __future__ import annotations
 
@@ -106,12 +111,15 @@ class EncodedPair(namedtuple("EncodedPair", "stem perm")):
 # validation and brute-force enumeration
 
 
-def _morse_adjacency(n: int, edges) -> list[list[int]] | None:
-    """Neighbor lists of vertices 0..2n+1 if the edges form a Morse tree, else None.
+def _morse_adjacency(n: int, edges) -> tuple[list[list[int]], list[int], list[int]] | None:
+    """(neighbor lists, BFS order, parents) of vertices 0..2n+1 if the edges
+    form a Morse tree, else None.
 
     Checks n >= 0, 2n+1 edges, labels in range, no loop, degrees 1 or 3,
     a lower and a higher neighbor at every node, and connectivity, which
-    with 2n+1 edges also rules out duplicate edges and cycles.
+    with 2n+1 edges also rules out duplicate edges and cycles.  The order
+    is breadth-first from the leaf 0, so every vertex follows its parent;
+    parent[0] is 0.
     """
     m = 2 * n + 2
     if n < 0 or len(edges) != m - 1:
@@ -125,15 +133,15 @@ def _morse_adjacency(n: int, edges) -> list[list[int]] | None:
     for v, neighbors in enumerate(adj):
         if len(neighbors) != 1 and (len(neighbors) != 3 or min(neighbors) > v or max(neighbors) < v):
             return None
-    reached = [False] * m
-    reached[0] = True
+    parent = [-1] * m
+    parent[0] = 0
     order = [0]
     for v in order:
         for w in adj[v]:
-            if not reached[w]:
-                reached[w] = True
+            if parent[w] < 0:
+                parent[w] = v
                 order.append(w)
-    return adj if len(order) == m else None
+    return (adj, order, parent) if len(order) == m else None
 
 
 def is_morse_tree(tree: MorseTree) -> bool:
@@ -183,8 +191,11 @@ def enumerate_morse_trees(n: int) -> set[MorseTree]:
 
     The candidates are the strings in which n labels from 1..2n appear
     twice each, C(2n, n) (2n)!/2^n of them (176,400 at n = 4).  A string
-    whose doubled labels lack a lower or a higher neighbor in the decoded
-    tree is dropped; every tree kept is validated in full.
+    with the node 1 that does not start with 1, or with the node 2n that
+    does not end with 2n, is skipped undecoded (see the module docstring),
+    which leaves 768 at n = 3 and 65,700 at n = 4.  A decoded string whose
+    doubled labels lack a lower or a higher neighbor is dropped; every
+    tree kept is validated in full.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -196,9 +207,16 @@ def enumerate_morse_trees(n: int) -> set[MorseTree]:
     m = 2 * n + 2
     # the arrangements of n symbols twice each, shared by every choice of nodes
     patterns = list(_multiset_permutations(tuple(sorted(2 * list(range(n))))))
+    # 0 is the first leaf removed, so its one neighbor is seq[0], and m-1 is
+    # never removed, so its one neighbor is seq[-1]: a node 1 (symbol 0) needs
+    # 0 as its lower neighbor and starts the string, and a node m-2 (symbol
+    # n-1) needs m-1 as its higher neighbor and ends it
+    fitting = {(low, high): [p for p in patterns
+                             if (not low or p[:1] == (0,)) and (not high or p[-1:] == (n - 1,))]
+               for low in (False, True) for high in (False, True)}
     found: set[MorseTree] = set()
     for nodes in itertools.combinations(range(1, m - 1), n):
-        for pattern in patterns:
+        for pattern in fitting[1 in nodes, m - 2 in nodes]:
             edges = _prufer_to_edges([nodes[i] for i in pattern], m)
             lower_ends, upper_ends = zip(*edges)
             # every node must be an edge's upper end (a lower neighbor) and a lower end
@@ -272,22 +290,17 @@ def _walk(stem: str) -> tuple[tuple[int, int], ...]:
 
 def encode(tree: MorseTree) -> EncodedPair:
     """Injective image of a valid Morse tree as an (PTPT, permutation) pair."""
-    adj = _morse_adjacency(tree.n, tree.edges)
-    if adj is None:
+    checked = _morse_adjacency(tree.n, tree.edges)
+    if checked is None:
         raise ValueError("encode requires a valid Morse tree")
-    parent = [0] * len(adj)  # parent[stem] is the root 0; the walk sets every other entry first
-    order = [adj[0][0]]
-    for v in order:  # breadth-first from the stem, so every vertex follows its parent
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
+    adj, order, parent = checked
     low = list(range(len(adj)))  # subtree minima
     for v in reversed(order):
-        if low[v] < low[parent[v]]:
-            low[parent[v]] = low[v]
+        up = parent[v]
+        if low[v] < low[up]:
+            low[up] = low[v]
     perm, parens = [], []
-    stack = [order[0]]
+    stack = [order[1]]  # the stem: 0 is a leaf
     while stack:  # first-child-first preorder from the stem: the walk order
         v = stack.pop()
         if v < 0:  # both subtrees of a node are closed: close the node
@@ -298,7 +311,11 @@ def encode(tree: MorseTree) -> EncodedPair:
             parens.append("()")
             continue
         parens.append("(")
-        first, second = [w for w in adj[v] if w != parent[v]]
+        first, second, other = adj[v]  # the two children are the neighbors but the parent
+        if first == parent[v]:
+            first = other
+        elif second == parent[v]:
+            second = other
         if low[first] > low[second]:
             first, second = second, first
         stack += (-1, second, first)
@@ -312,31 +329,50 @@ def decode(pair: EncodedPair) -> MorseTree:
     image of its walk number.  The pair is in the image iff the result is
     a Morse tree whose every node has the lower subtree minimum in its
     first subtree; any other pair raises NotInImageError.
+
+    Once the word is a permutation of 1..2n+1, the walk makes the result
+    a tree on 0..2n+1 with 2n+1 distinct edges: the root and the leaves
+    have one neighbor, and every other vertex three, its parent and its
+    two children.  So no adjacency is built: one reverse pass over the
+    walk checks what the labels decide, a lower and a higher neighbor at
+    every node and the order of its two subtree minima, and emits the
+    edges.  A failure of the Morse condition is reported in preference to
+    one of the subtree order, and of those the one met first in the pass.
     """
     walk = _walk(pair.stem)
     n = (len(walk) - 1) // 2
     if sorted(pair.perm) != list(range(1, 2 * n + 2)):
         raise NotInImageError("permutation is not a bijection on 1..2n+1")
     labels = (0, *pair.perm)
-    edges = [(labels[parent], labels[number]) for number, (parent, _) in enumerate(walk, 1)]
-    if _morse_adjacency(n, edges) is None:
-        raise NotInImageError("pair decodes to an invalid labeled tree")
     low = list(labels)  # subtree minima, by walk number
+    second = [0] * len(labels)  # label and subtree minimum of each node's second child
     second_low = [0] * len(labels)
+    edges = []
+    misordered = None
     # a subtree's walk numbers follow its root's, and a second subtree's
     # follow the first's, so this pass closes every subtree before its
     # parent and a node's second subtree before its first
     for number in range(len(walk), 0, -1):
         parent, side = walk[number - 1]
+        label, node = labels[number], labels[parent]
+        edges.append((node, label) if node < label else (label, node))
         if side:
+            second[parent] = label
             second_low[parent] = low[number]
-        elif parent and low[number] > second_low[parent]:
-            raise NotInImageError(
-                f"the first subtree under label {labels[parent]} has minimum "
-                f"{low[number]}, above the second's {second_low[parent]}")
+        elif parent:  # both children of the node are known: check it
+            above = labels[walk[parent - 1][0]]
+            # one or two of its three neighbors lie below it
+            if (label < node) + (second[parent] < node) + (above < node) not in (1, 2):
+                raise NotInImageError("pair decodes to an invalid labeled tree")
+            if low[number] > second_low[parent] and misordered is None:
+                misordered = (f"the first subtree under label {node} has minimum "
+                              f"{low[number]}, above the second's {second_low[parent]}")
         if low[number] < low[parent]:
             low[parent] = low[number]
-    return MorseTree.from_edges(n, edges)
+    if misordered is not None:
+        raise NotInImageError(misordered)
+    edges.sort()
+    return MorseTree(n, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from morsecensus import exactmath
 from morsecensus.exactmath import (
     bernoulli,
+    binomial_rows,
     catalan,
     factorial,
     format_rational,
@@ -68,6 +69,14 @@ class TestCatalan:
             assert catalan(n) == catalan_by_convolution(n)
 
 
+class TestBinomialRows:
+    @pytest.mark.parametrize("start", [0, 1, 2, 7])
+    def test_every_second_row(self, start):
+        rows = binomial_rows(start)
+        for r in range(start, start + 60, 2):
+            assert next(rows) == [math.comb(r, i) for i in range(r + 1)]
+
+
 class TestBernoulli:
     def test_first_values(self):
         assert bernoulli(0) == 1
@@ -78,6 +87,11 @@ class TestBernoulli:
     def test_against_series_inversion(self):
         for m, expected in enumerate(bernoulli_by_series_inversion(120)):
             assert bernoulli(m) == expected
+
+    def test_many_new_indices_in_one_call(self, monkeypatch):
+        # from an empty cache, one call takes every row from one generator
+        monkeypatch.setattr(exactmath, "_bernoulli_even_scaled", [2])
+        assert bernoulli(120) == bernoulli_by_series_inversion(120)[120]
 
     def test_odd_indices_vanish(self):
         for k in range(1, 26):

@@ -1,10 +1,9 @@
 from fractions import Fraction
-from math import comb
 
 import pytest
 
 from morsecensus import inversion
-from morsecensus.exactmath import factorial
+from morsecensus.exactmath import binomial_rows, factorial
 from morsecensus.inversion import check_conjecture, check_upper_bound, morse_counts
 from morsecensus.recurrence import ConsistencyError
 
@@ -66,7 +65,14 @@ class TestRoute:
     @pytest.mark.parametrize("m, i", [(4, 1), (8, 2)])
     def test_perturbed_step_raises(self, monkeypatch, m, i):
         # one binomial coefficient of step m off by one
-        monkeypatch.setattr(inversion, "comb", lambda a, b: comb(a, b) + ((a, b) == (m, i)))
+        def perturbed(start):
+            for row in binomial_rows(start):
+                if len(row) == m + 1:
+                    row = row.copy()
+                    row[i] += 1
+                yield row
+
+        monkeypatch.setattr(inversion, "binomial_rows", perturbed)
         with pytest.raises(ConsistencyError, match=f"at step {m} "):
             morse_counts(10)
 

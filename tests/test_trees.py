@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morsecensus import trees
 from morsecensus.exactmath import catalan
 from morsecensus.inversion import morse_counts
 from morsecensus.recurrence import extend_table
@@ -189,6 +190,53 @@ def reference_encode(tree: MorseTree) -> EncodedPair:
     return EncodedPair("".join(parens), tuple(perm))
 
 
+def reference_decode(pair: EncodedPair) -> MorseTree:
+    """Label the parsed shape, then check the edge list and every node's subtree order.
+
+    The Morse condition is checked on the whole tree first; among nodes
+    whose subtrees are out of order, the one opened last is reported.
+    """
+    parent, stack = [None], [0]
+    for char in pair.stem:  # the shape is valid: "(" opens the next walk number
+        if char == "(":
+            parent.append(stack[-1])
+            stack.append(len(parent) - 1)
+        else:
+            stack.pop()
+    n = (len(parent) - 2) // 2
+    if sorted(pair.perm) != list(range(1, 2 * n + 2)):
+        raise NotInImageError("permutation is not a bijection on 1..2n+1")
+    labels = (0, *pair.perm)
+    tree = MorseTree.from_edges(n, [(labels[parent[v]], labels[v]) for v in range(1, len(parent))])
+    if not reference_is_morse_tree(tree):
+        raise NotInImageError("pair decodes to an invalid labeled tree")
+    kids = {v: [w for w in range(1, len(parent)) if parent[w] == v] for v in range(len(parent))}
+    low = list(labels)
+    for v in reversed(range(len(parent))):
+        low[v] = min([labels[v]] + [low[w] for w in kids[v]])
+    for v in reversed(range(1, len(parent))):
+        if len(kids[v]) == 2:
+            first, second = kids[v]  # the first child opens first
+            if low[first] > low[second]:
+                raise NotInImageError(
+                    f"the first subtree under label {labels[v]} has minimum "
+                    f"{low[first]}, above the second's {low[second]}")
+    return tree
+
+
+@st.composite
+def labeled_shapes(draw):
+    """A drawn shape with a random word on 1..2n+1, or a tree's own word with two labels swapped."""
+    tree = draw(morse_trees(max_n=60))
+    stem, perm = encode(tree)
+    if draw(st.booleans()):
+        return EncodedPair(stem, tuple(draw(st.permutations(perm))))
+    i, j = draw(st.integers(0, len(perm) - 1)), draw(st.integers(0, len(perm) - 1))
+    word = list(perm)
+    word[i], word[j] = word[j], word[i]
+    return EncodedPair(stem, tuple(word))
+
+
 @st.composite
 def malformed_edge_tuples(draw):
     """A small Morse tree's edges, some flipped and shuffled, then one defect or none.
@@ -282,6 +330,17 @@ class TestEnumeration:
     def test_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):
             enumerate_morse_trees(5)
+
+    def test_pruefer_ends_fix_the_neighbors_of_0_and_top(self):
+        # the facts behind the prune: in every candidate string, 0 meets only
+        # seq[0] and 2n+1 only seq[-1]
+        for n in range(1, 4):
+            m = 2 * n + 2
+            for nodes in itertools.combinations(range(1, m - 1), n):
+                for seq in reference_multiset_permutations(tuple(sorted(nodes + nodes))):
+                    edges = trees._prufer_to_edges(list(seq), m)
+                    assert [e for e in edges if 0 in e] == [(0, seq[0])]
+                    assert [e for e in edges if m - 1 in e] == [(seq[-1], m - 1)]
 
     def test_structural_consequences(self):
         for n in range(3):
@@ -460,6 +519,31 @@ class TestRoundTripProperties:
     @given(morse_trees())
     def test_decode_inverts_encode(self, tree):
         assert decode(encode(tree)) == tree
+
+    @ROUND_TRIP
+    @given(labeled_shapes())
+    def test_decode_matches_reference(self, pair):
+        try:
+            expected = reference_decode(pair)
+        except NotInImageError as exc:
+            with pytest.raises(NotInImageError) as raised:
+                decode(pair)
+            assert str(raised.value) == str(exc)
+        else:
+            assert decode(pair) == expected
+
+    def test_decode_does_not_rebuild_the_adjacency(self, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError("decode called _morse_adjacency")
+
+        pairs = [encode(t) for t in enumerate_morse_trees(2)] + [
+            EncodedPair("(()())", (3, 1, 2)), EncodedPair("(()(()()))", (1, 5, 2, 3, 4))]
+        monkeypatch.setattr(trees, "_morse_adjacency", refuse)
+        for pair in pairs:
+            try:
+                decode(pair)
+            except NotInImageError:
+                pass
 
     @ROUND_TRIP
     @given(morse_trees())
