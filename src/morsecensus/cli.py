@@ -112,15 +112,19 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_tan(max_k: int) -> int:
+    from fractions import Fraction
+
     from . import series
+    from .exactmath import factorial, format_rational
 
     via_bernoulli = series.scaled_tangent_series(max_k)
     via_ode = series.ode_comparison_series(max_k)
-    for k in range(max_k + 1):
-        a = via_bernoulli.coefficient(2 * k + 1)
-        b = via_ode.coefficient(2 * k + 1)
+    for k, (a, b) in enumerate(zip(via_bernoulli, via_ode)):
         if a != b:
-            print(f"FAIL tan routes disagree at k={k}: bernoulli={a} ode={b}")
+            scale = factorial(2 * k + 1) << k  # a_k = 2^k (2k+1)! u_k
+            print(f"FAIL tan routes disagree at k={k}: "
+                  f"bernoulli={format_rational(Fraction(a, scale))} "
+                  f"ode={format_rational(Fraction(b, scale))}")
             return EXIT_VERIFY_FAIL
     print(f"ok tangent series via bernoulli == ode solution for k <= {max_k}")
     return EXIT_OK
@@ -128,12 +132,13 @@ def _verify_tan(max_k: int) -> int:
 
 def _verify_pde(order: int) -> int:
     from . import recurrence, series
+    from .exactmath import format_rational
 
     table = recurrence.extend_table(None, order - 1)
     residual = series.pde_residual(series.bivariate_generating_series(table, order))
-    if not residual.is_zero():
-        first = residual.lines()[0]
-        print(f"FAIL pde residual nonzero, first coefficient: {first}")
+    if residual.coeffs:
+        (a, b), c = min(residual.coeffs.items())
+        print(f"FAIL pde residual nonzero, first coefficient: {a} {b}: {format_rational(c)}")
         return EXIT_VERIFY_FAIL
     print(f"ok pde residual identically zero at truncation {order} "
           f"(retained second exponents <= {order - 1})")
@@ -144,14 +149,13 @@ def _verify_bounds(max_n: int) -> int:
     from . import inversion, series
     from .exactmath import format_rational
 
-    ode = series.scaled_tangent_series(max_n)
+    tangent = series.scaled_tangent_series(max_n)
     for n, g in enumerate(inversion.morse_counts(max_n)):
-        h = _normalized(n, g)
-        if h < ode.coefficient(2 * n + 1):
-            print(f"FAIL lower bound at n={n}: h={format_rational(h)}")
+        if g << n < tangent[n]:  # h(n) >= u_n, times 2^n (2n+1)!
+            print(f"FAIL lower bound at n={n}: h={format_rational(_normalized(n, g))}")
             return EXIT_VERIFY_FAIL
         if not inversion.check_upper_bound(n, g):
-            print(f"FAIL upper bound at n={n}: h={format_rational(h)}")
+            print(f"FAIL upper bound at n={n}: h={format_rational(_normalized(n, g))}")
             return EXIT_VERIFY_FAIL
         if n >= 1 and not inversion.check_conjecture(n, g):
             print(f"FAIL conjecture g < (2n+1)! at n={n}")

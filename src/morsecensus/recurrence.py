@@ -89,11 +89,6 @@ class CensusTable:
     def weight_bound(self) -> int:
         return self._weight_bound
 
-    @property
-    def max_index(self) -> int:
-        """Largest n with 2n <= weight bound."""
-        return self._weight_bound // 2
-
     def entry(self, x: int, y: int) -> Fraction:
         if x < 0 or y < 0 or x + 2 * y > self._weight_bound:
             raise TableRangeError(

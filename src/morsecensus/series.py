@@ -1,41 +1,39 @@
-"""Truncated formal power series over exact rationals, in one and two variables.
-
-A one-variable series (Series1) is a dense coefficient tuple with no
-operators: the functions below build it, and callers read and compare its
-coefficients.  A two-variable series (Series2) is likewise a coefficient
-container: a sparse map keyed by (first-exponent, second-exponent) with an
-optional truncation bound on the second exponent.
+"""Exact series in one and two variables, as plain data.
 
 The census connects to series two ways:
 
-* the tangent expansion written through Bernoulli numbers, against the
-  coefficientwise solution of  du/dt = 1 + u^2/2, u(0) = 0  (the same
-  function sqrt(2)*tan(t/sqrt(2)), derived by two independent routes),
-  which bounds the normalized counts from below coefficient by coefficient.
-  The ODE route runs on integers: scaling u_k by 2^k (2k+1)! clears every
-  division from its recurrence;
+* the lower bound: the series of sqrt(2) tan(t/sqrt(2)), the solution of
+  du/dt = 1 + u^2/2, u(0) = 0, bounds the normalized counts from below
+  coefficient by coefficient.  With u_k the coefficient of t^(2k+1), the
+  scaled coefficients a_k = 2^k (2k+1)! u_k are the tangent numbers
+  2^(2k+2) (2^(2k+2) - 1) |B_(2k+2)| / (2k+2), which are integers.  Two
+  independent routes compute them as lists of ints indexed by k: from the
+  Bernoulli numbers, and from the ODE's recurrence, which has no division
+  at that scale.  `verify tan` compares the two lists, and `verify bounds`
+  tests h(n) >= u_n as g(n) 2^n >= a_n;
 * the two-variable generating series sum T(x,y) u^x v^(x+2y+1), which must
   annihilate the quasilinear PDE residual
       dv(s) - (1 + u s + u^2/2) du(s) - (s^2/2 + u s + 1).
-  The residual is computed on integers over one common denominator, and
-  only its nonzero coefficients become fractions.
+  A two-variable series (Series2) is a sparse map keyed by
+  (first-exponent, second-exponent) with an optional truncation bound on
+  the second exponent.  The residual is computed on integers over one
+  common denominator, and only its nonzero coefficients become fractions.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .exactmath import TableRangeError, bernoulli, binomial_rows, factorial, format_rational
+from .exactmath import ConsistencyError, TableRangeError, bernoulli, binomial_rows
 
 # CensusTable (from :mod:`recurrence`) appears only in annotations, which are
 # never evaluated here, so `verify tan|bounds` do not load the table code.  The
 # name is unbound on purpose: typing.get_type_hints raises NameError on them.
 
 __all__ = [
-    "Series1",
     "Series2",
-    "tangent_series_bernoulli",
     "ode_comparison_series",
     "scaled_tangent_series",
     "bivariate_generating_series",
@@ -43,112 +41,58 @@ __all__ = [
 ]
 
 
-class Series1:
-    """Polynomial truncation of a one-variable series: coefficients 0..order."""
+class Series2(namedtuple("Series2", "coeffs v_bound")):
+    """Sparse two-variable series: a dict {(u_exp, v_exp): coefficient} and
+    the bound on second-variable exponents it is complete through (None
+    means untruncated).
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series1):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-
-class Series2:
-    """Sparse two-variable series; second-variable exponents capped at `v_bound`.
-
-    `v_bound=None` means untruncated.  Zero coefficients and coefficients
-    above the bound are dropped on construction.
+    A tuple (coeffs, v_bound): it compares equal to any tuple with the same
+    fields.  The functions below store only nonzero coefficients within the
+    bound; a series built by hand may hold others.
     """
 
-    __slots__ = ("coeffs", "v_bound")
-
-    def __init__(self, coeffs: dict[tuple[int, int], Fraction], v_bound: int | None = None):
-        self.v_bound = v_bound
-        self.coeffs = {
-            key: Fraction(c)
-            for key, c in coeffs.items()
-            if c and (v_bound is None or key[1] <= v_bound)
-        }
-
-    def coefficient(self, u_exp: int, v_exp: int) -> Fraction:
-        return self.coeffs.get((u_exp, v_exp), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series2):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.v_bound == other.v_bound
-
-    def lines(self) -> list[str]:
-        """Nonzero coefficients as sorted "a b: p/q" lines."""
-        return [f"{a} {b}: {format_rational(c)}" for (a, b), c in sorted(self.coeffs.items())]
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # the series the census cares about
 
 
-def tangent_series_bernoulli(order_index: int) -> Series1:
-    """tan's Taylor series through x^(2K+1), coefficients via Bernoulli numbers.
-
-    The coefficient of x^(2k+1) is 2^(2k+2) (2^(2k+2) - 1) |B_(2k+2)| / (2k+2)!.
-    """
-    if order_index < 0:
-        raise ValueError("order_index must be >= 0")
-    coeffs = [Fraction(0)] * (2 * order_index + 2)
-    for k in range(order_index + 1):
-        m = 2 * k + 2
-        coeffs[2 * k + 1] = (1 << m) * ((1 << m) - 1) * abs(bernoulli(m)) / factorial(m)
-    return Series1(coeffs)
-
-
-def ode_comparison_series(order_index: int) -> Series1:
-    """Coefficientwise solution of du/dt = 1 + u^2/2, u(0) = 0, through t^(2K+1).
+def ode_comparison_series(order_index: int) -> list[int]:
+    """The integers a_0..a_K of the solution of du/dt = 1 + u^2/2, u(0) = 0.
 
     The solution is odd; with u_k the coefficient of t^(2k+1),
     u_0 = 1 and (2k+1) u_k = (1/2) sum_{i+j=k-1} u_i u_j.  The integers
     a_k = 2^k (2k+1)! u_k satisfy a_0 = 1 and
     a_k = sum_{i+j=k-1} binom(2k, 2i+1) a_i a_j, a recurrence without a
-    division; each coefficient is then one fraction a_k / (2^k (2k+1)!).
+    division.
     """
     if order_index < 0:
         raise ValueError("order_index must be >= 0")
     scaled = [1]
     for _, row in zip(range(order_index), binomial_rows(2)):  # row C(2k, .) for k = 1..K
         scaled.append(sum(map(mul, map(mul, row[1::2], scaled), reversed(scaled))))
-    coeffs = [Fraction(0)] * (2 * order_index + 2)
-    for k, a in enumerate(scaled):
-        coeffs[2 * k + 1] = Fraction(a, factorial(2 * k + 1) << k)
-    return Series1(coeffs)
+    return scaled
 
 
-def scaled_tangent_series(order_index: int) -> Series1:
-    """Series of sqrt(2) tan(t / sqrt(2)): coefficient of t^(2k+1) is T_k / 2^k.
+def scaled_tangent_series(order_index: int) -> list[int]:
+    """The integers a_0..a_K of sqrt(2) tan(t / sqrt(2)), from Bernoulli numbers.
 
-    The square roots cancel on odd powers, so the result is exactly rational.
+    tan's coefficient of t^(2k+1) is T_k = 2^m (2^m - 1) |B_m| / m! with
+    m = 2k+2, and sqrt(2) tan(t / sqrt(2)) has T_k / 2^k there: the square
+    roots cancel on odd powers.  Scaled by 2^k (2k+1)!, that is the tangent
+    number a_k = 2^m (2^m - 1) |B_m| / m; one that is not an integer raises
+    ConsistencyError.
     """
-    tan = tangent_series_bernoulli(order_index)
-    coeffs = list(tan.coeffs)
-    for k in range(order_index + 1):
-        coeffs[2 * k + 1] /= 1 << k
-    return Series1(coeffs)
+    if order_index < 0:
+        raise ValueError("order_index must be >= 0")
+    scaled = []
+    for m in range(2, 2 * order_index + 3, 2):
+        a = (1 << m) * ((1 << m) - 1) * abs(bernoulli(m)) / m
+        if a.denominator != 1:
+            raise ConsistencyError(f"tangent number a_{m // 2 - 1} = {a} is not an integer")
+        scaled.append(a.numerator)
+    return scaled
 
 
 def bivariate_generating_series(table: CensusTable, v_max: int) -> Series2:
@@ -167,7 +111,7 @@ def bivariate_generating_series(table: CensusTable, v_max: int) -> Series2:
             v = x + 2 * y + 1
             if v <= v_max:
                 coeffs[(x, v)] = table.entry(x, y)
-    return Series2(coeffs, v_bound=v_max)
+    return Series2(coeffs, v_max)
 
 
 def _truncated_product(x: dict, y: dict, bound: int | None) -> dict:

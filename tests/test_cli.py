@@ -213,13 +213,31 @@ class TestVerify:
         assert code == 1
         assert out == line + "\n"
 
+    @pytest.mark.parametrize("g3, code, line", [
+        (34, 0, "ok sandwich + sharper upper estimate + conjecture hold for n <= 6"),
+        (33, 1, "FAIL lower bound at n=3: h=11/1680"),
+    ], ids=["equal", "below"])
+    def test_lower_bound(self, capsys, monkeypatch, g3, code, line):
+        # g(3) 2^3 against the tangent number a_3 = 272 = 34 * 2^3: equality
+        # passes, one less fails
+        counts = inversion.morse_counts
+
+        def patched_g3(max_n):
+            g = counts(max_n)
+            g[3] = g3
+            return g
+
+        monkeypatch.setattr(inversion, "morse_counts", patched_g3)
+        assert run(capsys, "verify", "bounds", "--max-n", "6") == (code, line + "\n", "")
+
     def test_tan_routes_disagree_fails(self, capsys, monkeypatch):
         true_ode = series.ode_comparison_series
 
         def off_by_one_at_k3(order_index):
-            coeffs = list(true_ode(order_index).coeffs)
-            coeffs[7] += 1
-            return series.Series1(coeffs)
+            # u_3 + 1, that is a_3 + 2^3 7!
+            scaled = true_ode(order_index)
+            scaled[3] += 8 * 5040
+            return scaled
 
         monkeypatch.setattr(series, "ode_comparison_series", off_by_one_at_k3)
         code, out, _ = run(capsys, "verify", "tan", "--max-k", "10")
@@ -293,7 +311,10 @@ class TestDependencies:
          {"mpmath", "morsecensus.analysis", "dataclasses", "hashlib", "fcntl"}),
         (("verify", "pde"), {"morsecensus.recurrence", "morsecensus.series"},
          {"mpmath", "morsecensus.analysis", "hashlib", "fcntl"}),
-    ], ids=["census", "bounds", "conjecture", "elliptic", "table", "oracle", "pde"])
+        (("verify", "tan", "--max-k", "20"), {"morsecensus.series"},
+         {"morsecensus.recurrence", "morsecensus.inversion", "morsecensus.trees",
+          "morsecensus.analysis", "mpmath", "json"}),
+    ], ids=["census", "bounds", "conjecture", "elliptic", "table", "oracle", "pde", "tan"])
     def test_command_loads_only_its_layers(self, argv, loads, never, tmp_path):
         if never == _COUNTING:  # nor when a cache file is named
             argv += ("--cache", str(tmp_path / "t.txt"))

@@ -5,38 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsecensus.recurrence import TableRangeError, extend_table
+from morsecensus import series
+from morsecensus.recurrence import ConsistencyError, TableRangeError, extend_table
 from morsecensus.series import (
-    Series1,
     Series2,
     bivariate_generating_series,
     ode_comparison_series,
     pde_residual,
     scaled_tangent_series,
-    tangent_series_bernoulli,
 )
 
-
-def sine_series(order):
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(0, order + 1, 2):
-        if k + 1 <= order:
-            coeffs[k + 1] = Fraction((-1) ** (k // 2), math.factorial(k + 1))
-    return Series1(coeffs)
+# the tangent numbers a_k = 2^k (2k+1)! u_k for k = 0..5 (OEIS A000182)
+TANGENT_NUMBERS = [1, 2, 16, 272, 7936, 353792]
 
 
-def cosine_series(order):
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(0, order + 1, 2):
-        coeffs[k] = Fraction((-1) ** (k // 2), math.factorial(k))
-    return Series1(coeffs)
+def tan_coefficients(order_index):
+    """tan x through x^(2K+1) as a dense Fraction list: a_k / (2k+1)! at 2k+1."""
+    coeffs = [Fraction(0)] * (2 * order_index + 2)
+    for k, a in enumerate(scaled_tangent_series(order_index)):
+        coeffs[2 * k + 1] = Fraction(a, math.factorial(2 * k + 1))
+    return coeffs
 
 
-def cauchy_product(a, b):
-    """Product of two series truncated to the smaller order."""
-    n = min(a.order, b.order)
-    return Series1([sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
-                    for k in range(n + 1)])
+def sin_cos_coefficients(order):
+    """sin x and cos x through x^order as dense Fraction lists."""
+    sin, cos = [Fraction(0)] * (order + 1), [Fraction(0)] * (order + 1)
+    for k in range(order + 1):
+        term = Fraction((-1) ** (k // 2), math.factorial(k))
+        (sin if k % 2 else cos)[k] = term
+    return sin, cos
 
 
 class ReferenceSeries2:
@@ -108,10 +105,7 @@ def reference_ode_series(order_index):
     for k in range(1, order_index + 1):
         s = sum(odd[i] * odd[k - 1 - i] for i in range(k))
         odd.append(s / (2 * (2 * k + 1)))
-    coeffs = [Fraction(0)] * (2 * order_index + 2)
-    for k, c in enumerate(odd):
-        coeffs[2 * k + 1] = c
-    return Series1(coeffs)
+    return odd
 
 
 sparse_series = st.builds(
@@ -125,47 +119,60 @@ sparse_series = st.builds(
 )
 
 
-class TestSeries1Arithmetic:
-    def test_tan_times_cos_is_sin(self):
-        tan = tangent_series_bernoulli(4)  # order 9
-        assert cauchy_product(tan, cosine_series(9)) == sine_series(9)
-
-
 class TestTangentRoutes:
+    def test_tan_times_cos_is_sin(self):
+        sin, cos = sin_cos_coefficients(9)
+        tan = tan_coefficients(4)  # order 9
+        assert [sum(tan[i] * cos[k - i] for i in range(k + 1)) for k in range(10)] == sin
+
     def test_bernoulli_route_first_coefficients(self):
-        tan = tangent_series_bernoulli(2)
-        assert tan.coefficient(1) == 1
-        assert tan.coefficient(3) == Fraction(1, 3)
-        assert tan.coefficient(5) == Fraction(2, 15)
-        assert tan.coefficient(2) == 0
+        assert scaled_tangent_series(5) == TANGENT_NUMBERS
+        assert scaled_tangent_series(0) == [1]
 
     def test_ode_route_first_coefficients(self):
-        ode = ode_comparison_series(2)
-        assert ode.coefficient(1) == 1
-        assert ode.coefficient(3) == Fraction(1, 6)
-        assert ode.coefficient(5) == Fraction(1, 30)
+        assert ode_comparison_series(5) == TANGENT_NUMBERS
 
     def test_scaled_tangent_first_coefficients(self):
-        scaled = scaled_tangent_series(2)
-        assert scaled.coefficient(1) == 1
-        assert scaled.coefficient(3) == Fraction(1, 6)
-        assert scaled.coefficient(5) == Fraction(1, 30)
+        # u_k = a_k / (2^k (2k+1)!): 1, 1/6, 1/30 for sqrt(2) tan(t / sqrt(2))
+        u = [Fraction(a, math.factorial(2 * k + 1) << k)
+             for k, a in enumerate(scaled_tangent_series(2))]
+        assert u == [1, Fraction(1, 6), Fraction(1, 30)]
 
     def test_ode_route_matches_fraction_recurrence(self):
-        assert ode_comparison_series(60) == reference_ode_series(60)
+        u = [Fraction(a, math.factorial(2 * k + 1) << k)
+             for k, a in enumerate(ode_comparison_series(60))]
+        assert u == reference_ode_series(60)
 
     def test_two_routes_agree_exactly(self):
         # the same function derived independently via Bernoulli numbers
         # and via the quadratic ODE; exact equality through t^101
         assert scaled_tangent_series(50) == ode_comparison_series(50)
 
+    def test_routes_return_integers(self):
+        for a in scaled_tangent_series(30) + ode_comparison_series(30):
+            assert type(a) is int
+
+    def test_non_integer_tangent_number_raises(self, monkeypatch):
+        true_bernoulli = series.bernoulli
+
+        def off_at_b8(m):
+            return true_bernoulli(m) + (m == 8) * Fraction(1, 7)
+
+        monkeypatch.setattr(series, "bernoulli", off_at_b8)
+        assert scaled_tangent_series(2) == TANGENT_NUMBERS[:3]
+        with pytest.raises(ConsistencyError, match="a_3"):
+            scaled_tangent_series(3)
+
 
 class TestGeneratingSeries:
     def test_bivariate_coefficients(self, small_table):
         s = bivariate_generating_series(small_table, 8)
-        assert s.coefficient(0, 1) == 1
-        assert s.coefficient(1, 2) == Fraction(1, 2)
-        assert s.coefficient(0, 2) == 0
+        assert s.v_bound == 8
+        assert s.coeffs[(0, 1)] == 1
+        assert s.coeffs[(1, 2)] == Fraction(1, 2)
+        assert (0, 2) not in s.coeffs
+        # only nonzero coefficients, none above the bound
+        assert all(c and b <= 8 for (_, b), c in s.coeffs.items())
         # support is exactly the second exponents x + 2y + 1
         assert all((b - a) % 2 == 1 and b > a for (a, b) in s.coeffs)
 
@@ -174,30 +181,30 @@ class TestGeneratingSeries:
             bivariate_generating_series(small_table, small_table.weight_bound + 2)
 
     def test_coefficientwise_lower_bound(self, small_table):
-        ode = scaled_tangent_series(small_table.max_index)
-        for n in range(small_table.max_index + 1):
-            assert small_table.normalized_count(n) >= ode.coefficient(2 * n + 1)
+        # h(n) >= u_n, that is g(n) 2^n >= a_n
+        max_n = small_table.weight_bound // 2
+        for n, a in enumerate(scaled_tangent_series(max_n)):
+            assert small_table.morse_count(n) << n >= a
 
 
 class TestPdeResidual:
     def test_residual_vanishes_at_order_25(self):
         table = extend_table(None, 24)
         residual = pde_residual(bivariate_generating_series(table, 25))
-        assert residual.v_bound == 24
-        assert residual.is_zero()
+        assert residual == ({}, 24)
 
     def test_residual_vanishes_for_all_smaller_truncations(self, small_table):
         for v_max in range(1, small_table.weight_bound + 2):
-            assert pde_residual(bivariate_generating_series(small_table, v_max)).is_zero()
+            assert pde_residual(bivariate_generating_series(small_table, v_max)) == ({}, v_max - 1)
 
     def test_forced_constant_cancellation(self, small_table):
         # d/dv contributes exactly 1 at the constant (from T(0,0) v), and the
         # source's 1 cancels it
         xi = bivariate_generating_series(small_table, 6)
-        assert xi.coefficient(0, 1) == 1
-        assert pde_residual(xi).coefficient(0, 0) == 0
+        assert xi.coeffs[(0, 1)] == 1
+        assert (0, 0) not in pde_residual(xi).coeffs
         no_constant = Series2({key: c for key, c in xi.coeffs.items() if key != (0, 1)}, 6)
-        assert pde_residual(no_constant).coefficient(0, 0) == -1
+        assert pde_residual(no_constant).coeffs[(0, 0)] == -1
 
     def test_residual_detects_a_perturbation(self, small_table):
         xi = bivariate_generating_series(small_table, 10)
@@ -205,7 +212,7 @@ class TestPdeResidual:
         coeffs[(1, 4)] = coeffs.get((1, 4), 0) + Fraction(1, 5)
         perturbed = Series2(coeffs, xi.v_bound)
         residual = pde_residual(perturbed)
-        assert not residual.is_zero()
+        assert residual.coeffs
         assert residual == reference_pde_residual(perturbed)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
@@ -229,12 +236,3 @@ class TestSeries2Basics:
     def test_derivative_v_drops_bound(self):
         s = ReferenceSeries2({(0, 3): 1}, v_bound=3)
         assert s.derivative_v().v_bound == 2
-
-    def test_lines_golden(self):
-        s = Series2({(1, 2): Fraction(1, 2), (0, 1): 1})
-        assert s.lines() == ["0 1: 1", "1 2: 1/2"]
-
-    def test_construction_drops_zeros_and_coefficients_above_the_bound(self):
-        s = Series2({(0, 1): 1, (0, 2): 0, (1, 4): 3}, v_bound=3)
-        assert s.coeffs == {(0, 1): 1}
-        assert not s.is_zero() and Series2({}, 3).is_zero()
