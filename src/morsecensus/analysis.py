@@ -7,9 +7,10 @@ computed at an explicit precision (default 128 bits, guard bits included
 by the exactmath helpers); exact comparisons stay in integers/rationals
 and never pass through floating point.
 
-The CLI imports this module for `table` and `verify elliptic` only.
-mpmath is imported inside each function that computes with it, and `json`
-inside :func:`rows_to_json`, so `verify elliptic`, which runs the
+The functions return numbers; the one text they make is
+:func:`format_real`'s, and the CLI writes the rows.  The CLI imports this
+module for `table` and `verify elliptic` only.  mpmath is imported inside
+each function that computes with it, so `verify elliptic`, which runs the
 plain-float :func:`series_argument` and :func:`series_value`, never loads
 mpmath: `table` is the one command that does.
 """
@@ -20,8 +21,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .exactmath import (GUARD_BITS, TableRangeError, bernoulli, factorial, format_rational,
-                        log_rational)
+from .exactmath import GUARD_BITS, TableRangeError, bernoulli, factorial, log_rational
 
 # `mpmath.mpf` in annotations is unbound here, like mpmath itself (see the
 # module docstring), so typing.get_type_hints raises NameError on those
@@ -35,8 +35,6 @@ __all__ = [
     "series_argument",
     "series_value",
     "fit_residual_model",
-    "rows_to_csv",
-    "rows_to_json",
     "format_real",
     "SUPPORTED_ARGUMENT_RANGE",
 ]
@@ -237,7 +235,7 @@ def fit_residual_model(rows: Sequence[AsymptoticRow]) -> tuple[float, float, flo
 
 
 # ---------------------------------------------------------------------------
-# row serialization (CSV and JSON share field names)
+# formatting
 
 
 def format_real(x: mpmath.mpf) -> str:
@@ -245,29 +243,3 @@ def format_real(x: mpmath.mpf) -> str:
     import mpmath
 
     return mpmath.nstr(x, 9)
-
-
-def rows_to_csv(rows: Sequence[AsymptoticRow]) -> str:
-    lines = ["n,h,log_h,delta,delta_over_n"]
-    for row in rows:
-        lines.append(
-            f"{row.n},{format_rational(row.h)},{format_real(row.log_h)},"
-            f"{format_real(row.delta)},{format_real(row.delta_over_n)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows: Sequence[AsymptoticRow]) -> str:
-    import json
-
-    records = [
-        {
-            "n": row.n,
-            "h": format_rational(row.h),
-            "log_h": float(format_real(row.log_h)),
-            "delta": float(format_real(row.delta)),
-            "delta_over_n": float(format_real(row.delta_over_n)),
-        }
-        for row in rows
-    ]
-    return json.dumps(records, indent=2) + "\n"

@@ -17,7 +17,8 @@ loads no more than its command needs:
 * encode, decode: trees.
 
 Only `argparse` and `sys` load with this module, and `json` only for
-`census --format json`.
+`census --format json` and `table --format json`.  Both commands print
+their CSV and JSON records through one writer, :func:`_print_records`.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 I/O error.
@@ -49,24 +50,30 @@ def _normalized(n: int, g: int):
     return Fraction(g, factorial(2 * n + 1))
 
 
+def _print_records(records: list[dict], fmt: str) -> None:
+    """Print dict records as CSV (a header of the field names, then one
+    comma-joined line per record) or as JSON (`json.dumps(records, indent=2)`)."""
+    if fmt == "json":
+        import json
+
+        print(json.dumps(records, indent=2))
+    else:
+        print(",".join(records[0]))
+        for record in records:
+            print(",".join(map(str, record.values())))
+
+
 def _cmd_census(args) -> int:
     from . import inversion
     from .exactmath import format_rational
 
-    rows = [(n, format_rational(_normalized(n, g)), format_rational(g))
-            for n, g in enumerate(inversion.morse_counts(args.max_n))]
-    if args.format == "json":
-        import json
-
-        records = [{"n": n, "h": h, "g": g} for n, h, g in rows]
-        print(json.dumps(records, indent=2))
-    elif args.format == "csv":
-        print("n,h,g")
-        for n, h, g in rows:
-            print(f"{n},{h},{g}")
+    records = [{"n": n, "h": format_rational(_normalized(n, g)), "g": format_rational(g)}
+               for n, g in enumerate(inversion.morse_counts(args.max_n))]
+    if args.format == "text":
+        for record in records:
+            print("n={n} h={h} g={g}".format(**record))
     else:
-        for n, h, g in rows:
-            print(f"n={n} h={h} g={g}")
+        _print_records(records, args.format)
     return EXIT_OK
 
 
@@ -76,15 +83,12 @@ def _cmd_census(args) -> int:
 
 def _cmd_table(args) -> int:
     from . import analysis, inversion
+    from .exactmath import format_rational
 
     points = args.points
     counts = inversion.morse_counts(max(points))
     rows = [analysis.asymptotic_row(counts, n, args.precision) for n in points]
-    if args.format == "json":
-        sys.stdout.write(analysis.rows_to_json(rows))
-    elif args.format == "csv":
-        sys.stdout.write(analysis.rows_to_csv(rows))
-    else:
+    if args.format == "text":
         for row in rows:
             print(f"n={row.n} delta={analysis.format_real(row.delta)} "
                   f"delta/n={analysis.format_real(row.delta_over_n)}")
@@ -92,6 +96,15 @@ def _cmd_table(args) -> int:
             a, b, c = analysis.fit_residual_model(rows)
             print(f"# heuristic least-squares fit delta ~ a*n + b*log n + c: "
                   f"a={a:.4f} b={b:.4f} c={c:.4f} (suggestive only, no error bars)")
+        return EXIT_OK
+
+    def real(x):  # 9 significant digits: a string in CSV, a number in JSON
+        text = analysis.format_real(x)
+        return text if args.format == "csv" else float(text)
+
+    _print_records([{"n": row.n, "h": format_rational(row.h), "log_h": real(row.log_h),
+                     "delta": real(row.delta), "delta_over_n": real(row.delta_over_n)}
+                    for row in rows], args.format)
     return EXIT_OK
 
 

@@ -55,14 +55,26 @@ and then, from y' E_0 = 1 and with no division,
 
     Y_(m+1) = -sum_{i<m} C(m,i) Y_(i+1) A_(0,m-i).
 
-That every A_(j,m) is an integer has been observed (to m = 2000), not
-proven, so each division is checked and a remainder raises
-ConsistencyError.  The terms i and m-i of X_m are equal, as
-C(m, i) = C(m, m-i), so only half of them are summed, and the
-binomial row C(m, .) comes from the row of m-2 by two steps of Pascal's
-rule.  Step m = 2k then sums about 5.5k products of big integers, so
-g(0..N) takes about 2.75N^2 of them, against about W^3/12 for the table
-of weight W = 2N.
+Integrality.  Every A_(j,m) is an integer.  Series whose coefficients
+P_m = m! [theta^m] P are integers form a ring, the Hurwitz ring: the
+binomial convolution and the shift keep integers.  A series P of it with
+P_0 = 1 has an inverse Q in it, as Q_0 = 1 and
+Q_m = -sum_{0<i<=m} C(m,i) P_i Q_(m-i).  Each g(n) counts classes, so y
+is in the ring, and so is y', whose constant term is Y_1 = 1: E_0 = 1/y'
+is integral.  Then E_(j+1) = y E_j' / (2 y').  y and E_j' are odd
+series, so the coefficient m of y E_j' sums C(m,i) Y_i (E_j')_(m-i) over
+odd i only, is zero for odd m, and for even m every C(m,i) with odd i
+is even (Lucas's theorem).  So y E_j' has even coefficients, halving it
+keeps it integral, and so does dividing by y', which is multiplying by
+E_0.  The scheme computes these series, so its divisions are exact; each
+is still checked, as a guard against a bug, and a remainder raises
+ConsistencyError.
+
+Cost.  The terms i and m-i of X_m are equal, as C(m, i) = C(m, m-i), so
+only half of them are summed, and the binomial row C(m, .) comes from the
+row of m-2 by two steps of Pascal's rule.  Step m = 2k then sums about
+5.5k products of big integers, so g(0..N) takes about 2.75N^2 of them,
+against about W^3/12 for the table of weight W = 2N.
 """
 from __future__ import annotations
 

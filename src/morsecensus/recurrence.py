@@ -54,6 +54,7 @@ cause; it raises ConsistencyError.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 from operator import mul, sub
@@ -73,35 +74,29 @@ def _scale(x: int, y: int) -> int:
     return (1 << (x + y)) * factorial(x + 2 * y + 1)
 
 
-class CensusTable:
-    """Completed triangular table; immutable and safe to share.
+class CensusTable(namedtuple("CensusTable", "weight_bound levels")):
+    """Completed triangular table: `levels[w][y]` is S'(w - 2y, y) for every
+    weight w <= `weight_bound`.  Never mutated once built, so safe to share.
 
-    `levels[w][y]` is S'(w - 2y, y) for every weight w <= the weight bound.
+    A tuple (weight_bound, levels): it compares equal to any tuple with the
+    same fields.
     """
 
-    __slots__ = ("_weight_bound", "_levels")
-
-    def __init__(self, weight_bound: int, levels: list[list[int]]):
-        self._weight_bound = weight_bound
-        self._levels = levels
-
-    @property
-    def weight_bound(self) -> int:
-        return self._weight_bound
+    __slots__ = ()
 
     def entry(self, x: int, y: int) -> Fraction:
-        if x < 0 or y < 0 or x + 2 * y > self._weight_bound:
+        if x < 0 or y < 0 or x + 2 * y > self.weight_bound:
             raise TableRangeError(
-                f"entry ({x},{y}) outside table with weight bound {self._weight_bound}"
+                f"entry ({x},{y}) outside table with weight bound {self.weight_bound}"
             )
-        return Fraction(self._levels[x + 2 * y][y], _scale(x, y))
+        return Fraction(self.levels[x + 2 * y][y], _scale(x, y))
 
     def _scaled_count(self, n: int) -> int:
-        if n < 0 or 2 * n > self._weight_bound:
+        if n < 0 or 2 * n > self.weight_bound:
             raise TableRangeError(
-                f"n={n} needs weight bound >= {2 * n}, table has {self._weight_bound}"
+                f"n={n} needs weight bound >= {2 * n}, table has {self.weight_bound}"
             )
-        return self._levels[2 * n][n]
+        return self.levels[2 * n][n]
 
     def normalized_count(self, n: int) -> Fraction:
         """T(0, n): the class count divided by (2n+1)!."""
@@ -118,14 +113,9 @@ class CensusTable:
 
     def items(self):
         """Entries ((x, y), T(x, y)) sorted by (weight, x)."""
-        for w, level in enumerate(self._levels):
+        for w, level in enumerate(self.levels):
             for y in reversed(range(len(level))):
                 yield (w - 2 * y, y), Fraction(level[y], _scale(w - 2 * y, y))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CensusTable):
-            return NotImplemented
-        return self._weight_bound == other._weight_bound and self._levels == other._levels
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +242,6 @@ def extend_table(table: CensusTable | None, weight_bound: int,
         entries = dict(table.items())
         _fill_fractions(entries, table.weight_bound, weight_bound)
         return CensusTable(weight_bound, _pack(entries, weight_bound))
-    levels = list(table._levels)
+    levels = list(table.levels)
     _fill(levels, weight_bound)
     return CensusTable(weight_bound, levels)

@@ -15,9 +15,9 @@ The census connects to series two ways:
   annihilate the quasilinear PDE residual
       dv(s) - (1 + u s + u^2/2) du(s) - (s^2/2 + u s + 1).
   A two-variable series (Series2) is a sparse map keyed by
-  (first-exponent, second-exponent) with an optional truncation bound on
-  the second exponent.  The residual is computed on integers over one
-  common denominator, and only its nonzero coefficients become fractions.
+  (first-exponent, second-exponent) with a truncation bound on the second
+  exponent.  The residual is computed on integers over one common
+  denominator, and only its nonzero coefficients become fractions.
 """
 from __future__ import annotations
 
@@ -43,8 +43,7 @@ __all__ = [
 
 class Series2(namedtuple("Series2", "coeffs v_bound")):
     """Sparse two-variable series: a dict {(u_exp, v_exp): coefficient} and
-    the bound on second-variable exponents it is complete through (None
-    means untruncated).
+    the int bound on second-variable exponents it is complete through.
 
     A tuple (coeffs, v_bound): it compares equal to any tuple with the same
     fields.  The functions below store only nonzero coefficients within the
@@ -114,7 +113,7 @@ def bivariate_generating_series(table: CensusTable, v_max: int) -> Series2:
     return Series2(coeffs, v_max)
 
 
-def _truncated_product(x: dict, y: dict, bound: int | None) -> dict:
+def _truncated_product(x: dict, y: dict, bound: int) -> dict:
     """Product of two integer-coefficient series, second exponents <= bound."""
     rows: dict[int, list[tuple[int, int]]] = {}
     for (a, b), c in y.items():
@@ -124,7 +123,7 @@ def _truncated_product(x: dict, y: dict, bound: int | None) -> dict:
     for (a1, b1), c1 in x.items():
         for b2, row in rows_by_b:
             b = b1 + b2
-            if bound is not None and b > bound:
+            if b > bound:
                 break
             for a2, c2 in row:
                 key = (a1 + a2, b)
@@ -147,14 +146,14 @@ def pde_residual(series: Series2) -> Series2:
     so the residual takes two truncated products of integer series and one
     fraction per nonzero coefficient.
     """
-    bound = None if series.v_bound is None else series.v_bound - 1
+    bound = series.v_bound - 1
     d = lcm(*(c.denominator for c in series.coeffs.values()))
     n = {key: c.numerator * (d // c.denominator) for key, c in series.coeffs.items()}
     du = {(a - 1, b): a * c for (a, b), c in n.items() if a > 0}
     scaled: dict[tuple[int, int], int] = {}  # 2 D^2 times the residual
 
     def add(a: int, b: int, c: int) -> None:
-        if bound is None or b <= bound:
+        if b <= bound:
             scaled[(a, b)] = scaled.get((a, b), 0) + c
 
     add(0, 0, -2 * d * d)

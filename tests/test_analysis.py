@@ -11,8 +11,6 @@ from morsecensus.analysis import (
     fit_residual_model,
     format_real,
     growth_ratio,
-    rows_to_csv,
-    rows_to_json,
     series_argument,
     series_value,
 )
@@ -199,22 +197,5 @@ class TestResidualFitOnComputedRows:
 
 
 class TestRowOutput:
-    def test_csv_format(self, small_counts):
-        text = rows_to_csv([asymptotic_row(small_counts, 10)])
-        lines = text.splitlines()
-        assert lines[0] == "n,h,log_h,delta,delta_over_n"
-        fields = lines[1].split(",")
-        assert fields[0] == "10"
-        assert "/" in fields[1]
-        assert fields[4].startswith("-0.634")
-
-    def test_json_field_names(self, small_counts):
-        import json
-
-        records = json.loads(rows_to_json([asymptotic_row(small_counts, 10)]))
-        assert list(records[0].keys()) == ["n", "h", "log_h", "delta", "delta_over_n"]
-        assert isinstance(records[0]["h"], str)
-        assert abs(records[0]["delta_over_n"] + 0.634) <= 1e-3
-
     def test_nine_significant_digits(self):
         assert format_real(mpmath.mpf(1) / 3) == "0.333333333"

@@ -160,6 +160,89 @@ class TestTable:
         assert "heuristic" in out
 
 
+H_10 = "11051004922448599/3193183885731840000"
+H_20 = ("6551449328414323488724611389146568121595343/"
+        "65336966041335560758144652448126468096000000000")
+
+CENSUS_3_CSV = "n,h,g\n0,1,1\n1,1/3,2\n2,19/120,19\n3,107/1260,428\n"
+CENSUS_3_JSON = """\
+[
+  {
+    "n": 0,
+    "h": "1",
+    "g": "1"
+  },
+  {
+    "n": 1,
+    "h": "1/3",
+    "g": "2"
+  },
+  {
+    "n": 2,
+    "h": "19/120",
+    "g": "19"
+  },
+  {
+    "n": 3,
+    "h": "107/1260",
+    "g": "428"
+  }
+]
+"""
+TABLE_10_20_CSV = ("n,h,log_h,delta,delta_over_n\n"
+                   f"10,{H_10},-5.66625241,-6.34178333,-0.634178333\n"
+                   f"20,{H_20},-9.20762695,-15.0047386,-0.75023693\n")
+TABLE_10_20_JSON = (
+    '[\n'
+    '  {\n'
+    '    "n": 10,\n'
+    f'    "h": "{H_10}",\n'
+    '    "log_h": -5.66625241,\n'
+    '    "delta": -6.34178333,\n'
+    '    "delta_over_n": -0.634178333\n'
+    '  },\n'
+    '  {\n'
+    '    "n": 20,\n'
+    f'    "h": "{H_20}",\n'
+    '    "log_h": -9.20762695,\n'
+    '    "delta": -15.0047386,\n'
+    '    "delta_over_n": -0.75023693\n'
+    '  }\n'
+    ']\n'
+)
+
+
+class TestRecordOutput:
+    """The CSV and JSON stdout of census and table, byte for byte."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("census", "--max-n", "3", "--format", "csv"), CENSUS_3_CSV),
+        (("census", "--max-n", "3", "--format", "json"), CENSUS_3_JSON),
+        (("table", "--points", "10,20", "--format", "csv"), TABLE_10_20_CSV),
+        (("table", "--points", "10,20", "--format", "json"), TABLE_10_20_JSON),
+    ], ids=["census-csv", "census-json", "table-csv", "table-json"])
+    def test_whole_stdout(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
+
+    def test_csv_format(self, capsys):
+        code, out, _ = run(capsys, "table", "--points", "10,20", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,h,log_h,delta,delta_over_n"
+        fields = lines[1].split(",")
+        assert fields[0] == "10"
+        assert "/" in fields[1]
+        assert fields[4].startswith("-0.634")
+
+    def test_json_field_names(self, capsys):
+        code, out, _ = run(capsys, "table", "--points", "10,20", "--format", "json")
+        assert code == 0
+        records = json.loads(out)
+        assert list(records[0].keys()) == ["n", "h", "log_h", "delta", "delta_over_n"]
+        assert isinstance(records[0]["h"], str)
+        assert abs(records[0]["delta_over_n"] + 0.634) <= 1e-3
+
+
 class TestVerify:
     def test_tan(self, capsys):
         code, out, _ = run(capsys, "verify", "tan", "--max-k", "40")
@@ -314,7 +397,11 @@ class TestDependencies:
         (("verify", "tan", "--max-k", "20"), {"morsecensus.series"},
          {"morsecensus.recurrence", "morsecensus.inversion", "morsecensus.trees",
           "morsecensus.analysis", "mpmath", "json"}),
-    ], ids=["census", "bounds", "conjecture", "elliptic", "table", "oracle", "pde", "tan"])
+        (("census", "--max-n", "5", "--format", "json"), {"json"}, set()),
+        (("table", "--points", "4,6,8,10", "--format", "json"), {"json"}, set()),
+        (("table", "--points", "4,6,8,10"), {"morsecensus.analysis"}, {"json"}),
+    ], ids=["census", "bounds", "conjecture", "elliptic", "table", "oracle", "pde", "tan",
+            "census-json", "table-json", "table-text"])
     def test_command_loads_only_its_layers(self, argv, loads, never, tmp_path):
         if never == _COUNTING:  # nor when a cache file is named
             argv += ("--cache", str(tmp_path / "t.txt"))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -75,6 +76,40 @@ class TestRoute:
         monkeypatch.setattr(inversion, "binomial_rows", perturbed)
         with pytest.raises(ConsistencyError, match=f"at step {m} "):
             morse_counts(10)
+
+
+def hurwitz_product(p, q):
+    """(PQ)_m = sum_i C(m, i) P_i Q_(m-i), for every m both inputs reach."""
+    return [sum(comb(m, i) * p[i] * q[m - i] for i in range(m + 1))
+            for m in range(min(len(p), len(q)))]
+
+
+def hurwitz_inverse(p):
+    """Q with PQ = 1, for P_0 = 1: Q_m = -sum_{0<i<=m} C(m, i) P_i Q_(m-i)."""
+    q = [1]
+    for m in range(1, len(p)):
+        q.append(-sum(comb(m, i) * p[i] * q[m - i] for i in range(1, m + 1)))
+    return q
+
+
+class TestIntegralityProof:
+    """The steps of the proof in the inversion module docstring, for m <= 60."""
+
+    def test_hurwitz_series_are_integral_and_satisfy_the_ode(self):
+        y = [0] * 65  # Y_0..Y_64
+        for n, g in enumerate(morse_counts(31)):
+            y[2 * n + 1] = g
+        e = [hurwitz_inverse(y[1:])]  # E_0 = 1/y', to index 63
+        for j in range(3):  # E_(j+1) = y E_j' / (2 y'), to index 62 - j
+            product = hurwitz_product(y, e[j][1:])
+            assert all(c % 2 == 0 for c in product), j
+            e.append(hurwitz_product([Fraction(c, 2) for c in product], e[0]))
+        assert len(e[3]) == 61
+        assert all(c.denominator == 1 for series in e[1:] for c in series)
+        x = hurwitz_product(y, y)
+        rest = [9 * e3 + 27 * e2 + 26 * e1 + 8 * e0 for e0, e1, e2, e3 in zip(*e)]
+        assert [32 * e3 - 8 * e1 for e1, e3 in zip(e[1], e[3])] == \
+            [-3 * c for c in hurwitz_product(x, rest)]
 
 
 class TestBounds:

@@ -98,7 +98,7 @@ class TestDeterminismAndModes:
         # the table bit for bit.  The session table has weight 200 or 400,
         # and its levels 0..200 are the weight-200 table.
         digest = hashlib.sha256()
-        for level in census_table._levels[:201]:
+        for level in census_table.levels[:201]:
             digest.update((" ".join(map(str, level)) + "\n").encode())
         assert digest.hexdigest() == (
             "f9a0681c0fcb4adf163065e9998280742a77ac052eae308648685613887cce7b"

@@ -115,7 +115,7 @@ sparse_series = st.builds(
         st.fractions(min_value=-20, max_value=20, max_denominator=12),
         max_size=12,
     ),
-    st.one_of(st.none(), st.integers(0, 8)),
+    st.integers(0, 8),
 )
 
 
