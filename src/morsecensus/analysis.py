@@ -21,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .exactmath import GUARD_BITS, TableRangeError, bernoulli, factorial, log_rational
+from .exactmath import GUARD_BITS, TableRangeError, factorial, log_rational
 
 # `mpmath.mpf` in annotations is unbound here, like mpmath itself (see the
 # module docstring), so typing.get_type_hints raises NameError on those
@@ -31,7 +31,6 @@ __all__ = [
     "AsymptoticRow",
     "asymptotic_row",
     "growth_ratio",
-    "bernoulli_growth_ratio",
     "series_argument",
     "series_value",
     "fit_residual_model",
@@ -101,18 +100,6 @@ def growth_ratio(n: int, counts: Sequence[int], precision: int = 128) -> mpmath.
     with mpmath.workprec(precision + GUARD_BITS):
         log_fact = mpmath.log(mpmath.mpf(factorial(2 * n + 1)))
         return (log_h + log_fact) / (n * mpmath.log(n))
-
-
-def bernoulli_growth_ratio(k: int, precision: int = 128) -> mpmath.mpf:
-    """|B_2k| (4 pi^2)^k / (2 (2k)!), which decreases to 1 from above."""
-    import mpmath
-
-    if k < 1:
-        raise ValueError("bernoulli_growth_ratio requires k >= 1")
-    b = abs(bernoulli(2 * k))
-    with mpmath.workprec(precision + GUARD_BITS):
-        scale = (4 * mpmath.pi**2) ** k / (2 * mpmath.mpf(factorial(2 * k)))
-        return mpmath.mpf(b.numerator) / b.denominator * scale
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +187,15 @@ def series_value(counts: Sequence[int], argument: float, terms: int = 50) -> flo
     """Evaluate sum_{n <= terms} h(n) * argument^(2n+1) in double precision.
 
     Convergence: h(n) <= Catalan(n) ~ 4^n gives radius >= 1/2, so 50 terms
-    leave truncation error far below 1e-8 for arguments below 0.25.
+    leave truncation error far below 1e-8 for arguments below 0.25.  Each
+    h(n) is an int true division, which CPython rounds correctly.
     """
     if terms >= len(counts):
         raise TableRangeError(f"{terms} series terms need the counts to n={terms}")
     acc = 0.0
     sq = argument * argument
     for n in reversed(range(terms + 1)):
-        acc = acc * sq + float(_normalized(counts, n))
+        acc = acc * sq + counts[n] / factorial(2 * n + 1)
     return acc * argument
 
 

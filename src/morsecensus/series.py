@@ -80,17 +80,18 @@ def scaled_tangent_series(order_index: int) -> list[int]:
     tan's coefficient of t^(2k+1) is T_k = 2^m (2^m - 1) |B_m| / m! with
     m = 2k+2, and sqrt(2) tan(t / sqrt(2)) has T_k / 2^k there: the square
     roots cancel on odd powers.  Scaled by 2^k (2k+1)!, that is the tangent
-    number a_k = 2^m (2^m - 1) |B_m| / m; one that is not an integer raises
-    ConsistencyError.
+    number a_k = 2^m (2^m - 1) |D B_m| / (m D), with D B_m an int of one
+    Bernoulli pass; a remainder raises ConsistencyError.
     """
     if order_index < 0:
         raise ValueError("order_index must be >= 0")
+    d, numerators = bernoulli(order_index + 2)  # D B_0, D B_2, ..., D B_(2K+2)
     scaled = []
-    for m in range(2, 2 * order_index + 3, 2):
-        a = (1 << m) * ((1 << m) - 1) * abs(bernoulli(m)) / m
-        if a.denominator != 1:
-            raise ConsistencyError(f"tangent number a_{m // 2 - 1} = {a} is not an integer")
-        scaled.append(a.numerator)
+    for m, b in zip(range(2, 2 * order_index + 3, 2), numerators[1:]):
+        a, r = divmod(((1 << m) - 1) * abs(b) << m, m * d)
+        if r:
+            raise ConsistencyError(f"tangent number a_{m // 2 - 1} is not an integer")
+        scaled.append(a)
     return scaled
 
 

@@ -153,20 +153,6 @@ def is_morse_tree(tree: MorseTree) -> bool:
     return _morse_adjacency(tree.n, tree.edges) is not None
 
 
-def _multiset_permutations(items: tuple[int, ...]):
-    """Distinct permutations of a sorted tuple, in lexicographic order."""
-    if not items:
-        yield ()
-        return
-    prev = None
-    for i, head in enumerate(items):
-        if head == prev:
-            continue
-        prev = head
-        for rest in _multiset_permutations(items[:i] + items[i + 1 :]):
-            yield (head,) + rest
-
-
 def _prufer_to_edges(seq: list[int], m: int) -> list[tuple[int, int]]:
     """Decode a Pruefer sequence over labels 0..m-1 (length m-2) to normalized edges."""
     degree = [1] * m
@@ -206,7 +192,7 @@ def enumerate_morse_trees(n: int) -> set[MorseTree]:
         )
     m = 2 * n + 2
     # the arrangements of n symbols twice each, shared by every choice of nodes
-    patterns = list(_multiset_permutations(tuple(sorted(2 * list(range(n))))))
+    patterns = sorted(set(itertools.permutations(2 * list(range(n)))))
     # 0 is the first leaf removed, so its one neighbor is seq[0], and m-1 is
     # never removed, so its one neighbor is seq[-1]: a node 1 (symbol 0) needs
     # 0 as its lower neighbor and starts the string, and a node m-2 (symbol

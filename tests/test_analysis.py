@@ -7,7 +7,6 @@ import pytest
 from morsecensus.analysis import (
     AsymptoticRow,
     asymptotic_row,
-    bernoulli_growth_ratio,
     fit_residual_model,
     format_real,
     growth_ratio,
@@ -83,24 +82,6 @@ class TestGrowthRatio:
     def test_needs_n_at_least_two(self, small_counts):
         with pytest.raises(TableRangeError):
             growth_ratio(1, small_counts)
-
-
-class TestBernoulliRatio:
-    def test_first_value_is_pi_squared_over_six(self):
-        assert abs(float(bernoulli_growth_ratio(1)) - math.pi**2 / 6) < 1e-12
-
-    def test_approaches_one(self):
-        assert abs(float(bernoulli_growth_ratio(5)) - 1) < 1e-3
-        assert abs(float(bernoulli_growth_ratio(10)) - 1) < 1e-6
-
-    def test_decreasing_and_at_least_one(self):
-        values = [bernoulli_growth_ratio(k) for k in range(1, 26)]
-        assert all(v >= 1 for v in values)
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            bernoulli_growth_ratio(0)
 
 
 class TestEllipticInversion:

@@ -58,18 +58,20 @@ class TestCensus:
         assert first == second
 
 
-def _bench_command_lines() -> list[list[str]]:
-    """The CLI arguments of every command the benchmark runs, read from the
-    SCALES literal of perfbench/run.py without importing it."""
+def _bench_commands() -> list[tuple[Path, list[str]]]:
+    """Every command the benchmark runs, as (reference stdout file, CLI
+    arguments), read from the SCALES literal of perfbench/run.py without
+    importing it."""
     tree = ast.parse(BENCH_RUN.read_text())
     scales = next(ast.literal_eval(node.value) for node in tree.body
                   if isinstance(node, ast.Assign)
                   and any(getattr(t, "id", None) == "SCALES" for t in node.targets))
-    lines = []
-    for spec in scales.values():
+    commands = []
+    for scale, spec in scales.items():
+        reference = BENCH_RUN.parent / "reference" / ("toy" if scale == "toy" else "")
         steps = [*spec["cold"], spec["warm_build"], *spec["warm_pass"]]
-        lines += [args for _, args in steps]
-    return lines
+        commands += [(reference / name, args) for name, args in steps]
+    return commands
 
 
 class TestInertCache:
@@ -94,10 +96,26 @@ class TestInertCache:
         assert os.listdir(tmp_path) == ["t.txt"]  # no .lock, no .tmp.<pid>
 
     def test_benchmark_command_lines_parse_with_cache(self):
-        lines = _bench_command_lines()
+        lines = [args for _, args in _bench_commands()]
         assert ["verify", "pde", "--order", "40"] in lines
         for args in lines:
             assert cli.build_parser().parse_args([*args, "--cache", "x"]).cache == "x"
+
+
+# the 22 command lines of the benchmark hold 19 distinct commands
+BENCH_COMMANDS = list(dict.fromkeys((ref, tuple(args)) for ref, args in _bench_commands()))
+
+
+class TestBenchmarkReference:
+    # the benchmark counts an operation as correct when its commands exit 0
+    # and print exactly the bytes of these reference files
+
+    @pytest.mark.parametrize("reference,argv", BENCH_COMMANDS,
+                             ids=[f"{ref.parent.name}/{ref.name}" for ref, _ in BENCH_COMMANDS])
+    def test_stdout_matches_reference_file(self, capsys, reference, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == reference.read_bytes()
 
 
 class TestCountingCommandsReadNoTable:

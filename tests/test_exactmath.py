@@ -79,23 +79,33 @@ class TestBinomialRows:
 
 class TestBernoulli:
     def test_first_values(self):
-        assert bernoulli(0) == 1
-        assert bernoulli(1) == Fraction(-1, 2)
-        assert bernoulli(2) == Fraction(1, 6)
-        assert bernoulli(3) == 0
+        # D B_0, D B_2, D B_4 over D = lcm(2, 6, 30), also after a longer call
+        assert bernoulli(1) == (2, [2])
+        assert bernoulli(3) == (30, [30, 5, -1])
+        bernoulli(61)
+        assert bernoulli(3) == (30, [30, 5, -1])
+
+    def test_module_keeps_no_mutable_state(self):
+        assert [name for name, value in vars(exactmath).items()
+                if not name.startswith("__") and isinstance(value, (list, dict, set))] == []
 
     def test_against_series_inversion(self):
-        for m, expected in enumerate(bernoulli_by_series_inversion(120)):
-            assert bernoulli(m) == expected
+        even = bernoulli_by_series_inversion(120)[0::2]
+        for count in (1, 2, 7, 30):
+            d, scaled = bernoulli(count)
+            assert [Fraction(b, d) for b in scaled] == even[:count]
 
-    def test_many_new_indices_in_one_call(self, monkeypatch):
-        # from an empty cache, one call takes every row from one generator
-        monkeypatch.setattr(exactmath, "_bernoulli_even_scaled", [2])
-        assert bernoulli(120) == bernoulli_by_series_inversion(120)[120]
+    def test_many_new_indices_in_one_call(self):
+        # one call yields B_0..B_120 over D, the lcm of their denominators and 2
+        even = bernoulli_by_series_inversion(120)[0::2]
+        d, scaled = bernoulli(61)
+        assert len(scaled) == 61 and all(type(b) is int for b in scaled)
+        assert d == math.lcm(2, *(b.denominator for b in even))
+        assert [Fraction(b, d) for b in scaled] == even
 
-    def test_odd_indices_vanish(self):
-        for k in range(1, 26):
-            assert bernoulli(2 * k + 1) == 0
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            bernoulli(0)
 
 
 class TestLogRational:
