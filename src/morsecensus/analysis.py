@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 
-from .exactmath import GUARD_BITS, TableRangeError, factorial, log_rational
+from .exactmath import GUARD_BITS, TableRangeError, factorial, log_rational, normalized
 
 # `mpmath.mpf` in annotations is unbound here, like mpmath itself (see the
 # module docstring), so typing.get_type_hints raises NameError on those
@@ -55,13 +54,6 @@ class AsymptoticRow(namedtuple("AsymptoticRow", "n h log_h delta delta_over_n"))
     __slots__ = ()
 
 
-def _normalized(counts: Sequence[int], n: int) -> Fraction:
-    """h(n) = g(n) / (2n+1)!."""
-    if not 0 <= n < len(counts):
-        raise TableRangeError(f"n={n} outside the counts g(0..{len(counts) - 1})")
-    return Fraction(counts[n], factorial(2 * n + 1))
-
-
 def asymptotic_row(counts: Sequence[int], n: int, precision: int = 128) -> AsymptoticRow:
     """Stirling residual of the normalized count at index n.
 
@@ -74,9 +66,9 @@ def asymptotic_row(counts: Sequence[int], n: int, precision: int = 128) -> Asymp
     """
     import mpmath
 
-    if n < 1:
-        raise TableRangeError("asymptotic rows are defined for n >= 1")
-    h = _normalized(counts, n)
+    if not 1 <= n < len(counts):
+        raise TableRangeError(f"asymptotic rows need 1 <= n <= {len(counts) - 1}; got n={n}")
+    h = normalized(n, counts[n])
     log_h = log_rational(h, precision)
     with mpmath.workprec(precision + GUARD_BITS):
         nn = mpmath.mpf(n)
@@ -94,9 +86,9 @@ def growth_ratio(n: int, counts: Sequence[int], precision: int = 128) -> mpmath.
     """log g(n) / (n log n); tends to 2 from below on the computed range."""
     import mpmath
 
-    if n < 2:
-        raise TableRangeError("growth ratio needs n >= 2 (log n must exceed 0 cleanly)")
-    log_h = log_rational(_normalized(counts, n), precision)
+    if not 2 <= n < len(counts):  # log n must exceed 0 cleanly
+        raise TableRangeError(f"growth ratio needs 2 <= n <= {len(counts) - 1}; got n={n}")
+    log_h = log_rational(normalized(n, counts[n]), precision)
     with mpmath.workprec(precision + GUARD_BITS):
         log_fact = mpmath.log(mpmath.mpf(factorial(2 * n + 1)))
         return (log_h + log_fact) / (n * mpmath.log(n))

@@ -41,15 +41,6 @@ EXIT_IO = 3
 # census
 
 
-def _normalized(n: int, g: int):
-    """h(n) = g(n) / (2n+1)!, a Fraction."""
-    from fractions import Fraction
-
-    from .exactmath import factorial
-
-    return Fraction(g, factorial(2 * n + 1))
-
-
 def _print_records(records: list[dict], fmt: str) -> None:
     """Print dict records as CSV (a header of the field names, then one
     comma-joined line per record) or as JSON (`json.dumps(records, indent=2)`)."""
@@ -65,9 +56,9 @@ def _print_records(records: list[dict], fmt: str) -> None:
 
 def _cmd_census(args) -> int:
     from . import inversion
-    from .exactmath import format_rational
+    from .exactmath import format_rational, normalized
 
-    records = [{"n": n, "h": format_rational(_normalized(n, g)), "g": format_rational(g)}
+    records = [{"n": n, "h": format_rational(normalized(n, g)), "g": format_rational(g)}
                for n, g in enumerate(inversion.morse_counts(args.max_n))]
     if args.format == "text":
         for record in records:
@@ -160,15 +151,15 @@ def _verify_pde(order: int) -> int:
 
 def _verify_bounds(max_n: int) -> int:
     from . import inversion, series
-    from .exactmath import format_rational
+    from .exactmath import format_rational, normalized
 
     tangent = series.scaled_tangent_series(max_n)
     for n, g in enumerate(inversion.morse_counts(max_n)):
         if g << n < tangent[n]:  # h(n) >= u_n, times 2^n (2n+1)!
-            print(f"FAIL lower bound at n={n}: h={format_rational(_normalized(n, g))}")
+            print(f"FAIL lower bound at n={n}: h={format_rational(normalized(n, g))}")
             return EXIT_VERIFY_FAIL
         if not inversion.check_upper_bound(n, g):
-            print(f"FAIL upper bound at n={n}: h={format_rational(_normalized(n, g))}")
+            print(f"FAIL upper bound at n={n}: h={format_rational(normalized(n, g))}")
             return EXIT_VERIFY_FAIL
         if n >= 1 and not inversion.check_conjecture(n, g):
             print(f"FAIL conjecture g < (2n+1)! at n={n}")
@@ -179,11 +170,11 @@ def _verify_bounds(max_n: int) -> int:
 
 def _verify_conjecture(max_n: int) -> int:
     from . import inversion
-    from .exactmath import format_rational
+    from .exactmath import format_rational, normalized
 
     for n, g in enumerate(inversion.morse_counts(max_n)):
         if n >= 1 and not inversion.check_conjecture(n, g):
-            print(f"FAIL g < (2n+1)! at n={n}: h={format_rational(_normalized(n, g))}")
+            print(f"FAIL g < (2n+1)! at n={n}: h={format_rational(normalized(n, g))}")
             return EXIT_VERIFY_FAIL
     print(f"ok g(n) < (2n+1)! for 1 <= n <= {max_n}")
     return EXIT_OK

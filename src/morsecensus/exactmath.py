@@ -12,19 +12,21 @@ that downstream arithmetic stays within the stated error bound.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from math import comb, factorial, gcd  # factorial re-exported; raises ValueError on n < 0
 from operator import add, mul
 
-# `mpmath.mpf` in annotations names the result type for readers only: mpmath
-# is imported inside the function that uses it, so the name is unbound here
-# and typing.get_type_hints raises NameError on those functions, on purpose.
+# `mpmath.mpf` and `Fraction` in annotations name the types for readers only:
+# mpmath and fractions are imported inside the functions that use them, so the
+# names are unbound here and typing.get_type_hints raises NameError on those
+# functions, on purpose.  A command that builds no fraction, such as `verify
+# conjecture` when it passes, loads neither `fractions` nor `decimal`.
 
 __all__ = [
     "TableRangeError",
     "ConsistencyError",
     "factorial",
     "catalan",
+    "normalized",
     "binomial_rows",
     "bernoulli",
     "log_rational",
@@ -51,6 +53,13 @@ def catalan(n: int) -> int:
     q, r = divmod(comb(2 * n, n), n + 1)
     assert r == 0
     return q
+
+
+def normalized(n: int, g: int) -> Fraction:
+    """h(n) = g(n) / (2n+1)!, the normalized count of index n."""
+    from fractions import Fraction
+
+    return Fraction(g, factorial(2 * n + 1))
 
 
 def binomial_rows(m: int):

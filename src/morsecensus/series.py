@@ -13,15 +13,19 @@ The census connects to series two ways:
   tests h(n) >= u_n as g(n) 2^n >= a_n;
 * the two-variable generating series sum T(x,y) u^x v^(x+2y+1), which must
   annihilate the quasilinear PDE residual
-      dv(s) - (1 + u s + u^2/2) du(s) - (s^2/2 + u s + 1).
+      dv(s) - (1 + u s + u^2/2) du(s) - (s^2/2 + u s + 1),
+  the conservation law dv(s) = du(Phi) with flux
+  Phi = u + s + (u/2) s^2 + (u^2/2) s.
   A two-variable series (Series2) is a sparse map keyed by
   (first-exponent, second-exponent) with a truncation bound on the second
-  exponent.  The residual is computed on integers over one common
-  denominator, and only its nonzero coefficients become fractions.
+  exponent.  With s = N/D over the lcm D of its denominators, the residual
+  R is computed as the integer series
+      2 D^2 R = 2D dv(N) - du(2D^2 u + 2D N + D u^2 N + u N^2),
+  and only its nonzero coefficients become fractions.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -135,39 +139,33 @@ def _truncated_product(x: dict, y: dict, bound: int) -> dict:
 def pde_residual(series: Series2) -> Series2:
     """Residual of the quasilinear PDE the bivariate series must satisfy.
 
-    Returns dv(s) - (1 + u s + u^2/2) du(s) - (s^2/2 + u s + 1).  Every
-    coefficient retained under the resulting bound is computed exactly:
-    the input is complete through its bound V, and each retained residual
-    coefficient (second exponent <= V-1) only consumes input coefficients
-    with second exponent <= V.
+    Returns dv(s) - (1 + u s + u^2/2) du(s) - (s^2/2 + u s + 1), which is
+    the conservation form dv(s) - du(Phi) with the flux
+    Phi = u + s + (u/2) s^2 + (u^2/2) s.  Every coefficient retained under
+    the resulting bound is computed exactly: the input is complete through
+    its bound V, and each retained residual coefficient (second exponent
+    <= V-1) only consumes input coefficients with second exponent <= V.
 
     With D the lcm of the input's denominators and s = N/D, N has integer
     coefficients and
-        2 D^2 R = 2D dv(N) - (2D + 2uN + D u^2) du(N) - N^2 - 2D u N - 2D^2,
-    so the residual takes two truncated products of integer series and one
-    fraction per nonzero coefficient.
+        2 D^2 R = 2D dv(N) - du(2D^2 u + 2D N + D u^2 N + u N^2),
+    so the residual takes one integer flux, one truncated product (N^2)
+    and one fraction per nonzero coefficient.
     """
     bound = series.v_bound - 1
     d = lcm(*(c.denominator for c in series.coeffs.values()))
     n = {key: c.numerator * (d // c.denominator) for key, c in series.coeffs.items()}
-    du = {(a - 1, b): a * c for (a, b), c in n.items() if a > 0}
-    scaled: dict[tuple[int, int], int] = {}  # 2 D^2 times the residual
-
-    def add(a: int, b: int, c: int) -> None:
-        if b <= bound:
-            scaled[(a, b)] = scaled.get((a, b), 0) + c
-
-    add(0, 0, -2 * d * d)
+    flux = defaultdict(int, {(1, 0): 2 * d * d})  # 2 D^2 Phi
     for (a, b), c in n.items():
-        if b > 0:
-            add(a, b - 1, 2 * d * b * c)
-        add(a + 1, b, -2 * d * c)
-    for (a, b), c in du.items():
-        add(a, b, -2 * d * c)
-        add(a + 2, b, -d * c)
-    for (a, b), c in _truncated_product(n, du, bound).items():
-        add(a + 1, b, -2 * c)
+        flux[(a, b)] += 2 * d * c
+        flux[(a + 2, b)] += d * c
     for (a, b), c in _truncated_product(n, n, bound).items():
-        add(a, b, -c)
+        flux[(a + 1, b)] += c
+    scaled = defaultdict(int, {(a - 1, b): -a * c for (a, b), c in flux.items() if a})  # 2 D^2 R
+    for (a, b), c in n.items():
+        if b:
+            scaled[(a, b - 1)] += 2 * d * b * c
+    # the flux's terms linear in N reach second exponent V, past the bound
     denominator = 2 * d * d
-    return Series2({key: Fraction(c, denominator) for key, c in scaled.items() if c}, bound)
+    return Series2({(a, b): Fraction(c, denominator)
+                    for (a, b), c in scaled.items() if c and b <= bound}, bound)

@@ -191,10 +191,11 @@ class TestGeneratingSeries:
 
 
 class TestPdeResidual:
-    def test_residual_vanishes_at_order_25(self):
-        table = extend_table(None, 24)
-        residual = pde_residual(bivariate_generating_series(table, 25))
-        assert residual == ({}, 24)
+    @pytest.mark.parametrize("order", [25, 80])  # 80: the order README times
+    def test_residual_vanishes_at_order(self, order):
+        table = extend_table(None, order - 1)
+        residual = pde_residual(bivariate_generating_series(table, order))
+        assert residual == ({}, order - 1)
 
     def test_residual_vanishes_for_all_smaller_truncations(self, small_table):
         for v_max in range(1, small_table.weight_bound + 2):
