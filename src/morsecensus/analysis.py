@@ -2,17 +2,17 @@
 
 The functions take the counts g(0), g(1), ... as a list of ints (see
 :func:`inversion.morse_counts`) and read h(n) = g(n)/(2n+1)! from them.
-All logarithms are natural.  High-precision values are mpmath floats
-computed at an explicit precision (default 128 bits, guard bits included
-by the exactmath helpers); exact comparisons stay in integers/rationals
-and never pass through floating point.
+All logarithms are natural.  High-precision values are `decimal.Decimal`s
+in :func:`exactmath.decimal_context` at an explicit precision (default 128
+bits), with pi from the Gauss-Legendre iteration; exact comparisons stay
+in integers/rationals and never pass through floating point.
 
 The functions return numbers; the one text they make is
 :func:`format_real`'s, and the CLI writes the rows.  The CLI imports this
-module for `table` and `verify elliptic` only.  mpmath is imported inside
-each function that computes with it, so `verify elliptic`, which runs the
-plain-float :func:`series_argument` and :func:`series_value`, never loads
-mpmath: `table` is the one command that does.
+module for `table` and `verify elliptic` only.  `decimal` and `fractions`
+are imported inside the functions that compute with them, so `verify
+elliptic`, which runs the plain-float :func:`series_argument` and
+:func:`series_value`, loads neither.
 """
 from __future__ import annotations
 
@@ -20,11 +20,10 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .exactmath import GUARD_BITS, TableRangeError, factorial, log_rational, normalized
+from .exactmath import TableRangeError, decimal_context, factorial, log_rational, normalized
 
-# `mpmath.mpf` in annotations is unbound here, like mpmath itself (see the
-# module docstring), so typing.get_type_hints raises NameError on those
-# functions: the annotations name the result type for readers only.
+# `Decimal` and `Fraction` in annotations are unbound here (see the module
+# docstring): they name the types for readers only, and get_type_hints fails.
 
 __all__ = [
     "AsymptoticRow",
@@ -45,7 +44,7 @@ SUPPORTED_ARGUMENT_RANGE = 0.3
 
 class AsymptoticRow(namedtuple("AsymptoticRow", "n h log_h delta delta_over_n")):
     """One row of the finite-size correction table: the int n, the Fraction h
-    and the mpmath floats log_h, delta and delta_over_n.
+    and the Decimals log_h, delta and delta_over_n.
 
     A tuple of those five fields: it unpacks and indexes as one, and
     compares equal to any tuple with the same values.
@@ -64,34 +63,38 @@ def asymptotic_row(counts: Sequence[int], n: int, precision: int = 128) -> Asymp
     main terms from log h; its /n column is the quantity tabulated by the
     asymptotic experiments.
     """
-    import mpmath
+    from decimal import Decimal, localcontext
 
     if not 1 <= n < len(counts):
         raise TableRangeError(f"asymptotic rows need 1 <= n <= {len(counts) - 1}; got n={n}")
     h = normalized(n, counts[n])
     log_h = log_rational(h, precision)
-    with mpmath.workprec(precision + GUARD_BITS):
-        nn = mpmath.mpf(n)
-        delta = (
-            log_h
-            - 2 * n * (1 + mpmath.log(nn / (2 * n + 1)))
-            + mpmath.mpf(3) / 2 * mpmath.log(2 * n + 1)
-            - 1
-            + mpmath.log(2 * mpmath.pi) / 2
-        )
+    with localcontext(decimal_context(precision)):
+        m = Decimal(2 * n + 1)
+        delta = (log_h - 2 * n * (1 + (n / m).ln()) + Decimal(3) / 2 * m.ln() - 1
+                 + (2 * _pi()).ln() / 2)
         return AsymptoticRow(n, h, log_h, delta, delta / n)
 
 
-def growth_ratio(n: int, counts: Sequence[int], precision: int = 128) -> mpmath.mpf:
+def _pi() -> Decimal:
+    """pi in the current decimal context by the Gauss-Legendre iteration (Salamin,
+    Math. Comp. 30, 1976; Brent, J. ACM 23, 1976): step k leaves ~2^(k+1) digits."""
+    from decimal import Decimal, getcontext
+
+    a, b, t = Decimal(1), Decimal("0.5").sqrt(), Decimal("0.25")
+    for k in range(getcontext().prec.bit_length()):
+        a, b, t = (a + b) / 2, (a * b).sqrt(), t - (a - b) ** 2 * 2**k / 4
+    return (a + b) ** 2 / (4 * t)
+
+
+def growth_ratio(n: int, counts: Sequence[int], precision: int = 128) -> Decimal:
     """log g(n) / (n log n); tends to 2 from below on the computed range."""
-    import mpmath
+    from decimal import Decimal, localcontext
 
     if not 2 <= n < len(counts):  # log n must exceed 0 cleanly
         raise TableRangeError(f"growth ratio needs 2 <= n <= {len(counts) - 1}; got n={n}")
-    log_h = log_rational(normalized(n, counts[n]), precision)
-    with mpmath.workprec(precision + GUARD_BITS):
-        log_fact = mpmath.log(mpmath.mpf(factorial(2 * n + 1)))
-        return (log_h + log_fact) / (n * mpmath.log(n))
+    with localcontext(decimal_context(precision)):
+        return Decimal(counts[n]).ln() / (n * Decimal(n).ln())
 
 
 # ---------------------------------------------------------------------------
@@ -196,30 +199,38 @@ def series_value(counts: Sequence[int], argument: float, terms: int = 50) -> flo
 
 
 def fit_residual_model(rows: Sequence[AsymptoticRow]) -> tuple[float, float, float]:
-    """Ordinary least squares of delta against a*n + b*log(n) + c, solved by
-    Householder QR (`mpmath.qr_solve`) in double precision.
+    """Ordinary least squares of delta against a*n + b*log(n) + c on the
+    double-precision data: the normal equations of the floats n, log(n), 1
+    and delta, solved exactly in fractions by Cramer's rule.
 
     Heuristic only: the model is suggested by the data, no error bars are
     claimed.  Needs at least 4 rows with distinct n.
     """
-    import mpmath
+    from fractions import Fraction
 
     ns = sorted({row.n for row in rows})
     if len(ns) < 4:
         raise ValueError(f"fit needs at least 4 distinct indices, got {len(ns)}")
-    with mpmath.workprec(53):
-        design = mpmath.matrix([[row.n, math.log(row.n), 1.0] for row in rows])
-        target = mpmath.matrix([float(row.delta) for row in rows])
-        coeffs, _residual = mpmath.qr_solve(design, target)
-        return float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
+    design = [(row.n, Fraction(math.log(row.n)), 1, Fraction(float(row.delta))) for row in rows]
+    normal = [[sum(x[i] * x[j] for x in design) for j in range(4)] for i in range(3)]
+
+    def det(*cols: int) -> Fraction:  # of 3 columns of `normal`; column 3 is the rhs
+        (a, b, c), (d, e, f), (g, h, i) = ([row[j] for j in cols] for row in normal)
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return tuple(float(det(*cols) / det(0, 1, 2)) for cols in ((3, 1, 2), (0, 3, 2), (0, 1, 3)))
 
 
 # ---------------------------------------------------------------------------
 # formatting
 
 
-def format_real(x: mpmath.mpf) -> str:
-    """Real number at the 9 significant digits used by all CLI output."""
-    import mpmath
+def format_real(x: Decimal) -> str:
+    """Real number at the 9 significant digits used by all CLI output, as
+    mpmath.nstr writes it: rounded half away from zero, fixed notation for
+    exponents -4..8, trailing zeros stripped to one digit after the point."""
+    from decimal import ROUND_HALF_UP, Context
 
-    return mpmath.nstr(x, 9)
+    x = Context(prec=9, rounding=ROUND_HALF_UP).plus(x)
+    mantissa, e, exponent = format(x, "f" if -5 < x.adjusted() < 9 else "e").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return f"{whole}.{fraction.rstrip('0') or '0'}{e}{exponent}"

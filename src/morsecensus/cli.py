@@ -11,8 +11,8 @@ Each command imports the layers it runs, inside its handler, so a process
 loads no more than its command needs:
 
 * census, verify bounds|conjecture: inversion (and series for bounds);
-* verify tan: series;  verify elliptic: inversion and analysis, without mpmath;
-* table: inversion and analysis, with mpmath, the only command that loads it;
+* verify tan: series;  verify elliptic: inversion and analysis;
+* table: inversion and analysis, which compute its reals in `decimal`;
 * verify pde: recurrence and series;  oracle: recurrence and trees;
 * encode, decode: trees.
 
@@ -116,8 +116,6 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_tan(max_k: int) -> int:
-    from fractions import Fraction
-
     from . import series
     from .exactmath import factorial, format_rational
 
@@ -125,6 +123,8 @@ def _verify_tan(max_k: int) -> int:
     via_ode = series.ode_comparison_series(max_k)
     for k, (a, b) in enumerate(zip(via_bernoulli, via_ode)):
         if a != b:
+            from fractions import Fraction
+
             scale = factorial(2 * k + 1) << k  # a_k = 2^k (2k+1)! u_k
             print(f"FAIL tan routes disagree at k={k}: "
                   f"bernoulli={format_rational(Fraction(a, scale))} "

@@ -4,22 +4,20 @@ Integers are plain Python ints (arbitrary precision); rationals are
 ``fractions.Fraction``, which keeps every value in canonical form
 (positive denominator, gcd-reduced) after each operation.  The Bernoulli
 numbers are the exception: one call returns them as ints over one common
-denominator and keeps no state between calls.  High-precision
-reals are ``mpmath.mpf`` values computed under an explicit working
-precision; results carry 64 guard bits beyond the requested precision so
-that downstream arithmetic stays within the stated error bound.
+denominator and keeps no state between calls.  High-precision reals
+are ``decimal.Decimal`` values in :func:`decimal_context`, whose 64 guard
+bits beyond the requested precision keep later arithmetic in its bound.
 """
 from __future__ import annotations
 
 import sys
-from math import comb, factorial, gcd  # factorial re-exported; raises ValueError on n < 0
+from math import ceil, comb, factorial, gcd, log10  # factorial re-exported; ValueError on n < 0
 from operator import add, mul
 
-# `mpmath.mpf` and `Fraction` in annotations name the types for readers only:
-# mpmath and fractions are imported inside the functions that use them, so the
-# names are unbound here and typing.get_type_hints raises NameError on those
-# functions, on purpose.  A command that builds no fraction, such as `verify
-# conjecture` when it passes, loads neither `fractions` nor `decimal`.
+# `Fraction`, `Decimal` and `Context` in annotations name the types for readers
+# only: fractions and decimal are imported inside the functions that use them,
+# so typing.get_type_hints raises NameError on those functions, on purpose, and
+# `verify conjecture`, which builds no fraction when it passes, loads neither.
 
 __all__ = [
     "TableRangeError",
@@ -29,6 +27,7 @@ __all__ = [
     "normalized",
     "binomial_rows",
     "bernoulli",
+    "decimal_context",
     "log_rational",
     "format_rational",
 ]
@@ -108,19 +107,24 @@ def bernoulli(count: int) -> tuple[int, list[int]]:
     return d, scaled
 
 
-def log_rational(q: Fraction, precision: int = 128) -> mpmath.mpf:
-    """Natural log of a positive rational, accurate to `precision` bits.
+def decimal_context(precision: int) -> Context:
+    """The decimal context of `precision` + GUARD_BITS bits, plus 2 digits."""
+    from decimal import Context
 
-    Computed as log(numerator) - log(denominator) on the exact integers,
-    so arbitrarily large terms (hundreds of digits) lose no accuracy.
-    `mpmath` is imported here, so the exact counting path never loads it.
-    """
-    import mpmath
+    return Context(prec=ceil((precision + GUARD_BITS) * log10(2)) + 2)
+
+
+def log_rational(q: Fraction, precision: int = 128) -> Decimal:
+    """Natural log of a positive rational to `precision` bits, computed as
+    log(numerator) - log(denominator) of the exact integers in
+    :func:`decimal_context`: huge terms lose no accuracy, log(1/q) is exactly
+    -log(q), and arithmetic on the result outside that context rounds to 28 digits."""
+    from decimal import Decimal, localcontext
 
     if q <= 0:
         raise ValueError("log_rational requires q > 0")
-    with mpmath.workprec(precision + GUARD_BITS):
-        return mpmath.log(mpmath.mpf(q.numerator)) - mpmath.log(mpmath.mpf(q.denominator))
+    with localcontext(decimal_context(precision)):
+        return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
 
 
 def format_rational(q: Fraction | int) -> str:

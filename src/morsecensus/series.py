@@ -26,7 +26,6 @@ The census connects to series two ways:
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -152,6 +151,8 @@ def pde_residual(series: Series2) -> Series2:
     so the residual takes one integer flux, one truncated product (N^2)
     and one fraction per nonzero coefficient.
     """
+    from fractions import Fraction
+
     bound = series.v_bound - 1
     d = lcm(*(c.denominator for c in series.coeffs.values()))
     n = {key: c.numerator * (d // c.denominator) for key, c in series.coeffs.items()}

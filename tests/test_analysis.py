@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -13,8 +14,8 @@ from morsecensus.analysis import (
     series_argument,
     series_value,
 )
-from morsecensus.exactmath import GUARD_BITS, factorial
-from morsecensus.inversion import check_conjecture, check_upper_bound
+from morsecensus.exactmath import GUARD_BITS, decimal_context, factorial
+from morsecensus.inversion import check_conjecture, check_upper_bound, morse_counts
 from morsecensus.recurrence import TableRangeError
 
 
@@ -27,8 +28,9 @@ class TestAsymptoticRow:
         row = asymptotic_row(small_counts, 7)
         assert row.n == 7
         assert row.h == Fraction(small_counts[7], factorial(15))
-        with mpmath.workprec(256):
-            assert abs(row.delta_over_n - row.delta / 7) < mpmath.mpf(2) ** -120
+        # the row's own context divides delta by 7 to the same digits
+        with localcontext(decimal_context(128)):
+            assert row.delta_over_n == row.delta / 7
 
     def test_needs_positive_index(self, small_counts):
         with pytest.raises(TableRangeError):
@@ -68,7 +70,7 @@ class TestGrowthRatio:
         ratio = growth_ratio(n, small_counts)
         with mpmath.workprec(128 + GUARD_BITS):
             log_h = (
-                row.delta
+                mpmath.mpf(str(row.delta))
                 + 2 * n * (1 + mpmath.log(mpmath.mpf(n) / (2 * n + 1)))
                 - mpmath.mpf(3) / 2 * mpmath.log(2 * n + 1)
                 + 1
@@ -77,7 +79,7 @@ class TestGrowthRatio:
             reassembled = (log_h + mpmath.log(mpmath.mpf(factorial(2 * n + 1)))) / (
                 n * mpmath.log(n)
             )
-            assert abs(ratio - reassembled) < mpmath.mpf(2) ** -100
+            assert abs(mpmath.mpf(str(ratio)) - reassembled) < mpmath.mpf(2) ** -100
 
     def test_needs_n_at_least_two(self, small_counts):
         with pytest.raises(TableRangeError):
@@ -126,8 +128,8 @@ class TestResidualFit:
     def synthetic_rows(model, ns):
         rows = []
         for n in ns:
-            delta = mpmath.mpf(model(n))
-            rows.append(AsymptoticRow(n, Fraction(1), mpmath.mpf(0), delta, delta / n))
+            delta = Decimal(model(n))
+            rows.append(AsymptoticRow(n, Fraction(1), Decimal(0), delta, delta / n))
         return rows
 
     def test_recovers_exact_linear_model(self):
@@ -179,4 +181,48 @@ class TestResidualFitOnComputedRows:
 
 class TestRowOutput:
     def test_nine_significant_digits(self):
-        assert format_real(mpmath.mpf(1) / 3) == "0.333333333"
+        assert format_real(Decimal(1) / 3) == "0.333333333"
+        assert format_real(Decimal(-2) / 3) == "-0.666666667"
+
+    @pytest.mark.parametrize("text", [
+        "0", "-3", "-3.52230710", "0.000123456789", "-0.0000123456789", "1.5e-7",
+        "123456789.4", "999999999.7", "-9.9999999996", "12345.678949", "2.5e10",
+    ])
+    def test_layout_of_mpmath_nstr(self, text):
+        # fixed notation for exponents -4..8, trailing zeros stripped to one
+        assert format_real(Decimal(text)) == mpmath.nstr(mpmath.mpf(text), 9)
+
+
+class TestAgainstMpmath:
+    """mpmath, computing the rows on its own, as the independent reference."""
+
+    @staticmethod
+    def reference_row(counts, n):
+        # at the caller's working precision
+        log_h = mpmath.log(counts[n]) - mpmath.log(factorial(2 * n + 1))
+        delta = (log_h - 2 * n * (1 + mpmath.log(mpmath.mpf(n) / (2 * n + 1)))
+                 + mpmath.mpf(3) / 2 * mpmath.log(2 * n + 1) - 1 + mpmath.log(2 * mpmath.pi) / 2)
+        return log_h, delta, delta / n
+
+    @pytest.mark.parametrize("precision", [64, 128, 512])
+    def test_rows_to_n_100(self, precision):
+        counts = morse_counts(100)
+        for n in range(1, 101):
+            row = asymptotic_row(counts, n, precision)
+            with mpmath.workprec(precision + GUARD_BITS):
+                expected = self.reference_row(counts, n)
+                for value, reference in zip(row[2:], expected):
+                    assert format_real(value) == mpmath.nstr(reference, 9), (n, precision)
+                    error = abs(mpmath.mpf(str(value)) / reference - 1)
+                    assert error <= mpmath.mpf(2) ** (8 - precision), (n, precision)
+
+    def test_fit_matches_householder_qr(self):
+        counts = morse_counts(100)
+        ns = (10, 20, 30, 40, 50, 100)
+        rows = [asymptotic_row(counts, n) for n in ns]
+        with mpmath.workprec(53):
+            design = mpmath.matrix([[n, math.log(n), 1.0] for n in ns])
+            target = mpmath.matrix([float(row.delta) for row in rows])
+            expected = mpmath.qr_solve(design, target)[0]
+        for value, reference in zip(fit_residual_model(rows), expected):
+            assert abs(value - float(reference)) <= 1e-15 * max(1.0, abs(float(reference)))

@@ -403,19 +403,20 @@ class TestDependencies:
 
     @pytest.mark.parametrize("argv, loads, never", [
         (("census", "--max-n", "5"), {"morsecensus.inversion"}, _COUNTING),
-        (("verify", "bounds", "--max-n", "20"), {"morsecensus.series"}, _COUNTING),
+        (("verify", "bounds", "--max-n", "20"), {"morsecensus.series"},
+         _COUNTING | {"fractions", "decimal"}),
         (("verify", "conjecture", "--max-n", "20"), {"morsecensus.inversion"},
          _COUNTING | {"fractions", "decimal"}),
         (("verify", "elliptic"), {"morsecensus.analysis"}, {"mpmath"}),
-        (("table", "--points", "4,6,8,10"), {"mpmath"},
-         {"morsecensus.trees", "morsecensus.recurrence"}),
+        (("table", "--points", "4,6,8,10"), {"decimal"},
+         {"mpmath", "morsecensus.trees", "morsecensus.recurrence"}),
         (("oracle", "3"), {"morsecensus.recurrence", "morsecensus.trees"},
          {"mpmath", "morsecensus.analysis", "dataclasses", "hashlib", "fcntl"}),
         (("verify", "pde"), {"morsecensus.recurrence", "morsecensus.series"},
          {"mpmath", "morsecensus.analysis", "hashlib", "fcntl"}),
         (("verify", "tan", "--max-k", "20"), {"morsecensus.series"},
          {"morsecensus.recurrence", "morsecensus.inversion", "morsecensus.trees",
-          "morsecensus.analysis", "mpmath", "json"}),
+          "morsecensus.analysis", "mpmath", "json", "fractions", "decimal"}),
         (("census", "--max-n", "5", "--format", "json"), {"json"}, set()),
         (("table", "--points", "4,6,8,10", "--format", "json"), {"json"}, set()),
         (("table", "--points", "4,6,8,10"), {"morsecensus.analysis"}, {"json"}),
@@ -431,6 +432,19 @@ class TestDependencies:
     def test_float_commands_load_neither_numpy_nor_scipy(self):
         for argv in (("table", "--points", "4,6,8,10"), ("verify", "elliptic")):
             assert not {"numpy", "scipy"} & command_modules(*argv), argv
+
+    def test_package_imports_only_the_standard_library(self):
+        # a third-party import in any module, even inside a function, fails here
+        for path in sorted(Path(SRC, "morsecensus").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
 
     def test_counting_path_loads_no_mpmath(self, tmp_path):
         assert "mpmath" not in modules_loaded_by("import morsecensus.recurrence")
