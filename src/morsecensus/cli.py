@@ -201,17 +201,12 @@ def _verify_elliptic() -> int:
 def _cmd_oracle(args) -> int:
     from . import recurrence, trees
 
-    budget = 4 if args.extended else 3
-    if args.n < 0:
-        print(f"oracle index must be >= 0; got n={args.n}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.n > budget:
-        print(f"oracle budget is n <= {budget}"
-              f"{'' if args.extended else ' (use --extended for n=4)'}; got n={args.n}",
-              file=sys.stderr)
+    try:
+        enumerated = trees.enumerate_morse_trees(args.n)
+    except ValueError as exc:  # a negative index, or one past the enumeration budget
+        print(f"oracle: {exc}", file=sys.stderr)
         return EXIT_USAGE
     table = recurrence.extend_table(None, 2 * args.n)
-    enumerated = trees.enumerate_morse_trees(args.n)
     recurrence_count = table.morse_count(args.n)
     pairs = [trees.encode(t) for t in enumerated]
     injective = len(set(pairs)) == len(enumerated)
@@ -318,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force enumeration vs the recurrence")
     p.add_argument("n", type=int)
-    p.add_argument("--extended", action="store_true", help="allow the n=4 budget")
     _add_cache_flag(p)
     p.set_defaults(func=_cmd_oracle)
 

@@ -37,22 +37,26 @@ reading the parenthesis text) runs on an explicit stack or queue or a
 scan of the text, so no depth limit applies: a comb of any index
 round-trips.
 
-Brute-force enumeration of Morse trees runs over degree-constrained
-Pruefer sequences: a vertex of degree d appears d-1 times, so the valid
-strings are exactly those in which some n labels appear twice each.
-Those n labels are the nodes, and as 0 has no lower neighbor and 2n+1 no
-higher one, they come from 1..2n: C(2n, n) (2n)!/2^n candidates, 1,800
-at n = 3 and 176,400 at n = 4.  Two facts of Pruefer decoding prune them
-before any is decoded: 0 is the first leaf removed, so its one neighbor
-is seq[0], and 2n+1 is never removed, so its one neighbor is seq[-1].  A
-node 1 needs 0 as its lower neighbor, so it starts the string, and a
-node 2n needs 2n+1 as its higher one, so it ends it.  That leaves 768
-strings to decode at n = 3 and 65,700 at n = 4.
+Brute-force enumeration of Morse trees sweeps the labels upward, the way
+a height function passes its critical values, and keeps for every placed
+vertex its open slots (the higher neighbors it still lacks) and its
+component.  Label t is a minimum, which opens a disc and lacks 1; a
+maximum on one lower neighbor, which caps a circle and lacks 0; a
+splitting saddle on one lower neighbor, which lacks 2; or a joining
+saddle on two lower neighbors in different components, which lacks 1.
+The top label 2n+1 fills the last open slot of the one component left.
+Every leaf of the search is a Morse tree: a join links two components,
+so no edge closes a cycle, and each type ends with one neighbor, or
+three with a lower and a higher one.  The sweep is complete and builds
+each tree once: read any Morse tree's labels upward, and each label's
+type and lower neighbors are fixed by the tree, so the tree is exactly
+one leaf of the search.  Two prunes cut dead branches without losing a
+leaf: every label changes the open slots by one, so a branch stops when
+they outnumber the labels left; and a component with no open slot can
+never be joined, so a branch stops when one closes below the top label.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import namedtuple
 from functools import lru_cache
 
@@ -153,64 +157,46 @@ def is_morse_tree(tree: MorseTree) -> bool:
     return _morse_adjacency(tree.n, tree.edges) is not None
 
 
-def _prufer_to_edges(seq: list[int], m: int) -> list[tuple[int, int]]:
-    """Decode a Pruefer sequence over labels 0..m-1 (length m-2) to normalized edges."""
-    degree = [1] * m
-    for v in seq:
-        degree[v] += 1
-    leaves = [v for v in range(m) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v) if leaf < v else (v, leaf))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    a, b = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((a, b))
-    return edges
-
-
 def enumerate_morse_trees(n: int) -> set[MorseTree]:
-    """All Morse trees of index n, by exhaustive Pruefer enumeration.
+    """All Morse trees of index n, by a sweep over the labels 0..2n+1.
 
-    The candidates are the strings in which n labels from 1..2n appear
-    twice each, C(2n, n) (2n)!/2^n of them (176,400 at n = 4).  A string
-    with the node 1 that does not start with 1, or with the node 2n that
-    does not end with 2n, is skipped undecoded (see the module docstring),
-    which leaves 768 at n = 3 and 65,700 at n = 4.  A decoded string whose
-    doubled labels lack a lower or a higher neighbor is dropped; every
-    tree kept is validated in full.
+    Each tree is built once, from its labels read upward (see the module
+    docstring): 19 at n = 2, 428 at n = 3 and 17,746 at n = 4.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ValueError(f"n must be >= 0; got n={n}")
     if n > MORSE_ENUM_BUDGET:
         raise ValueError(
             f"enumeration budget is n <= {MORSE_ENUM_BUDGET} "
-            f"(the space grows like binom(2n,n)*(2n)!/2^n); got n={n}"
+            f"(the sweep builds every tree: 17,746 at n = 4, 1,178,792 at n = 5); got n={n}"
         )
-    m = 2 * n + 2
-    # the arrangements of n symbols twice each, shared by every choice of nodes
-    patterns = sorted(set(itertools.permutations(2 * list(range(n)))))
-    # 0 is the first leaf removed, so its one neighbor is seq[0], and m-1 is
-    # never removed, so its one neighbor is seq[-1]: a node 1 (symbol 0) needs
-    # 0 as its lower neighbor and starts the string, and a node m-2 (symbol
-    # n-1) needs m-1 as its higher neighbor and ends it
-    fitting = {(low, high): [p for p in patterns
-                             if (not low or p[:1] == (0,)) and (not high or p[-1:] == (n - 1,))]
-               for low in (False, True) for high in (False, True)}
+    top = 2 * n + 1
     found: set[MorseTree] = set()
-    for nodes in itertools.combinations(range(1, m - 1), n):
-        for pattern in fitting[1 in nodes, m - 2 in nodes]:
-            edges = _prufer_to_edges([nodes[i] for i in pattern], m)
-            lower_ends, upper_ends = zip(*edges)
-            # every node must be an edge's upper end (a lower neighbor) and a lower end
-            if not (set(upper_ends).issuperset(nodes) and set(lower_ends).issuperset(nodes)):
-                continue
-            tree = MorseTree.from_edges(n, edges)
-            if is_morse_tree(tree):
-                found.add(tree)
+
+    def sweep(t: int, slots: tuple, comp: tuple, edges: tuple) -> None:
+        # slots[v]: the higher neighbors vertex v < t still lacks; comp[v]: its component
+        if sum(slots) > top + 1 - t:  # prune: more open slots than labels left
+            return
+        if t == top:  # a maximum on the one open slot of the one component left
+            if sum(slots) == 1 and len(set(comp)) == 1:
+                found.add(MorseTree(n, tuple(sorted(edges + ((slots.index(1), top),)))))
+            return
+        sweep(t + 1, slots + (1,), comp + (t,), edges)  # a minimum
+        live = [v for v in range(t) if slots[v]]
+        for i, v in enumerate(live):
+            less = slots[:v] + (slots[v] - 1,) + slots[v + 1:]
+            below = edges + ((v, t),)
+            # a maximum; prune: it may not close its component below the top
+            if any(less[w] for w in live if comp[w] == comp[v]):
+                sweep(t + 1, less + (0,), comp + (comp[v],), below)
+            sweep(t + 1, less + (2,), comp + (comp[v],), below)  # a splitting saddle
+            for w in live[i + 1:]:
+                if comp[w] != comp[v]:  # a joining saddle
+                    merged = tuple(comp[v] if c == comp[w] else c for c in comp)
+                    both = less[:w] + (less[w] - 1,) + less[w + 1:]
+                    sweep(t + 1, both + (1,), merged + (comp[v],), below + ((w, t),))
+
+    sweep(0, (), (), ())
     return found
 
 

@@ -466,14 +466,21 @@ class TestOracle:
         assert "oracle=19 recurrence=19" in out
 
     def test_budget_refusal_states_budget(self, capsys):
-        code, _, err = run(capsys, "oracle", "4")
-        assert code == 2
-        assert "n <= 3" in err and "--extended" in err
+        # the trees layer's budget is the command's: its message, nothing on stdout
+        code, out, err = run(capsys, "oracle", "5")
+        assert code == 2 and out == ""
+        assert "budget is n <= 4" in err
 
-    def test_extended_budget_refusal(self, capsys):
-        code, _, err = run(capsys, "oracle", "7", "--extended")
-        assert code == 2
-        assert "n <= 4" in err
+    def test_negative_index_refused(self, capsys):
+        code, out, err = run(capsys, "oracle", "-1")
+        assert code == 2 and out == ""
+        assert "n must be >= 0" in err
+
+    def test_extended_is_an_unknown_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["oracle", "4", "--extended"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --extended" in capsys.readouterr().err
 
 
 class TestCodecs:

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from morsecensus import trees
 from morsecensus.exactmath import catalan
 from morsecensus.inversion import morse_counts
 from morsecensus.recurrence import extend_table
+from morsecensus.series import ode_comparison_series
 from morsecensus.trees import (
     EncodedPair,
     MorseTree,
@@ -327,20 +329,29 @@ class TestEnumeration:
         for n in range(4):
             assert enumerate_morse_trees(n) == reference_enumerate_morse_trees(n)
 
+    def test_index_four_trees_are_valid(self):
+        # the sweep builds its trees without validating them
+        found = enumerate_morse_trees(4)
+        assert all(type(tree) is MorseTree and is_morse_tree(tree) for tree in found)
+
+    def test_one_minimum_family_is_the_tangent_numbers(self):
+        # 2^n times the trees with one minimum is the tangent number a_n of the
+        # lower bound that `verify bounds` checks, and k and n+2-k minima are
+        # equally many (at n = 4: 496, 4288, 8178, 4288, 496)
+        tangent = ode_comparison_series(4)
+        for n in range(5):
+            minima = [0] * (n + 2)
+            for tree in enumerate_morse_trees(n):
+                degree = Counter(v for edge in tree.edges for v in edge)
+                # a minimum is a leaf whose one neighbor is higher: the low end of its edge
+                minima[sum(1 for low, _ in tree.edges if degree[low] == 1)] += 1
+            assert minima[0] == 0
+            assert 2 ** n * minima[1] == tangent[n]
+            assert minima[1:] == minima[:0:-1]
+
     def test_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):
             enumerate_morse_trees(5)
-
-    def test_pruefer_ends_fix_the_neighbors_of_0_and_top(self):
-        # the facts behind the prune: in every candidate string, 0 meets only
-        # seq[0] and 2n+1 only seq[-1]
-        for n in range(1, 4):
-            m = 2 * n + 2
-            for nodes in itertools.combinations(range(1, m - 1), n):
-                for seq in reference_multiset_permutations(tuple(sorted(nodes + nodes))):
-                    edges = trees._prufer_to_edges(list(seq), m)
-                    assert [e for e in edges if 0 in e] == [(0, seq[0])]
-                    assert [e for e in edges if m - 1 in e] == [(seq[-1], m - 1)]
 
     def test_structural_consequences(self):
         for n in range(3):
