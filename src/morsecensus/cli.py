@@ -20,6 +20,10 @@ Only `argparse` and `sys` load with this module, and `json` only for
 `census --format json` and `table --format json`.  Both commands print
 their CSV and JSON records through one writer, :func:`_print_records`.
 
+Each `verify` suite is a subcommand that declares only its own bound,
+which argparse checks (:func:`_at_least`); every handler takes `args`.
+The inert `--cache` is declared once, on a parent parser.
+
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 I/O error.
 """
@@ -103,24 +107,12 @@ def _cmd_table(args) -> int:
 # verifiers
 
 
-def _cmd_verify(args) -> int:
-    if args.which == "tan":
-        return _verify_tan(args.max_k)
-    if args.which == "pde":
-        return _verify_pde(args.order)
-    if args.which == "bounds":
-        return _verify_bounds(args.max_n)
-    if args.which == "conjecture":
-        return _verify_conjecture(args.max_n)
-    return _verify_elliptic()
-
-
-def _verify_tan(max_k: int) -> int:
+def _verify_tan(args) -> int:
     from . import series
     from .exactmath import factorial, format_rational
 
-    via_bernoulli = series.scaled_tangent_series(max_k)
-    via_ode = series.ode_comparison_series(max_k)
+    via_bernoulli = series.scaled_tangent_series(args.max_k)
+    via_ode = series.ode_comparison_series(args.max_k)
     for k, (a, b) in enumerate(zip(via_bernoulli, via_ode)):
         if a != b:
             from fractions import Fraction
@@ -130,31 +122,31 @@ def _verify_tan(max_k: int) -> int:
                   f"bernoulli={format_rational(Fraction(a, scale))} "
                   f"ode={format_rational(Fraction(b, scale))}")
             return EXIT_VERIFY_FAIL
-    print(f"ok tangent series via bernoulli == ode solution for k <= {max_k}")
+    print(f"ok tangent series via bernoulli == ode solution for k <= {args.max_k}")
     return EXIT_OK
 
 
-def _verify_pde(order: int) -> int:
+def _verify_pde(args) -> int:
     from . import recurrence, series
     from .exactmath import format_rational
 
-    table = recurrence.extend_table(None, order - 1)
-    residual = series.pde_residual(series.bivariate_generating_series(table, order))
+    table = recurrence.extend_table(None, args.order - 1)
+    residual = series.pde_residual(series.bivariate_generating_series(table, args.order))
     if residual.coeffs:
         (a, b), c = min(residual.coeffs.items())
         print(f"FAIL pde residual nonzero, first coefficient: {a} {b}: {format_rational(c)}")
         return EXIT_VERIFY_FAIL
-    print(f"ok pde residual identically zero at truncation {order} "
-          f"(retained second exponents <= {order - 1})")
+    print(f"ok pde residual identically zero at truncation {args.order} "
+          f"(retained second exponents <= {args.order - 1})")
     return EXIT_OK
 
 
-def _verify_bounds(max_n: int) -> int:
+def _verify_bounds(args) -> int:
     from . import inversion, series
     from .exactmath import format_rational, normalized
 
-    tangent = series.scaled_tangent_series(max_n)
-    for n, g in enumerate(inversion.morse_counts(max_n)):
+    tangent = series.scaled_tangent_series(args.max_n)
+    for n, g in enumerate(inversion.morse_counts(args.max_n)):
         if g << n < tangent[n]:  # h(n) >= u_n, times 2^n (2n+1)!
             print(f"FAIL lower bound at n={n}: h={format_rational(normalized(n, g))}")
             return EXIT_VERIFY_FAIL
@@ -164,23 +156,23 @@ def _verify_bounds(max_n: int) -> int:
         if n >= 1 and not inversion.check_conjecture(n, g):
             print(f"FAIL conjecture g < (2n+1)! at n={n}")
             return EXIT_VERIFY_FAIL
-    print(f"ok sandwich + sharper upper estimate + conjecture hold for n <= {max_n}")
+    print(f"ok sandwich + sharper upper estimate + conjecture hold for n <= {args.max_n}")
     return EXIT_OK
 
 
-def _verify_conjecture(max_n: int) -> int:
+def _verify_conjecture(args) -> int:
     from . import inversion
     from .exactmath import format_rational, normalized
 
-    for n, g in enumerate(inversion.morse_counts(max_n)):
+    for n, g in enumerate(inversion.morse_counts(args.max_n)):
         if n >= 1 and not inversion.check_conjecture(n, g):
             print(f"FAIL g < (2n+1)! at n={n}: h={format_rational(normalized(n, g))}")
             return EXIT_VERIFY_FAIL
-    print(f"ok g(n) < (2n+1)! for 1 <= n <= {max_n}")
+    print(f"ok g(n) < (2n+1)! for 1 <= n <= {args.max_n}")
     return EXIT_OK
 
 
-def _verify_elliptic() -> int:
+def _verify_elliptic(args) -> int:
     from . import analysis, inversion
 
     counts = inversion.morse_counts(50)
@@ -260,11 +252,6 @@ def _cmd_decode(args) -> int:
 # parser
 
 
-def _add_cache_flag(p: argparse.ArgumentParser) -> None:
-    # inert: goes once the benchmark's command lines stop passing --cache <file>
-    p.add_argument("--cache", help=argparse.SUPPRESS)
-
-
 def _points_list(text: str) -> list[int]:
     try:
         points = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -275,11 +262,14 @@ def _points_list(text: str) -> list[int]:
     return points
 
 
-def _precision_bits(text: str) -> int:
-    bits = int(text)
-    if bits < 64:
-        raise argparse.ArgumentTypeError("precision must be at least 64 bits")
-    return bits
+def _at_least(low: int):
+    """The argparse type of an integer bound >= `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,32 +278,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact census of Morse classes on the sphere, with verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # inert: goes once the benchmark's command lines stop passing --cache <file>
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", help=argparse.SUPPRESS)
 
-    p = sub.add_parser("census", help="count classes: n, h(n), g(n) rows")
-    p.add_argument("--max-n", type=int, required=True, metavar="N")
+    p = sub.add_parser("census", parents=[cache], help="count classes: n, h(n), g(n) rows")
+    p.add_argument("--max-n", type=_at_least(0), required=True, metavar="N")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    _add_cache_flag(p)
     p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("table", help="asymptotic residual table (delta rows)")
+    p = sub.add_parser("table", parents=[cache], help="asymptotic residual table (delta rows)")
     p.add_argument("--points", type=_points_list, default=list(REFERENCE_TABLE_POINTS),
                    help="comma-separated indices (default: the 8 reference rows)")
-    p.add_argument("--precision", type=_precision_bits, default=128, metavar="BITS")
+    p.add_argument("--precision", type=_at_least(64), default=128, metavar="BITS")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    _add_cache_flag(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="run one of the identity/bound suites")
-    p.add_argument("which", choices=("bounds", "pde", "tan", "elliptic", "conjecture"))
-    p.add_argument("--max-n", type=int, default=50, help="bounds/conjecture range")
-    p.add_argument("--max-k", type=int, default=50, help="tan series order")
-    p.add_argument("--order", type=int, default=25, help="pde truncation bound")
-    _add_cache_flag(p)
-    p.set_defaults(func=_cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    for name, func, summary in (("bounds", _verify_bounds, "tangent and Catalan bounds"),
+                                ("conjecture", _verify_conjecture, "g(n) < (2n+1)!")):
+        p = suites.add_parser(name, parents=[cache], help=summary)
+        p.add_argument("--max-n", type=_at_least(0), default=50, metavar="N")
+        p.set_defaults(func=func)
+    p = suites.add_parser("tan", parents=[cache], help="tangent series, two routes")
+    p.add_argument("--max-k", type=_at_least(0), default=50, metavar="K")
+    p.set_defaults(func=_verify_tan)
+    p = suites.add_parser("pde", parents=[cache], help="generating-function PDE residual")
+    p.add_argument("--order", type=_at_least(1), default=25, metavar="V")
+    p.set_defaults(func=_verify_pde)
+    p = suites.add_parser("elliptic", parents=[cache], help="elliptic inversion round trip")
+    p.set_defaults(func=_verify_elliptic)
 
-    p = sub.add_parser("oracle", help="brute-force enumeration vs the recurrence")
+    p = sub.add_parser("oracle", parents=[cache],
+                       help="brute-force enumeration vs the recurrence")
     p.add_argument("n", type=int)
-    _add_cache_flag(p)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("encode", help="Morse tree (edge list) -> shape + permutation")
@@ -328,14 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "max_n", None) is not None and args.max_n < 0:
-        parser.error("--max-n must be >= 0")
-    if getattr(args, "max_k", 0) < 0:
-        parser.error("--max-k must be >= 0")
-    if getattr(args, "order", 1) < 1:
-        parser.error("--order must be >= 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

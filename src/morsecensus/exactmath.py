@@ -46,12 +46,10 @@ class ConsistencyError(RuntimeError):
 
 
 def catalan(n: int) -> int:
-    """The n-th Catalan number binom(2n, n) / (n + 1), exactly."""
+    """The n-th Catalan number binom(2n, n) / (n + 1) = binom(2n, n) - binom(2n, n + 1)."""
     if n < 0:
         raise ValueError("catalan requires n >= 0")
-    q, r = divmod(comb(2 * n, n), n + 1)
-    assert r == 0
-    return q
+    return comb(2 * n, n) - comb(2 * n, n + 1)
 
 
 def normalized(n: int, g: int) -> Fraction:

@@ -25,12 +25,13 @@ S'(x,y) = 2^(x+y) (x+2y+1)! T(x,y), one list per weight level, and derives
 T when it is read.  Multiplying the recurrences by 2^(x+y) (x+2y)! turns
 both into one formula with integer coefficients and no division:
 
-    S'(x,0) = (x+1)!
     S'(x,y) = (x+1) [ S'(x+1,y-1) + S'(x-1,y)
                       + sum_{a,b} binom(x+2y, a+2b+1) S'(a,b) S'(x-a,y-1-b) ]
 
-with S'(-1,y) = 0, which is the x = 0 case.  By induction on the weight,
-every S' is an integer: the base row is, and each later entry is an
+with S' = 0 at any negative index, which gives the x = 0 case.  At y = 0
+the formula reads S'(x,0) = (x+1) S'(x-1,0), so the base row
+S'(x,0) = (x+1)! follows from the seed S'(0,0) = 1.  By induction on the
+weight, every S' is an integer: the seed is, and each later entry is an
 integer combination of entries of smaller weight.  g(n) = S'(0,n) / 2^n is
 not covered by that argument, so :meth:`CensusTable.morse_count` checks it.
 
@@ -181,11 +182,9 @@ def _fill(levels: list[list[int]], weight_bound: int) -> None:
     for w in range(len(levels), weight_bound + 1):
         n = w // 2
         conv = [0, *_interpolate(_sums(levels, values, w, list(range(n))))]
-        below = levels[w - 1] + [0]  # S'(-1, y) = 0
-        level = [factorial(w + 1)]
-        for y in range(1, n + 1):
-            level.append((w - 2 * y + 1) * (below[y - 1] + below[y] + conv[y]))
-        levels.append(level)
+        below = [0, *levels[w - 1], 0]  # S'(x+1, -1) = S'(-1, y) = 0
+        levels.append([(w - 2 * y + 1) * (below[y] + below[y + 1] + conv[y])
+                       for y in range(n + 1)])
 
 
 def _fill_fractions(entries: dict[tuple[int, int], Fraction], w_start: int, w_stop: int) -> None:

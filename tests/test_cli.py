@@ -351,17 +351,46 @@ class TestVerify:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("argv, message", [
-        (("tan", "--max-k", "-2"), "--max-k must be >= 0"),
-        (("pde", "--order", "-3"), "--order must be >= 1"),
-        (("pde", "--order", "0"), "--order must be >= 1"),
-    ], ids=["max-k-negative", "order-negative", "order-zero"])
+        (("verify", "tan", "--max-k", "-2"), "argument --max-k: must be >= 0"),
+        (("verify", "pde", "--order", "-3"), "argument --order: must be >= 1"),
+        (("verify", "pde", "--order", "0"), "argument --order: must be >= 1"),
+        (("census", "--max-n", "-1"), "argument --max-n: must be >= 0"),
+        (("verify", "bounds", "--max-n", "-1"), "argument --max-n: must be >= 0"),
+        (("verify", "conjecture", "--max-n", "-1"), "argument --max-n: must be >= 0"),
+    ], ids=["max-k-negative", "order-negative", "order-zero", "census-max-n-negative",
+            "bounds-max-n-negative", "conjecture-max-n-negative"])
     def test_out_of_range_bound_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            cli.main(list(argv))
+        assert err.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert message in out.err
+
+    @pytest.mark.parametrize("argv", [
+        ("pde", "--max-n", "80"),
+        ("tan", "--max-n", "200"),
+        ("tan", "--order", "3"),
+        ("elliptic", "--max-n", "5"),
+        ("bounds", "--order", "3"),
+    ], ids=["pde-max-n", "tan-max-n", "tan-order", "elliptic-max-n", "bounds-order"])
+    def test_bound_of_another_suite_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
             cli.main(["verify", *argv])
         assert err.value.code == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert message in out.err
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in out.err
+
+    @pytest.mark.parametrize("suite, line", [
+        ("pde", "ok pde residual identically zero at truncation 25 "
+                "(retained second exponents <= 24)"),
+        ("tan", "ok tangent series via bernoulli == ode solution for k <= 50"),
+        ("bounds", "ok sandwich + sharper upper estimate + conjecture hold for n <= 50"),
+        ("conjecture", "ok g(n) < (2n+1)! for 1 <= n <= 50"),
+    ], ids=["pde", "tan", "bounds", "conjecture"])
+    def test_default_bound(self, capsys, suite, line):
+        assert run(capsys, "verify", suite) == (0, line + "\n", "")
 
 
 _MODULES_MARKER = "-- sys.modules --"
