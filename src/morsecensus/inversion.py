@@ -19,18 +19,18 @@ F's ODE.  theta'(y) = F(y^2) with F(x) = sum_k f_k x^k, f_k = (2k+1) c_k, so
 
     (2k+1)(2k+3) f_{k+1} = -(3/8)(3k+2)(3k+4) f_k.
 
-Multiply by 8(k+1).  With D = x d/dx, which multiplies f_k x^k by k, the
-left side is the coefficient of x^(k+1) in 8 D(2D-1)(2D+1) F, and the
-right side that of -3x (D+1)(3D+2)(3D+4) F; the left operator also kills
-the constant term.  Expanding both, with E_j = D^j F:
+Multiply by 8 (8(k+1) would give the ODE below with D applied, of order 3).
+With D = x d/dx, which multiplies f_k x^k by k, the sides are the
+coefficients of x^(k+1) in 8 (2D-1)(2D+1) F and -3x (3D+2)(3D+4) F, and
+at x^0 the left operator leaves -8 f_0 = -8.  With E_j = D^j F:
 
-    32 E_3 - 8 E_1 = -3x (9 E_3 + 27 E_2 + 26 E_1 + 8 E_0).
+    32 E_2 - 8 E_0 + x (27 E_2 + 54 E_1 + 24 E_0) = -8.
 
 The scheme.  Put x = y(theta)^2 and read E_j at it, as series in theta.
 The inverse function and the chain rule (d/dtheta G(y^2) = 2 y y' G'(y^2),
 and x G'(x) = DG) give
 
-    y' E_0 = 1,    y E_j' = 2 y' E_{j+1}   (j = 0, 1, 2),
+    y' E_0 = 1,    y E_j' = 2 y' E_{j+1}   (j = 0, 1),
 
 and the ODE above closes the system.  On integers: Y_m = m! [theta^m] y,
 so Y_(2n+1) = g(n), and A_(j,m), X_m likewise for E_j and x.  A product of
@@ -42,14 +42,14 @@ A_(j,0) = 0 for j >= 1:
 
     X_m     = sum_i C(m,i) Y_i Y_(m-i)                          (x = y^2)
     r_j     = sum_{0<i<m} Y_(m+1-i) (2 C(m,i) A_(j+1,i) - C(m,i-1) A_(j,i))
-    r_3     = -sum_{0<i<=m} C(m,i) X_i B_(m-i),   B = 27 A_3 + 81 A_2 + 78 A_1 + 24 A_0
+    r_2     = -sum_{0<i<=m} C(m,i) X_i G_(m-i),   G = 27 A_2 + 54 A_1 + 24 A_0
 
-so that m A_(j,m) - 2 A_(j+1,m) = r_j for j = 0, 1, 2 and
-32 A_(3,m) - 8 A_(1,m) = r_3.  Eliminating A_2 and A_3:
+so that m A_(j,m) - 2 A_(j+1,m) = r_j for j = 0, 1, and
+32 A_(2,m) - 8 A_(0,m) = r_2 for m > 0 (at m = 0 the initial values
+satisfy the ODE's -8).  Eliminating A_1 and A_2:
 
-    A_(1,m) = (r_3 + 8m r_1 + 16 r_2) / (8(m^2 - 1))
-    A_(0,m) = (r_0 + 2 A_(1,m)) / m
-    A_(2,m) = (m A_(1,m) - r_1) / 2,    A_(3,m) = (m A_(2,m) - r_2) / 2
+    A_(0,m) = (r_2 + 8m r_0 + 16 r_1) / (8(m^2 - 1))
+    A_(1,m) = (m A_(0,m) - r_0) / 2,    A_(2,m) = (m A_(1,m) - r_1) / 2
 
 and then, from y' E_0 = 1 and with no division,
 
@@ -73,7 +73,7 @@ ConsistencyError.
 Cost.  The terms i and m-i of X_m are equal, as C(m, i) = C(m, m-i), so
 only half of them are summed, and the binomial row C(m, .) comes from the
 row of m-2 by two steps of Pascal's rule.  Step m = 2k then sums about
-5.5k products of big integers, so g(0..N) takes about 2.75N^2 of them,
+4.5k products of big integers, so g(0..N) takes about 2.25N^2 of them,
 against about W^3/12 for the table of weight W = 2N.
 """
 from __future__ import annotations
@@ -96,12 +96,12 @@ def morse_counts(max_n: int) -> list[int]:
     """[g(0), ..., g(max_n)]: the number of Morse classes with 2n+2 critical points.
 
     Lists are indexed by k for the step m = 2k: g[k] = Y_(2k+1), x[k] = X_(2k),
-    a[j][k] = A_(j,2k) and b[k] = B_(2k), in the notation of the module docstring.
+    a[j][k] = A_(j,2k) and G[k] = G_(2k), in the notation of the module docstring.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    g, x, b = [1], [0], [24]
-    a = [[1], [0], [0], [0]]
+    g, x, G = [1], [0], [24]
+    a = [[1], [0], [0]]
     for k, row in zip(range(1, max_n + 1), binomial_rows(2)):
         m = 2 * k
         even, odd = row[0::2], row[1::2]  # C(m, 2i), C(m, 2i + 1)
@@ -112,17 +112,16 @@ def morse_counts(max_n: int) -> list[int]:
             x_m += odd[half] * g[half] ** 2
         x.append(x_m)
         back = g[k - 1:0:-1]  # Y_(m+1-2i) = g[k-i] for i = 1..k-1
-        r = [sum(map(mul, back, (2 * c * hi - d * lo for c, d, hi, lo
-                                 in zip(even[1:k], odd, a[j + 1][1:], a[j][1:]))))
-             for j in range(3)]
-        r.append(-sum(map(mul, map(mul, even[1:], x[1:]), reversed(b))))
-        a1 = _exact(r[3] + 8 * m * r[1] + 16 * r[2], 8 * (m * m - 1), "A_1", m)
-        a0 = _exact(r[0] + 2 * a1, m, "A_0", m)
-        a2 = _exact(m * a1 - r[1], 2, "A_2", m)
-        a3 = _exact(m * a2 - r[2], 2, "A_3", m)
-        for col, value in zip(a, (a0, a1, a2, a3)):
+        r0, r1 = (sum(map(mul, back, (2 * c * hi - d * lo for c, d, hi, lo
+                                      in zip(even[1:k], odd, a[j + 1][1:], a[j][1:]))))
+                  for j in range(2))
+        r2 = -sum(map(mul, map(mul, even[1:], x[1:]), reversed(G)))
+        a0 = _exact(r2 + 8 * m * r0 + 16 * r1, 8 * (m * m - 1), "A_0", m)
+        a1 = _exact(m * a0 - r0, 2, "A_1", m)
+        a2 = _exact(m * a1 - r1, 2, "A_2", m)
+        for col, value in zip(a, (a0, a1, a2)):
             col.append(value)
-        b.append(27 * a3 + 81 * a2 + 78 * a1 + 24 * a0)
+        G.append(27 * a2 + 54 * a1 + 24 * a0)
         g.append(-sum(map(mul, map(mul, even[:k], g), reversed(a[0][1:]))))
     return g
 

@@ -47,11 +47,6 @@ class TestCensus:
         assert len(records) == 3
         assert records[2] == {"n": 2, "h": "19/120", "g": "19"}
 
-    def test_negative_max_n_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run(capsys, "census", "--max-n", "-1")
-        assert err.value.code == 2
-
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "census", "--max-n", "3")
         _, second, _ = run(capsys, "census", "--max-n", "3")

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -63,6 +64,18 @@ class TestRoute:
         counts = morse_counts(100)
         assert counts == [census_table.morse_count(n) for n in range(101)]
 
+    @pytest.mark.parametrize("max_n, full_gate_only, digest", [
+        (200, False, "62a4ccbd7ded7dea375d929cee2df9496a00958fabc7ddcacd5fc2c7daea3287"),
+        (400, True, "bd0858caaaebfb39aaffd13164c14817e82275f28e1880b21171fe948e64acf4"),
+    ])
+    def test_counts_past_the_table_are_pinned(self, acceptance_max_n, max_n, full_gate_only,
+                                              digest):
+        # sha256 of g(0..max_n), one decimal per line, taken from the third-order scheme
+        if full_gate_only and acceptance_max_n < 200:
+            pytest.skip("g(0..400) is pinned at the full gate only")
+        text = "".join(f"{g}\n" for g in morse_counts(max_n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("m, i", [(4, 1), (8, 2)])
     def test_perturbed_step_raises(self, monkeypatch, m, i):
         # one binomial coefficient of step m off by one
@@ -107,9 +120,20 @@ class TestIntegralityProof:
         assert len(e[3]) == 61
         assert all(c.denominator == 1 for series in e[1:] for c in series)
         x = hurwitz_product(y, y)
+        # the second-order ODE 32 E_2 - 8 E_0 + x G = -8 that the scheme integrates
+        g = [27 * e2 + 54 * e1 + 24 * e0 for e0, e1, e2 in zip(*e[:3])]
+        assert [32 * e2 - 8 * e0 + c for e0, e2, c in zip(e[0], e[2], hurwitz_product(x, g))] == \
+            [-8] + [0] * 61
+        # and D applied to it, the third-order ODE
         rest = [9 * e3 + 27 * e2 + 26 * e1 + 8 * e0 for e0, e1, e2, e3 in zip(*e)]
         assert [32 * e3 - 8 * e1 for e1, e3 in zip(e[1], e[3])] == \
             [-3 * c for c in hurwitz_product(x, rest)]
+
+    def test_ode_coefficient_form(self):
+        # 8(2k-1)(2k+1) f_k + 3(3k-1)(3k+1) f_(k-1) = 0 for f_k = (2k+1) c_k
+        f = [(2 * k + 1) * c for k, c in enumerate(phi_closed_form(20))]
+        for k in range(1, 21):
+            assert 8 * (2 * k - 1) * (2 * k + 1) * f[k] + 3 * (3 * k - 1) * (3 * k + 1) * f[k - 1] == 0
 
 
 class TestBounds:
