@@ -2,17 +2,15 @@
 
 Integers are plain Python ints (arbitrary precision); rationals are
 ``fractions.Fraction``, which keeps every value in canonical form
-(positive denominator, gcd-reduced) after each operation.  The Bernoulli
-numbers are the exception: one call returns them as ints over one common
-denominator and keeps no state between calls.  High-precision reals
-are ``decimal.Decimal`` values in :func:`decimal_context`, whose 64 guard
-bits beyond the requested precision keep later arithmetic in its bound.
+(positive denominator, gcd-reduced) after each operation.  High-precision
+reals are ``decimal.Decimal`` values in :func:`decimal_context`, whose 64
+guard bits beyond the requested precision keep later arithmetic in its bound.
 """
 from __future__ import annotations
 
 import sys
-from math import ceil, comb, factorial, gcd, log10  # factorial re-exported; ValueError on n < 0
-from operator import add, mul
+from math import ceil, comb, factorial, log10  # factorial re-exported; ValueError on n < 0
+from operator import add
 
 # `Fraction`, `Decimal` and `Context` in annotations name the types for readers
 # only: fractions and decimal are imported inside the functions that use them,
@@ -26,7 +24,6 @@ __all__ = [
     "catalan",
     "normalized",
     "binomial_rows",
-    "bernoulli",
     "decimal_context",
     "log_rational",
     "format_rational",
@@ -59,50 +56,19 @@ def normalized(n: int, g: int) -> Fraction:
     return Fraction(g, factorial(2 * n + 1))
 
 
-def binomial_rows(m: int):
-    """Every second row of Pascal's triangle from row m on: the lists
-    [C(m, 0), ..., C(m, m)], [C(m+2, 0), ..., C(m+2, m+2)], ...
+def binomial_rows():
+    """Every second row of Pascal's triangle from row 2 on: the lists
+    [C(2, 0), C(2, 1), C(2, 2)], [C(4, 0), ..., C(4, 4)], ...
 
-    Only the first row calls math.comb; each later one takes two steps of
-    Pascal's rule, C(r+1, i) = C(r, i-1) + C(r, i), so the row of index r
-    costs r additions in place of r+1 binomials.
+    Each row takes two steps of Pascal's rule, C(r+1, i) = C(r, i-1) + C(r, i),
+    from the one before, so the row of index r costs 2r + 1 additions in
+    place of r + 1 binomials.
     """
-    row = [comb(m, i) for i in range(m + 1)]
+    row = [1]
     while True:
+        row = list(map(add, row + [0], [0] + row))
+        row = list(map(add, row + [0], [0] + row))
         yield row
-        row = list(map(add, row + [0], [0] + row))
-        row = list(map(add, row + [0], [0] + row))
-
-
-def bernoulli(count: int) -> tuple[int, list[int]]:
-    """The even-index Bernoulli numbers B_0, B_2, ..., B_(2 count - 2) over
-    one common denominator: the pair (D, [D B_0, D B_2, ...]).
-
-    B_m are the coefficients of t/(e^t - 1) = sum B_m t^m / m!, so B_1 is
-    -1/2 and the odd ones vanish from B_3 on.  D is the lcm of the
-    denominators and of B_1's 2; since B_0 = 1, the first entry is D.  One
-    pass of the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0, restricted to
-    the even k and the lone odd term of B_1, gives each new B_n from those
-    below it.
-    """
-    if count < 1:
-        raise ValueError("bernoulli requires count >= 1")
-    d, scaled = 2, [2]
-    for n, row in zip(range(2, 2 * count, 2), binomial_rows(3)):  # row C(n+1, .)
-        # D B_n = -s / (n+1), where s, the recurrence's other terms times D,
-        # is an integer.  (n+1) / gcd(s, n+1) is the least factor that makes
-        # it one, so D grows to its lcm with B_n's denominator.  By von
-        # Staudt-Clausen that denominator is the product of the primes p
-        # with (p - 1) | n, so D is squarefree with every prime factor at
-        # most n + 1: through B_600 it has 822 bits against 4678 for 600!.
-        s = sum(map(mul, row[0::2], scaled)) - (n + 1) * (d // 2)
-        g = gcd(s, n + 1)
-        grow = (n + 1) // g
-        if grow > 1:
-            scaled = [x * grow for x in scaled]
-            d *= grow
-        scaled.append(-s // g)
-    return d, scaled
 
 
 def decimal_context(precision: int) -> Context:

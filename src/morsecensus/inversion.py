@@ -102,7 +102,7 @@ def morse_counts(max_n: int) -> list[int]:
         raise ValueError("max_n must be >= 0")
     g, x, G = [1], [0], [24]
     a = [[1], [0], [0]]
-    for k, row in zip(range(1, max_n + 1), binomial_rows(2)):
+    for k, row in zip(range(1, max_n + 1), binomial_rows()):
         m = 2 * k
         even, odd = row[0::2], row[1::2]  # C(m, 2i), C(m, 2i + 1)
         # X_m = sum_i C(m, 2i+1) g[i] g[k-1-i], whose terms i and k-1-i are equal

@@ -7,10 +7,10 @@ The census connects to series two ways:
   coefficient by coefficient.  With u_k the coefficient of t^(2k+1), the
   scaled coefficients a_k = 2^k (2k+1)! u_k are the tangent numbers
   2^(2k+2) (2^(2k+2) - 1) |B_(2k+2)| / (2k+2), which are integers.  Two
-  independent routes compute them as lists of ints indexed by k: from the
-  Bernoulli numbers, and from the ODE's recurrence, which has no division
-  at that scale.  `verify tan` compares the two lists, and `verify bounds`
-  tests h(n) >= u_n as g(n) 2^n >= a_n;
+  independent routes compute them as lists of ints indexed by k, both by
+  integer sums alone: Seidel's boustrophedon (the Euler-Bernoulli
+  triangle), and the ODE's recurrence.  `verify tan` compares the two
+  lists, and `verify bounds` tests h(n) >= u_n as g(n) 2^n >= a_n;
 * the two-variable generating series sum T(x,y) u^x v^(x+2y+1), which must
   annihilate the quasilinear PDE residual
       dv(s) - (1 + u s + u^2/2) du(s) - (s^2/2 + u s + 1),
@@ -26,10 +26,11 @@ The census connects to series two ways:
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
+from itertools import accumulate
 from math import lcm
 from operator import mul
 
-from .exactmath import ConsistencyError, TableRangeError, bernoulli, binomial_rows
+from .exactmath import TableRangeError, binomial_rows
 
 # CensusTable (from :mod:`recurrence`) appears only in annotations, which are
 # never evaluated here, so `verify tan|bounds` do not load the table code.  The
@@ -72,29 +73,30 @@ def ode_comparison_series(order_index: int) -> list[int]:
     if order_index < 0:
         raise ValueError("order_index must be >= 0")
     scaled = [1]
-    for _, row in zip(range(order_index), binomial_rows(2)):  # row C(2k, .) for k = 1..K
+    for _, row in zip(range(order_index), binomial_rows()):  # row C(2k, .) for k = 1..K
         scaled.append(sum(map(mul, map(mul, row[1::2], scaled), reversed(scaled))))
     return scaled
 
 
 def scaled_tangent_series(order_index: int) -> list[int]:
-    """The integers a_0..a_K of sqrt(2) tan(t / sqrt(2)), from Bernoulli numbers.
+    """The integers a_0..a_K of sqrt(2) tan(t / sqrt(2)), by Seidel's boustrophedon.
 
-    tan's coefficient of t^(2k+1) is T_k = 2^m (2^m - 1) |B_m| / m! with
-    m = 2k+2, and sqrt(2) tan(t / sqrt(2)) has T_k / 2^k there: the square
-    roots cancel on odd powers.  Scaled by 2^k (2k+1)!, that is the tangent
-    number a_k = 2^m (2^m - 1) |D B_m| / (m D), with D B_m an int of one
-    Bernoulli pass; a remainder raises ConsistencyError.
+    tan's coefficient of t^(2k+1) is E_(2k+1) / (2k+1)!, with E_n the
+    Euler up/down number, and sqrt(2) tan(t / sqrt(2)) has that over 2^k
+    there: the square roots cancel on odd powers.  Scaled by 2^k (2k+1)!,
+    a_k is E_(2k+1).  The boustrophedon builds the Euler-Bernoulli triangle
+    by additions alone: row 0 is [1], and row n is 0 followed by the running
+    sums of row n-1 read backwards.  Row n ends in E_n (Seidel 1877; Millar,
+    Sloane and Young, J. Combin. Theory A 76, 1996), so the odd rows
+    n = 1..2K+1 end in a_0..a_K; the even rows end in the secant numbers.
     """
     if order_index < 0:
         raise ValueError("order_index must be >= 0")
-    d, numerators = bernoulli(order_index + 2)  # D B_0, D B_2, ..., D B_(2K+2)
-    scaled = []
-    for m, b in zip(range(2, 2 * order_index + 3, 2), numerators[1:]):
-        a, r = divmod(((1 << m) - 1) * abs(b) << m, m * d)
-        if r:
-            raise ConsistencyError(f"tangent number a_{m // 2 - 1} is not an integer")
-        scaled.append(a)
+    row, scaled = [1], []
+    for n in range(1, 2 * order_index + 2):
+        row = [0, *accumulate(reversed(row))]
+        if n % 2:
+            scaled.append(row[-1])
     return scaled
 
 

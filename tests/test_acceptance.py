@@ -90,8 +90,8 @@ def test_criterion_05_integrality(census_table, acceptance_max_n):
 
 
 def test_criterion_06_two_route_tangent_series():
-    """Bernoulli-formula tangent coefficients equal the ODE solution after
-    the power-of-two rescaling, exactly through index 50."""
+    """The tangent numbers of Seidel's boustrophedon (the Euler-Bernoulli
+    triangle) equal the scaled ODE solution exactly through index 50."""
     start = time.monotonic()
     assert scaled_tangent_series(50) == ode_comparison_series(50)
     assert time.monotonic() - start < 10

@@ -79,8 +79,8 @@ class TestRoute:
     @pytest.mark.parametrize("m, i", [(4, 1), (8, 2)])
     def test_perturbed_step_raises(self, monkeypatch, m, i):
         # one binomial coefficient of step m off by one
-        def perturbed(start):
-            for row in binomial_rows(start):
+        def perturbed():
+            for row in binomial_rows():
                 if len(row) == m + 1:
                     row = row.copy()
                     row[i] += 1

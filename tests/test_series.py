@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsecensus import series
-from morsecensus.recurrence import ConsistencyError, TableRangeError, extend_table
+from morsecensus.recurrence import TableRangeError, extend_table
 from morsecensus.series import (
     Series2,
     bivariate_generating_series,
@@ -25,6 +24,15 @@ def tan_coefficients(order_index):
     for k, a in enumerate(scaled_tangent_series(order_index)):
         coeffs[2 * k + 1] = Fraction(a, math.factorial(2 * k + 1))
     return coeffs
+
+
+def bernoulli_by_series_inversion(m):
+    """B_0, ..., B_m: invert (e^t - 1)/t = sum t^k/(k+1)! coefficientwise; B_k = k! * c_k."""
+    denom = [Fraction(1, math.factorial(k + 1)) for k in range(m + 1)]
+    inv = [Fraction(1)]
+    for k in range(1, m + 1):
+        inv.append(-sum(denom[j] * inv[k - j] for j in range(1, k + 1)))
+    return [c * math.factorial(k) for k, c in enumerate(inv)]
 
 
 def sin_cos_coefficients(order):
@@ -129,6 +137,13 @@ class TestTangentRoutes:
         assert scaled_tangent_series(5) == TANGENT_NUMBERS
         assert scaled_tangent_series(0) == [1]
 
+    def test_bernoulli_identity(self):
+        # a_k = 2^m (2^m - 1) |B_m| / m with m = 2k+2, for every m <= 120
+        b = bernoulli_by_series_inversion(120)
+        for k in range(60):
+            m = 2 * k + 2
+            assert scaled_tangent_series(k)[k] == (1 << m) * ((1 << m) - 1) * abs(b[m]) / m
+
     def test_ode_route_first_coefficients(self):
         assert ode_comparison_series(5) == TANGENT_NUMBERS
 
@@ -144,27 +159,13 @@ class TestTangentRoutes:
         assert u == reference_ode_series(60)
 
     def test_two_routes_agree_exactly(self):
-        # the same function derived independently via Bernoulli numbers
-        # and via the quadratic ODE; exact equality through t^601
+        # the same function derived independently via the Euler-Bernoulli
+        # triangle and via the quadratic ODE; exact equality through t^601
         assert scaled_tangent_series(300) == ode_comparison_series(300)
 
     def test_routes_return_integers(self):
         for a in scaled_tangent_series(30) + ode_comparison_series(30):
             assert type(a) is int
-
-    def test_non_integer_tangent_number_raises(self, monkeypatch):
-        true_bernoulli = series.bernoulli
-
-        def off_at_b8(count):
-            d, scaled = true_bernoulli(count)
-            if count > 4:
-                scaled[4] += 1  # D B_8
-            return d, scaled
-
-        monkeypatch.setattr(series, "bernoulli", off_at_b8)
-        assert scaled_tangent_series(2) == TANGENT_NUMBERS[:3]
-        with pytest.raises(ConsistencyError, match="a_3"):
-            scaled_tangent_series(3)
 
 
 class TestGeneratingSeries:
