@@ -65,10 +65,19 @@ class TestCatalan:
 
 
 class TestBinomialRows:
-    def test_every_second_row(self):
+    @pytest.mark.parametrize("drawn", [0, 1, 2, 7])
+    def test_every_second_row(self, drawn):
+        """Rows 2, 4, ..., 120 in order. Each generator keeps its own place:
+        one that has yielded `drawn` rows goes on at row 2 + 2 drawn, and a
+        fresh one still starts at row 2."""
+        other = binomial_rows()
+        for _ in range(drawn):
+            next(other)
         rows = binomial_rows()
         for r in range(2, 121, 2):
             assert next(rows) == [math.comb(r, i) for i in range(r + 1)]
+        r = 2 + 2 * drawn
+        assert next(other) == [math.comb(r, i) for i in range(r + 1)]
 
 
 class TestLogRational:
