@@ -34,6 +34,11 @@ S'(x,0) = (x+1)! follows from the seed S'(0,0) = 1.  By induction on the
 weight, every S' is an integer: the seed is, and each later entry is an
 integer combination of entries of smaller weight.  g(n) = S'(0,n) / 2^n is
 not covered by that argument, so :meth:`CensusTable.morse_count` checks it.
+The S' are also the Hurwitz coefficients of the generating series in
+sqrt(2)-scaled variables, where the PDE residual's coefficient at
+(x, x+2y) is S'(x,y) minus the right-hand side above (:mod:`series`).  So
+`verify pde` holds the fill below, which never forms that convolution, to
+the formula entry by entry.
 
 Filling a level: read level k as the polynomial L_k(z) = sum_y S'(k-2y, y) z^y
 of degree floor(k/2).  The binomial sums of level w, grouped by a + 2b = w1,

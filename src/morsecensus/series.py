@@ -11,26 +11,34 @@ The census connects to series two ways:
   integer sums alone: Seidel's boustrophedon (the Euler-Bernoulli
   triangle), and the ODE's recurrence.  `verify tan` compares the two
   lists, and `verify bounds` tests h(n) >= u_n as g(n) 2^n >= a_n;
-* the two-variable generating series sum T(x,y) u^x v^(x+2y+1), which must
-  annihilate the quasilinear PDE residual
+* the two-variable generating series s = sum T(x,y) u^x v^(x+2y+1), which
+  must annihilate the quasilinear PDE residual
       dv(s) - (1 + u s + u^2/2) du(s) - (s^2/2 + u s + 1),
   the conservation law dv(s) = du(Phi) with flux
-  Phi = u + s + (u/2) s^2 + (u^2/2) s.
-  A two-variable series (Series2) is a sparse map keyed by
-  (first-exponent, second-exponent) with a truncation bound on the second
-  exponent.  With s = N/D over the lcm D of its denominators, the residual
-  R is computed as the integer series
-      2 D^2 R = 2D dv(N) - du(2D^2 u + 2D N + D u^2 N + u N^2),
-  and only its nonzero coefficients become fractions.
+  Phi = u + s + (u/2) s^2 + (u^2/2) s.  With u = sqrt(2) U, v = sqrt(2) V
+  and s = sqrt(2) sigma it is R = dV(sigma) - dU(Psi) = 0, with
+  Psi = U + sigma + U sigma^2 + U^2 sigma.  Read as a Hurwitz series in V
+  (Keigher, Comm. Algebra 25, 1997), sigma's coefficient of U^x V^k / k!
+  at k = x+2y+1 is the table's integer S'(x,y) = 2^(x+y) k! T(x,y).  dV
+  shifts a Hurwitz series and the Hurwitz square weights its term
+  (b1, b2) by binom(b1+b2, b1), so R has no denominator.  R at
+  (x, x+2y) is S'(x,y) minus the right-hand side of the S' recurrence of
+  :mod:`recurrence` (1 at the seed S'(0,0)): `verify pde` holds the
+  table's evaluate-and-interpolate fill to the direct convolution.
+
+A two-variable series (Series2) is a sparse map keyed by (first-exponent,
+second-exponent) with a truncation bound on the second exponent.  The
+generating series holds sigma's integers, at keys (a, b) with a + b odd;
+the residual holds R(a,b) / (b! 2^((a+b)/2)), its coefficient of u^a v^b.
 """
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from itertools import accumulate
-from math import lcm
+from math import comb
 from operator import mul
 
-from .exactmath import TableRangeError, binomial_rows
+from .exactmath import TableRangeError, binomial_rows, factorial
 
 # CensusTable (from :mod:`recurrence`) appears only in annotations, which are
 # never evaluated here, so `verify tan|bounds` do not load the table code.  The
@@ -101,7 +109,7 @@ def scaled_tangent_series(order_index: int) -> list[int]:
 
 
 def bivariate_generating_series(table: CensusTable, v_max: int) -> Series2:
-    """Two-variable generating series: T(x,y) at exponents (x, x+2y+1).
+    """sigma's Hurwitz coefficients: S'(x, y) at (x, x+2y+1), straight from the table.
 
     Complete for every monomial with second exponent <= v_max, which
     requires weight bound >= v_max - 1.
@@ -110,65 +118,44 @@ def bivariate_generating_series(table: CensusTable, v_max: int) -> Series2:
         raise TableRangeError(
             f"second-exponent bound {v_max} needs weight bound {v_max - 1}"
         )
-    coeffs = {}
-    for y in range(table.weight_bound // 2 + 1):
-        for x in range(table.weight_bound - 2 * y + 1):
-            v = x + 2 * y + 1
-            if v <= v_max:
-                coeffs[(x, v)] = table.entry(x, y)
-    return Series2(coeffs, v_max)
-
-
-def _truncated_product(x: dict, y: dict, bound: int) -> dict:
-    """Product of two integer-coefficient series, second exponents <= bound."""
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for (a, b), c in y.items():
-        rows.setdefault(b, []).append((a, c))
-    rows_by_b = sorted(rows.items())
-    out: dict[tuple[int, int], int] = {}
-    for (a1, b1), c1 in x.items():
-        for b2, row in rows_by_b:
-            b = b1 + b2
-            if b > bound:
-                break
-            for a2, c2 in row:
-                key = (a1 + a2, b)
-                out[key] = out.get(key, 0) + c1 * c2
-    return out
+    return Series2({(w - 2 * y, w + 1): c
+                    for w, level in enumerate(table.levels[:max(v_max, 0)])
+                    for y, c in enumerate(level)}, v_max)
 
 
 def pde_residual(series: Series2) -> Series2:
     """Residual of the quasilinear PDE the bivariate series must satisfy.
 
-    Returns dv(s) - (1 + u s + u^2/2) du(s) - (s^2/2 + u s + 1), which is
-    the conservation form dv(s) - du(Phi) with the flux
-    Phi = u + s + (u/2) s^2 + (u^2/2) s.  Every coefficient retained under
-    the resulting bound is computed exactly: the input is complete through
-    its bound V, and each retained residual coefficient (second exponent
-    <= V-1) only consumes input coefficients with second exponent <= V.
-
-    With D the lcm of the input's denominators and s = N/D, N has integer
-    coefficients and
-        2 D^2 R = 2D dv(N) - du(2D^2 u + 2D N + D u^2 N + u N^2),
-    so the residual takes one integer flux, one truncated product (N^2)
-    and one fraction per nonzero coefficient.
+    `series` holds sigma's integers (keys (a, b) with a + b odd).  Returns
+    the coefficients of u^a v^b in dv(s) - (1 + u s + u^2/2) du(s) -
+    (s^2/2 + u s + 1), from R = dV(sigma) - dU(Psi) on ints: one truncated
+    Hurwitz square, and one fraction per nonzero coefficient.  Every
+    coefficient retained under the resulting bound is exact: the input is
+    complete through its bound V, and each retained residual coefficient
+    (second exponent <= V-1) only consumes input coefficients with second
+    exponent <= V.
     """
     from fractions import Fraction
 
     bound = series.v_bound - 1
-    d = lcm(*(c.denominator for c in series.coeffs.values()))
-    n = {key: c.numerator * (d // c.denominator) for key, c in series.coeffs.items()}
-    flux = defaultdict(int, {(1, 0): 2 * d * d})  # 2 D^2 Phi
-    for (a, b), c in n.items():
-        flux[(a, b)] += 2 * d * c
-        flux[(a + 2, b)] += d * c
-    for (a, b), c in _truncated_product(n, n, bound).items():
-        flux[(a + 1, b)] += c
-    scaled = defaultdict(int, {(a - 1, b): -a * c for (a, b), c in flux.items() if a})  # 2 D^2 R
-    for (a, b), c in n.items():
+    rows, residual = defaultdict(list), defaultdict(int)
+    flux = defaultdict(int, {(1, 0): 1})  # Psi = U + sigma + U^2 sigma + U sigma^2
+    for (a, b), c in series.coeffs.items():
+        rows[b].append((a, c))
+        flux[(a, b)] += c
+        flux[(a + 2, b)] += c
         if b:
-            scaled[(a, b - 1)] += 2 * d * b * c
-    # the flux's terms linear in N reach second exponent V, past the bound
-    denominator = 2 * d * d
-    return Series2({(a, b): Fraction(c, denominator)
-                    for (a, b), c in scaled.items() if c and b <= bound}, bound)
+            residual[(a, b - 1)] += c  # dV shifts a Hurwitz series
+    for b1, row1 in rows.items():
+        for b2, row2 in rows.items():
+            if b1 + b2 <= bound:
+                weight = comb(b1 + b2, b1)  # the Hurwitz product's
+                for a1, c1 in row1:
+                    c1 *= weight
+                    for a2, c2 in row2:
+                        flux[(a1 + a2 + 1, b1 + b2)] += c1 * c2
+    for (a, b), c in flux.items():
+        residual[(a - 1, b)] -= a * c  # dU; a = 0 adds zeros, dropped below
+    # the flux's terms linear in sigma reach second exponent V, past the bound
+    return Series2({(a, b): Fraction(c, factorial(b) << ((a + b) // 2))
+                    for (a, b), c in residual.items() if c and b <= bound}, bound)

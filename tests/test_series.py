@@ -116,11 +116,26 @@ def reference_ode_series(order_index):
     return odd
 
 
+def hurwitz_to_fractions(series):
+    """sigma's Hurwitz coefficients as s = sqrt(2) sigma(u/sqrt(2), v/sqrt(2)) in u, v.
+
+    sigma(x, k) U^x V^k / k! is sigma(x, k) u^x v^k / (k! 2^((x+k)/2)), and
+    s = sqrt(2) sigma, so s(x, k) = sigma(x, k) / (k! 2^((x+k-1)/2)) for x + k odd.
+    """
+    return Series2({(x, k): Fraction(c, math.factorial(k) << (x + k - 1) // 2)
+                    for (x, k), c in series.coeffs.items()}, series.v_bound)
+
+
+def odd_key(x, k):
+    """(x, k), or (x, k + 1) when x + k is even: a key of sigma."""
+    return (x, k + (x + k + 1) % 2)
+
+
 sparse_series = st.builds(
     Series2,
     st.dictionaries(
-        st.tuples(st.integers(0, 6), st.integers(0, 9)),
-        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        st.builds(odd_key, st.integers(0, 6), st.integers(0, 8)),
+        st.integers(min_value=-2000, max_value=2000),
         max_size=12,
     ),
     st.integers(0, 8),
@@ -173,16 +188,25 @@ class TestGeneratingSeries:
         s = bivariate_generating_series(small_table, 8)
         assert s.v_bound == 8
         assert s.coeffs[(0, 1)] == 1
-        assert s.coeffs[(1, 2)] == Fraction(1, 2)
+        assert s.coeffs[(1, 2)] == 2  # S'(1, 0) = 2!
         assert (0, 2) not in s.coeffs
-        # only nonzero coefficients, none above the bound
-        assert all(c and b <= 8 for (_, b), c in s.coeffs.items())
-        # support is exactly the second exponents x + 2y + 1
-        assert all((b - a) % 2 == 1 and b > a for (a, b) in s.coeffs)
+        # the table's own integers, only nonzero ones, none above the bound
+        assert all(type(c) is int and c and b <= 8 for (_, b), c in s.coeffs.items())
+        assert s.coeffs == {(x, x + 2 * y + 1): small_table.levels[x + 2 * y][y]
+                            for x in range(8) for y in range(4) if x + 2 * y < 8}
+        # support is exactly x + k odd with k = x + 2y + 1 > x
+        assert all((a + b) % 2 == 1 and b > a for (a, b) in s.coeffs)
+        # in u and v they are the T(x, y)
+        assert hurwitz_to_fractions(s).coeffs == {
+            (x, x + 2 * y + 1): small_table.entry(x, y)
+            for x in range(8) for y in range(4) if x + 2 * y < 8}
 
     def test_bivariate_range_check(self, small_table):
         with pytest.raises(TableRangeError):
             bivariate_generating_series(small_table, small_table.weight_bound + 2)
+        # no second exponent is <= 0, and a negative bound reads no level
+        assert bivariate_generating_series(small_table, 0) == ({}, 0)
+        assert bivariate_generating_series(small_table, -3) == ({}, -3)
 
     def test_coefficientwise_lower_bound(self, small_table):
         # h(n) >= u_n, that is g(n) 2^n >= a_n
@@ -202,9 +226,16 @@ class TestPdeResidual:
         for v_max in range(1, small_table.weight_bound + 2):
             assert pde_residual(bivariate_generating_series(small_table, v_max)) == ({}, v_max - 1)
 
+    def test_residual_vanishes_at_order_200(self, acceptance_max_n, request):
+        if acceptance_max_n < 200:
+            pytest.skip("the weight-400 table is built at the full gate only")
+        table = request.getfixturevalue("census_table")
+        residual = pde_residual(bivariate_generating_series(table, 200))
+        assert residual == ({}, 199)
+
     def test_forced_constant_cancellation(self, small_table):
-        # d/dv contributes exactly 1 at the constant (from T(0,0) v), and the
-        # source's 1 cancels it
+        # dV shifts sigma(0, 1) = S'(0, 0) = 1 to the constant, where the
+        # flux's U contributes dU(U) = 1 and cancels it
         xi = bivariate_generating_series(small_table, 6)
         assert xi.coeffs[(0, 1)] == 1
         assert (0, 0) not in pde_residual(xi).coeffs
@@ -214,16 +245,26 @@ class TestPdeResidual:
     def test_residual_detects_a_perturbation(self, small_table):
         xi = bivariate_generating_series(small_table, 10)
         coeffs = dict(xi.coeffs)
-        coeffs[(1, 4)] = coeffs.get((1, 4), 0) + Fraction(1, 5)
+        coeffs[(1, 4)] += 1  # S'(1, 1) = 44 becomes 45
         perturbed = Series2(coeffs, xi.v_bound)
         residual = pde_residual(perturbed)
         assert residual.coeffs
-        assert residual == reference_pde_residual(perturbed)
+        assert residual == reference_pde_residual(hurwitz_to_fractions(perturbed))
+
+    def test_every_single_perturbation_is_caught(self):
+        # each S' of weight <= 14 in turn, plus one: the residual converts
+        # R(a, b) / (b! 2^((a+b)/2)) at a > 0 too
+        xi = bivariate_generating_series(extend_table(None, 14), 15)
+        for key in xi.coeffs:
+            perturbed = Series2({**xi.coeffs, key: xi.coeffs[key] + 1}, xi.v_bound)
+            residual = pde_residual(perturbed)
+            assert residual.coeffs, key
+            assert residual == reference_pde_residual(hurwitz_to_fractions(perturbed)), key
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(sparse_series)
     def test_matches_reference_on_sparse_series(self, series):
-        assert pde_residual(series) == reference_pde_residual(series)
+        assert pde_residual(series) == reference_pde_residual(hurwitz_to_fractions(series))
 
 
 class TestSeries2Basics:
