@@ -28,7 +28,6 @@ from .exactmath import TableRangeError, decimal_context, factorial, log_rational
 __all__ = [
     "AsymptoticRow",
     "asymptotic_row",
-    "growth_ratio",
     "series_argument",
     "series_value",
     "fit_residual_model",
@@ -85,16 +84,6 @@ def _pi() -> Decimal:
     for k in range(getcontext().prec.bit_length()):
         a, b, t = (a + b) / 2, (a * b).sqrt(), t - (a - b) ** 2 * 2**k / 4
     return (a + b) ** 2 / (4 * t)
-
-
-def growth_ratio(n: int, counts: Sequence[int], precision: int = 128) -> Decimal:
-    """log g(n) / (n log n); tends to 2 from below on the computed range."""
-    from decimal import Decimal, localcontext
-
-    if not 2 <= n < len(counts):  # log n must exceed 0 cleanly
-        raise TableRangeError(f"growth ratio needs 2 <= n <= {len(counts) - 1}; got n={n}")
-    with localcontext(decimal_context(precision)):
-        return Decimal(counts[n]).ln() / (n * Decimal(n).ln())
 
 
 # ---------------------------------------------------------------------------

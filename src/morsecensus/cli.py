@@ -16,8 +16,9 @@ loads no more than its command needs:
 * verify pde: recurrence and series;  oracle: recurrence and trees;
 * encode, decode: trees.
 
-Only `argparse` and `sys` load with this module, and `json` only for
-`census --format json` and `table --format json`.  Both commands print
+Only `argparse` loads with this module, beyond `os` and `sys`, which
+every interpreter has loaded at start-up, and `json` only for `census
+--format json` and `table --format json`.  Both commands print
 their CSV and JSON records through one writer, :func:`_print_records`.
 
 Each `verify` suite is a subcommand that declares only its own bound,
@@ -30,6 +31,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 REFERENCE_TABLE_POINTS = (10, 20, 30, 40, 50, 100, 150, 200)
@@ -111,9 +113,9 @@ def _verify_tan(args) -> int:
     from . import series
     from .exactmath import factorial, format_rational
 
-    via_bernoulli = series.scaled_tangent_series(args.max_k)
+    via_seidel = series.scaled_tangent_series(args.max_k)
     via_ode = series.ode_comparison_series(args.max_k)
-    for k, (a, b) in enumerate(zip(via_bernoulli, via_ode)):
+    for k, (a, b) in enumerate(zip(via_seidel, via_ode)):
         if a != b:
             from fractions import Fraction
 
@@ -329,8 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone away is exit 3, not a failed flush at shutdown
+        return code
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # the shutdown flush then writes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -91,26 +91,25 @@ class CensusTable(namedtuple("CensusTable", "weight_bound levels")):
     __slots__ = ()
 
     def entry(self, x: int, y: int) -> Fraction:
+        """T(x, y) = S'(x, y) / (2^(x+y) (x+2y+1)!); `normalized_count` and
+        `items` read T through it."""
         if x < 0 or y < 0 or x + 2 * y > self.weight_bound:
             raise TableRangeError(
                 f"entry ({x},{y}) outside table with weight bound {self.weight_bound}"
             )
         return Fraction(self.levels[x + 2 * y][y], _scale(x, y))
 
-    def _scaled_count(self, n: int) -> int:
+    def normalized_count(self, n: int) -> Fraction:
+        """T(0, n): the class count divided by (2n+1)!."""
+        return self.entry(0, n)
+
+    def morse_count(self, n: int) -> int:
+        """Number of equivalence classes with 2n+2 critical points."""
         if n < 0 or 2 * n > self.weight_bound:
             raise TableRangeError(
                 f"n={n} needs weight bound >= {2 * n}, table has {self.weight_bound}"
             )
-        return self.levels[2 * n][n]
-
-    def normalized_count(self, n: int) -> Fraction:
-        """T(0, n): the class count divided by (2n+1)!."""
-        return Fraction(self._scaled_count(n), _scale(0, n))
-
-    def morse_count(self, n: int) -> int:
-        """Number of equivalence classes with 2n+2 critical points."""
-        count, rest = divmod(self._scaled_count(n), 1 << n)
+        count, rest = divmod(self.levels[2 * n][n], 1 << n)
         if rest:
             raise ConsistencyError(
                 f"(2n+1)! * T(0,{n}) is not an integer: recurrence implementation bug"
@@ -121,7 +120,7 @@ class CensusTable(namedtuple("CensusTable", "weight_bound levels")):
         """Entries ((x, y), T(x, y)) sorted by (weight, x)."""
         for w, level in enumerate(self.levels):
             for y in reversed(range(len(level))):
-                yield (w - 2 * y, y), Fraction(level[y], _scale(w - 2 * y, y))
+                yield (w - 2 * y, y), self.entry(w - 2 * y, y)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ two ordered children; with 2n+2 vertices there are Catalan(n) of them.
 Shapes are parenthesis strings: "()" is a leaf, "(" left right ")" an
 internal vertex, and the planted root is implicit above the stem.  A
 shape with n internal vertices is 4n+2 characters long.  No class wraps a
-shape: `enumerate_ptpt` returns the strings, and `EncodedPair.stem` holds
-one.
+shape: `EncodedPair.stem` holds the string.
 
 Every Morse tree maps injectively to a (PTPT, permutation) pair:
 
@@ -60,15 +59,12 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .exactmath import catalan
-
 __all__ = [
     "MorseTree",
     "EncodedPair",
     "NotInImageError",
     "is_morse_tree",
     "enumerate_morse_trees",
-    "enumerate_ptpt",
     "encode",
     "decode",
     "tree_to_text",
@@ -78,7 +74,6 @@ __all__ = [
 ]
 
 MORSE_ENUM_BUDGET = 4
-PTPT_ENUM_BUDGET = 8
 
 
 class NotInImageError(ValueError):
@@ -198,29 +193,6 @@ def enumerate_morse_trees(n: int) -> set[MorseTree]:
 
     sweep(0, (), (), ())
     return found
-
-
-def enumerate_ptpt(n: int) -> list[str]:
-    """The shape strings of all planted trivalent planar trees with 2n+2 vertices."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > PTPT_ENUM_BUDGET:
-        raise ValueError(
-            f"enumeration budget is n <= {PTPT_ENUM_BUDGET} "
-            f"(there are Catalan(n) shapes, Catalan({n}) = {catalan(n)}); got n={n}"
-        )
-    return _full_binary_shapes(n)
-
-
-def _full_binary_shapes(internal: int) -> list[str]:
-    if internal == 0:
-        return ["()"]
-    shapes = []
-    for left_internal in range(internal):
-        for left in _full_binary_shapes(left_internal):
-            for right in _full_binary_shapes(internal - 1 - left_internal):
-                shapes.append(f"({left}{right})")
-    return shapes
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,21 @@ def census_table(acceptance_max_n):
     return recurrence.extend_table(None, 2 * acceptance_max_n)
 
 
+def _planted_shapes(n: int) -> list[str]:
+    """The parenthesis strings of the Catalan(n) planted trivalent planar
+    trees with 2n+2 vertices, in the format of `trees.EncodedPair.stem`."""
+    if n == 0:
+        return ["()"]
+    return [f"({left}{right})" for k in range(n)
+            for left in _planted_shapes(k) for right in _planted_shapes(n - 1 - k)]
+
+
+@pytest.fixture(scope="session")
+def planted_shapes():
+    """The shape generator, shared by the trees and acceptance tests."""
+    return _planted_shapes
+
+
 @pytest.fixture(scope="session")
 def small_counts():
     return inversion.morse_counts(15)

@@ -10,12 +10,9 @@ import time
 
 from fractions import Fraction
 
-from morsecensus.analysis import (
-    growth_ratio,
-    asymptotic_row,
-    series_argument,
-    series_value,
-)
+import mpmath
+
+from morsecensus.analysis import asymptotic_row, series_argument, series_value
 from morsecensus.exactmath import catalan, factorial
 from morsecensus.inversion import check_conjecture, check_upper_bound
 from morsecensus.recurrence import extend_table
@@ -25,7 +22,7 @@ from morsecensus.series import (
     pde_residual,
     scaled_tangent_series,
 )
-from morsecensus.trees import decode, encode, enumerate_morse_trees, enumerate_ptpt
+from morsecensus.trees import decode, encode, enumerate_morse_trees, pair_from_text
 
 REFERENCE_DELTA_OVER_N = {
     10: -0.634,
@@ -121,17 +118,20 @@ def test_criterion_08_elliptic_identity_round_trip(census_counts):
 
 def test_criterion_09_growth_ratio_trend(census_counts, acceptance_max_n):
     """log g(n) / (n log n) increases strictly across the sample points and
-    stays below 2; the limit itself is exactly 2, approached from below."""
+    stays below 2; the limit itself is exactly 2, approached from below.
+    No command prints the ratio: mpmath takes it from the counts."""
     points = [n for n in TREND_POINTS if n <= acceptance_max_n]
-    ratios = [growth_ratio(n, census_counts) for n in points]
+    with mpmath.workprec(128):
+        ratios = [mpmath.log(census_counts[n]) / (n * mpmath.log(n)) for n in points]
     for a, b in zip(ratios, ratios[1:]):
         assert a < b
     assert all(r < 2 for r in ratios)
 
 
-def test_criterion_10_injection_and_catalan_shapes():
+def test_criterion_10_injection_and_catalan_shapes(planted_shapes):
     """Encoding is injective with decode-encode identity for n <= 3, and
-    the planted shape counts equal the Catalan numbers for n <= 8."""
+    the planted shape counts equal the Catalan numbers for n <= 8, each
+    shape one that the pair text format parses."""
     for n in range(4):
         trees = enumerate_morse_trees(n)
         pairs = {encode(t) for t in trees}
@@ -139,7 +139,11 @@ def test_criterion_10_injection_and_catalan_shapes():
         for t in trees:
             assert decode(encode(t)) == t
     for n in range(9):
-        assert len(enumerate_ptpt(n)) == catalan(n)
+        shapes = planted_shapes(n)
+        assert len(set(shapes)) == len(shapes) == catalan(n)
+        word = " ".join(map(str, range(1, 2 * n + 2)))
+        for stem in shapes:
+            assert pair_from_text(f"{stem}\nphi = {word}\n").stem == stem
 
 
 def test_criterion_11_one_variable_route_matches_table(census_counts, census_table,

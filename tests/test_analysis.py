@@ -10,7 +10,6 @@ from morsecensus.analysis import (
     asymptotic_row,
     fit_residual_model,
     format_real,
-    growth_ratio,
     series_argument,
     series_value,
 )
@@ -58,17 +57,13 @@ class TestBoundChecks:
 
 
 class TestGrowthRatio:
-    def test_increasing_and_below_two(self, small_counts):
-        r10 = growth_ratio(10, small_counts)
-        r15 = growth_ratio(15, small_counts)
-        assert r10 < r15 < 2
-
     def test_stirling_bookkeeping_identity(self, small_counts):
         # reassembling log g from the residual row must reproduce the ratio
+        # log g(n) / (n log n), which no command prints
         n = 12
         row = asymptotic_row(small_counts, n)
-        ratio = growth_ratio(n, small_counts)
         with mpmath.workprec(128 + GUARD_BITS):
+            ratio = mpmath.log(small_counts[n]) / (n * mpmath.log(n))
             log_h = (
                 mpmath.mpf(str(row.delta))
                 + 2 * n * (1 + mpmath.log(mpmath.mpf(n) / (2 * n + 1)))
@@ -79,11 +74,7 @@ class TestGrowthRatio:
             reassembled = (log_h + mpmath.log(mpmath.mpf(factorial(2 * n + 1)))) / (
                 n * mpmath.log(n)
             )
-            assert abs(mpmath.mpf(str(ratio)) - reassembled) < mpmath.mpf(2) ** -100
-
-    def test_needs_n_at_least_two(self, small_counts):
-        with pytest.raises(TableRangeError):
-            growth_ratio(1, small_counts)
+            assert abs(ratio - reassembled) < mpmath.mpf(2) ** -100
 
 
 class TestEllipticInversion:

@@ -1,5 +1,6 @@
 import ast
 import functools
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from morsecensus import cli, inversion, recurrence, series
+from morsecensus import analysis, cli, inversion, recurrence, series, trees
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 BENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -156,6 +157,12 @@ class TestTable:
         with pytest.raises(SystemExit) as err:
             run(capsys, "table", "--points", "0,10")
         assert err.value.code == 2
+
+    def test_non_integer_point_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "table", "--points", "10,x")
+        assert err.value.code == 2
+        assert "bad points list '10,x'" in capsys.readouterr().err
 
     def test_low_precision_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -312,10 +319,12 @@ class TestVerify:
     @pytest.mark.parametrize("g3, code, line", [
         (34, 0, "ok sandwich + sharper upper estimate + conjecture hold for n <= 6"),
         (33, 1, "FAIL lower bound at n=3: h=11/1680"),
-    ], ids=["equal", "below"])
+        (5040, 1, "FAIL conjecture g < (2n+1)! at n=3"),
+    ], ids=["equal", "below", "factorial"])
     def test_lower_bound(self, capsys, monkeypatch, g3, code, line):
         # g(3) 2^3 against the tangent number a_3 = 272 = 34 * 2^3: equality
-        # passes, one less fails
+        # passes, one less fails; g(3) = 7! passes both bounds of the sandwich
+        # (h(3) = 1 <= Catalan(3)) and fails only the conjecture
         counts = inversion.morse_counts
 
         def patched_g3(max_n):
@@ -325,6 +334,17 @@ class TestVerify:
 
         monkeypatch.setattr(inversion, "morse_counts", patched_g3)
         assert run(capsys, "verify", "bounds", "--max-n", "6") == (code, line + "\n", "")
+
+    def test_elliptic_round_trip_off_fails(self, capsys, monkeypatch):
+        true_value = analysis.series_value
+
+        def off_by_a_millionth(*args, **kwargs):
+            return true_value(*args, **kwargs) + 1e-6
+
+        monkeypatch.setattr(analysis, "series_value", off_by_a_millionth)
+        code, out, _ = run(capsys, "verify", "elliptic")
+        assert code == 1
+        assert out == "FAIL elliptic round trip at 0.05: recovered 0.050001000000000004\n"
 
     def test_tan_routes_disagree_fails(self, capsys, monkeypatch):
         true_ode = series.ode_comparison_series
@@ -457,6 +477,18 @@ class TestDependencies:
         for argv in (("table", "--points", "4,6,8,10"), ("verify", "elliptic")):
             assert not {"numpy", "scipy"} & command_modules(*argv), argv
 
+    @pytest.mark.parametrize("command, text", [
+        ("encode", "n=1\n0-2\n1-2\n2-3\n"),
+        ("decode", "(()())\nphi = 2 1 3\n"),
+    ])
+    def test_codec_loads_no_arithmetic(self, tmp_path, command, text):
+        # the trees layer imports nothing from the package
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        loaded = command_modules(command, str(path))
+        assert "morsecensus.trees" in loaded
+        assert "morsecensus.exactmath" not in loaded
+
     def test_package_imports_only_the_standard_library(self):
         # a third-party import in any module, even inside a function, fails here
         for path in sorted(Path(SRC, "morsecensus").glob("*.py")):
@@ -500,6 +532,17 @@ class TestOracle:
         assert code == 2 and out == ""
         assert "n must be >= 0" in err
 
+    def test_lost_tree_fails(self, capsys, monkeypatch):
+        enumerate_all = trees.enumerate_morse_trees
+
+        def one_lost(n):
+            found = enumerate_all(n)
+            found.pop()
+            return found
+
+        monkeypatch.setattr(trees, "enumerate_morse_trees", one_lost)
+        assert run(capsys, "oracle", "3") == (1, "oracle=427 recurrence=428 injective=yes\n", "")
+
     def test_extended_is_an_unknown_option(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["oracle", "4", "--extended"])
@@ -509,6 +552,15 @@ class TestOracle:
 
 class TestCodecs:
     TREE_TEXT = "n=1\n0-2\n1-2\n2-3\n"
+    PAIR_TEXT = "(()())\nphi = 2 1 3\n"
+
+    @pytest.mark.parametrize("command, stdin, expected", [
+        ("encode", TREE_TEXT, PAIR_TEXT),
+        ("decode", PAIR_TEXT, TREE_TEXT),
+    ])
+    def test_dash_reads_stdin(self, capsys, monkeypatch, command, stdin, expected):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert run(capsys, command, "-") == (0, expected, "")
 
     def test_encode_golden(self, capsys, tmp_path):
         src = tmp_path / "tree.txt"
@@ -584,3 +636,28 @@ class TestCodecs:
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "encode", str(tmp_path / "absent.txt"))
         assert code == 3
+
+
+class TestBrokenPipe:
+    # stdout on a pipe whose reader has gone, and buffered, as it is unless
+    # PYTHONUNBUFFERED is set: the output is still in the buffer when the
+    # command returns, and the failed write must surface as exit 3
+
+    @pytest.mark.parametrize("argv", [
+        ("census", "--max-n", "5"),
+        ("census", "--max-n", "5", "--format", "json"),
+        ("verify", "tan", "--max-k", "5"),
+    ], ids=["census", "census-json", "tan"])
+    def test_closed_reader_is_io_error(self, argv):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from morsecensus.cli import main; sys.exit(main())", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (3, b"i/o error: [Errno 32] Broken pipe\n")

@@ -63,6 +63,10 @@ class TestCatalan:
         for n in range(31):
             assert catalan(n) == catalan_by_convolution(n)
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            catalan(-1)
+
 
 class TestBinomialRows:
     @pytest.mark.parametrize("drawn", [0, 1, 2, 7])

@@ -60,6 +60,13 @@ class TestRoute:
         with pytest.raises(ValueError):
             morse_counts(-1)
 
+    def test_counts_are_powers_of_two_mod_15(self, census_counts):
+        # an observation, not a theorem proven here: g(n) = 2^n (mod 15) holds
+        # for every n <= 400 (ROADMAP.md sketches a proof), so it fingerprints
+        # every count; n <= 100 here, and n <= 200 at the full gate
+        for n, g in enumerate(census_counts):
+            assert g % 15 == pow(2, n, 15), f"n={n}"
+
     def test_matches_the_table(self, census_table):
         counts = morse_counts(100)
         assert counts == [census_table.morse_count(n) for n in range(101)]

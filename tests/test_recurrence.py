@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsecensus import recurrence
-from morsecensus.recurrence import ConsistencyError, TableRangeError, extend_table
+from morsecensus.recurrence import CensusTable, ConsistencyError, TableRangeError, extend_table
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,12 @@ class TestFill:
         with pytest.raises(TableRangeError):
             table20.normalized_count(11)
         with pytest.raises(TableRangeError):
+            table20.morse_count(11)
+        with pytest.raises(TableRangeError):
+            table20.morse_count(-1)
+        with pytest.raises(ValueError):
+            extend_table(None, -1)
+        with pytest.raises(TableRangeError):
             table20.entry(19, 1)
         with pytest.raises(TableRangeError):
             table20.entry(-1, 0)
@@ -103,6 +109,13 @@ class TestDeterminismAndModes:
         assert digest.hexdigest() == (
             "f9a0681c0fcb4adf163065e9998280742a77ac052eae308648685613887cce7b"
         )
+
+    def test_non_integral_values_raise_consistency_error(self):
+        # S'(0,1) = 1 makes g(1) = 1/2; T(0,0) = 1/3 makes S'(0,0) = 1/3
+        with pytest.raises(ConsistencyError):
+            CensusTable(2, [[1], [2], [3, 1]]).morse_count(1)
+        with pytest.raises(ConsistencyError):
+            recurrence._pack({(0, 0): Fraction(1, 3)}, 0)
 
     def test_wrong_sums_raise_consistency_error(self, monkeypatch):
         sums = recurrence._sums

@@ -182,6 +182,11 @@ class TestTangentRoutes:
         for a in scaled_tangent_series(30) + ode_comparison_series(30):
             assert type(a) is int
 
+    @pytest.mark.parametrize("route", [scaled_tangent_series, ode_comparison_series])
+    def test_negative_order_rejected(self, route):
+        with pytest.raises(ValueError):
+            route(-1)
+
 
 class TestGeneratingSeries:
     def test_bivariate_coefficients(self, small_table):

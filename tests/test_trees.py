@@ -20,7 +20,6 @@ from morsecensus.trees import (
     decode,
     encode,
     enumerate_morse_trees,
-    enumerate_ptpt,
     is_morse_tree,
     pair_from_text,
     pair_to_text,
@@ -367,14 +366,10 @@ class TestEnumeration:
 
 
 class TestPtpt:
-    def test_counts_are_catalan(self):
+    def test_counts_are_catalan(self, planted_shapes):
         for n in range(9):
-            shapes = enumerate_ptpt(n)
+            shapes = planted_shapes(n)
             assert len(shapes) == len(set(shapes)) == catalan(n)
-
-    def test_budget_refusal(self):
-        with pytest.raises(ValueError, match="budget"):
-            enumerate_ptpt(9)
 
 
 
@@ -432,12 +427,12 @@ class TestEncodeDecode:
         with pytest.raises(NotInImageError, match="minimum 5, above the second's 2"):
             decode(EncodedPair("(()(()()))", (1, 5, 2, 3, 4)))
 
-    def test_decode_accepts_exactly_the_image(self):
+    def test_decode_accepts_exactly_the_image(self, planted_shapes):
         # every (shape, permutation) pair: a pair decodes iff it encodes an enumerated tree
         for n, count in enumerate((1, 2, 19, 428)):
             image = {encode(t) for t in enumerate_morse_trees(n)}
             decoded = set()
-            for stem in enumerate_ptpt(n):
+            for stem in planted_shapes(n):
                 for perm in itertools.permutations(range(1, 2 * n + 2)):
                     pair = EncodedPair(stem, perm)
                     try:
@@ -484,10 +479,10 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             pair_from_text(text)
 
-    def test_pair_text_accepts_exactly_the_shapes(self):
+    def test_pair_text_accepts_exactly_the_shapes(self, planted_shapes):
         # every string over "()" of length 4n+2: only the Catalan(n) shapes parse
         for n in range(4):
-            shapes = set(enumerate_ptpt(n))
+            shapes = set(planted_shapes(n))
             accepted = set()
             for chars in itertools.product("()", repeat=4 * n + 2):
                 stem = "".join(chars)
