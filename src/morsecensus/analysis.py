@@ -3,9 +3,10 @@
 The functions take the counts g(0), g(1), ... as a list of ints (see
 :func:`inversion.morse_counts`) and read h(n) = g(n)/(2n+1)! from them.
 All logarithms are natural.  High-precision values are `decimal.Decimal`s
-in :func:`exactmath.decimal_context` at an explicit precision (default 128
-bits), with pi from the Gauss-Legendre iteration; exact comparisons stay
-in integers/rationals and never pass through floating point.
+in :func:`decimal_context` at an explicit precision (default 128 bits),
+with pi from the Gauss-Legendre iteration; exact comparisons stay in
+integers/rationals and never pass through floating point.  This module is
+the package's only user of `decimal`.
 
 The functions return numbers; the one text they make is
 :func:`format_real`'s, and the CLI writes the rows.  The CLI imports this
@@ -20,10 +21,10 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .exactmath import TableRangeError, decimal_context, factorial, log_rational, normalized
+from .exactmath import TableRangeError, factorial
 
-# `Decimal` and `Fraction` in annotations are unbound here (see the module
-# docstring): they name the types for readers only, and get_type_hints fails.
+# `Decimal`, `Context` and `Fraction` in annotations are unbound here (see the
+# module docstring): they name the types for readers only, and get_type_hints fails.
 
 __all__ = [
     "AsymptoticRow",
@@ -33,12 +34,30 @@ __all__ = [
     "fit_residual_model",
     "format_real",
     "SUPPORTED_ARGUMENT_RANGE",
+    "ARGUMENT_TOLERANCE",
+    "SERIES_TERMS",
+    "GUARD_BITS",
+    "decimal_context",
 ]
+
+GUARD_BITS = 64
 
 # targets series_argument accepts; its radicand is positive for every target
 # (see there), and up to here one Gauss-Kronrod rule suffices (error estimate
 # 3.3e-17 at 0.3) and the argument stays inside the series' radius >= 1/2
 SUPPORTED_ARGUMENT_RANGE = 0.3
+# the Gauss-Kronrod error estimate series_argument accepts, and the number of
+# terms after the first that series_value sums
+ARGUMENT_TOLERANCE = 1e-12
+SERIES_TERMS = 50
+
+
+def decimal_context(precision: int) -> Context:
+    """The decimal context of `precision` + GUARD_BITS bits, plus 2 digits: the
+    guard bits keep the rounding of a row's arithmetic inside `precision` bits."""
+    from decimal import Context
+
+    return Context(prec=math.ceil((precision + GUARD_BITS) * math.log10(2)) + 2)
 
 
 class AsymptoticRow(namedtuple("AsymptoticRow", "n h log_h delta delta_over_n")):
@@ -60,15 +79,17 @@ def asymptotic_row(counts: Sequence[int], n: int, precision: int = 128) -> Asymp
 
     the finite-n remainder left after subtracting the Stirling-predicted
     main terms from log h; its /n column is the quantity tabulated by the
-    asymptotic experiments.
+    asymptotic experiments.  log h is ln(numerator) - ln(denominator) of the
+    exact integers, so the huge terms of h lose no accuracy.
     """
     from decimal import Decimal, localcontext
+    from fractions import Fraction
 
     if not 1 <= n < len(counts):
         raise TableRangeError(f"asymptotic rows need 1 <= n <= {len(counts) - 1}; got n={n}")
-    h = normalized(n, counts[n])
-    log_h = log_rational(h, precision)
+    h = Fraction(counts[n], factorial(2 * n + 1))
     with localcontext(decimal_context(precision)):
+        log_h = Decimal(h.numerator).ln() - Decimal(h.denominator).ln()
         m = Decimal(2 * n + 1)
         delta = (log_h - 2 * n * (1 + (n / m).ln()) + Decimal(3) / 2 * m.ln() - 1
                  + (2 * _pi()).ln() / 2)
@@ -128,15 +149,15 @@ _WG = (
 )
 
 
-def series_argument(target: float, tol: float = 1e-12) -> float:
+def series_argument(target: float) -> float:
     """Argument at which the generating series attains `target`, by quadrature.
 
     Inverts the series through the elliptic integral
         argument = integral_0^target dt / sqrt(t^4/4 - t^2 + 2*target*t + 1)
     with one 21-point Gauss-Kronrod rule on [0, target], summed in the order
     of QUADPACK's dqk21.  The integrand is smooth there, so one rule is
-    enough: if the Gauss-Kronrod difference |resk - resg| * h exceeds `tol`,
-    ValueError is raised rather than subdividing.  The radicand needs no
+    enough: if the Gauss-Kronrod difference |resk - resg| * h exceeds
+    ARGUMENT_TOLERANCE, ValueError is raised rather than subdividing.  The radicand needs no
     check: on [0, target], 2*target*t >= 2*t^2, so it is at least
     t^4/4 + t^2 + 1 > 0.
     """
@@ -161,24 +182,24 @@ def series_argument(target: float, tol: float = 1e-12) -> float:
             resg += _WG[j // 2] * pair_sum
         resk += _WGK[j] * pair_sum
     error = abs((resk - resg) * h)
-    if error > tol:
-        raise ValueError(f"Gauss-Kronrod error estimate {error:.3e} exceeds tol {tol:.3e} "
-                         f"at target {target}")
+    if error > ARGUMENT_TOLERANCE:
+        raise ValueError(f"Gauss-Kronrod error estimate {error:.3e} exceeds tol "
+                         f"{ARGUMENT_TOLERANCE:.3e} at target {target}")
     return resk * h
 
 
-def series_value(counts: Sequence[int], argument: float, terms: int = 50) -> float:
-    """Evaluate sum_{n <= terms} h(n) * argument^(2n+1) in double precision.
+def series_value(counts: Sequence[int], argument: float) -> float:
+    """Evaluate sum_{n <= SERIES_TERMS} h(n) * argument^(2n+1) in double precision.
 
     Convergence: h(n) <= Catalan(n) ~ 4^n gives radius >= 1/2, so 50 terms
     leave truncation error far below 1e-8 for arguments below 0.25.  Each
     h(n) is an int true division, which CPython rounds correctly.
     """
-    if terms >= len(counts):
-        raise TableRangeError(f"{terms} series terms need the counts to n={terms}")
+    if SERIES_TERMS >= len(counts):
+        raise TableRangeError(f"{SERIES_TERMS} series terms need the counts to n={SERIES_TERMS}")
     acc = 0.0
     sq = argument * argument
-    for n in reversed(range(terms + 1)):
+    for n in reversed(range(SERIES_TERMS + 1)):
         acc = acc * sq + counts[n] / factorial(2 * n + 1)
     return acc * argument
 

@@ -26,7 +26,8 @@ which argparse checks (:func:`_at_least`); every handler takes `args`.
 The inert `--cache` is declared once, on a parent parser.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage error, 3 I/O error.
+2 usage error, 3 I/O error, 4 internal error (a :class:`ConsistencyError`:
+an exact division left a remainder, so the counting code is wrong).
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +64,9 @@ def _print_records(records: list[dict], fmt: str) -> None:
 
 def _cmd_census(args) -> int:
     from . import inversion
-    from .exactmath import format_rational, normalized
+    from .exactmath import factorial, format_rational
 
-    records = [{"n": n, "h": format_rational(normalized(n, g)), "g": format_rational(g)}
+    records = [{"n": n, "h": format_rational(g, factorial(2 * n + 1)), "g": format_rational(g)}
                for n, g in enumerate(inversion.morse_counts(args.max_n))]
     if args.format == "text":
         for record in records:
@@ -99,8 +101,9 @@ def _cmd_table(args) -> int:
         text = analysis.format_real(x)
         return text if args.format == "csv" else float(text)
 
-    _print_records([{"n": row.n, "h": format_rational(row.h), "log_h": real(row.log_h),
-                     "delta": real(row.delta), "delta_over_n": real(row.delta_over_n)}
+    _print_records([{"n": row.n, "h": format_rational(*row.h.as_integer_ratio()),
+                     "log_h": real(row.log_h), "delta": real(row.delta),
+                     "delta_over_n": real(row.delta_over_n)}
                     for row in rows], args.format)
     return EXIT_OK
 
@@ -117,12 +120,9 @@ def _verify_tan(args) -> int:
     via_ode = series.ode_comparison_series(args.max_k)
     for k, (a, b) in enumerate(zip(via_seidel, via_ode)):
         if a != b:
-            from fractions import Fraction
-
             scale = factorial(2 * k + 1) << k  # a_k = 2^k (2k+1)! u_k
             print(f"FAIL tan routes disagree at k={k}: "
-                  f"bernoulli={format_rational(Fraction(a, scale))} "
-                  f"ode={format_rational(Fraction(b, scale))}")
+                  f"bernoulli={format_rational(a, scale)} ode={format_rational(b, scale)}")
             return EXIT_VERIFY_FAIL
     print(f"ok tangent series via bernoulli == ode solution for k <= {args.max_k}")
     return EXIT_OK
@@ -136,7 +136,8 @@ def _verify_pde(args) -> int:
     residual = series.pde_residual(series.bivariate_generating_series(table, args.order))
     if residual.coeffs:
         (a, b), c = min(residual.coeffs.items())
-        print(f"FAIL pde residual nonzero, first coefficient: {a} {b}: {format_rational(c)}")
+        print(f"FAIL pde residual nonzero, first coefficient: {a} {b}: "
+              f"{format_rational(*c.as_integer_ratio())}")
         return EXIT_VERIFY_FAIL
     print(f"ok pde residual identically zero at truncation {args.order} "
           f"(retained second exponents <= {args.order - 1})")
@@ -145,15 +146,15 @@ def _verify_pde(args) -> int:
 
 def _verify_bounds(args) -> int:
     from . import inversion, series
-    from .exactmath import format_rational, normalized
+    from .exactmath import factorial, format_rational
 
     tangent = series.scaled_tangent_series(args.max_n)
     for n, g in enumerate(inversion.morse_counts(args.max_n)):
         if g << n < tangent[n]:  # h(n) >= u_n, times 2^n (2n+1)!
-            print(f"FAIL lower bound at n={n}: h={format_rational(normalized(n, g))}")
+            print(f"FAIL lower bound at n={n}: h={format_rational(g, factorial(2 * n + 1))}")
             return EXIT_VERIFY_FAIL
         if not inversion.check_upper_bound(n, g):
-            print(f"FAIL upper bound at n={n}: h={format_rational(normalized(n, g))}")
+            print(f"FAIL upper bound at n={n}: h={format_rational(g, factorial(2 * n + 1))}")
             return EXIT_VERIFY_FAIL
         if n >= 1 and not inversion.check_conjecture(n, g):
             print(f"FAIL conjecture g < (2n+1)! at n={n}")
@@ -164,11 +165,11 @@ def _verify_bounds(args) -> int:
 
 def _verify_conjecture(args) -> int:
     from . import inversion
-    from .exactmath import format_rational, normalized
+    from .exactmath import factorial, format_rational
 
     for n, g in enumerate(inversion.morse_counts(args.max_n)):
         if n >= 1 and not inversion.check_conjecture(n, g):
-            print(f"FAIL g < (2n+1)! at n={n}: h={format_rational(normalized(n, g))}")
+            print(f"FAIL g < (2n+1)! at n={n}: h={format_rational(g, factorial(2 * n + 1))}")
             return EXIT_VERIFY_FAIL
     print(f"ok g(n) < (2n+1)! for 1 <= n <= {args.max_n}")
     return EXIT_OK
@@ -179,8 +180,8 @@ def _verify_elliptic(args) -> int:
 
     counts = inversion.morse_counts(50)
     for target in ELLIPTIC_POINTS:
-        theta = analysis.series_argument(target, tol=1e-12)
-        recovered = analysis.series_value(counts, theta, terms=50)
+        theta = analysis.series_argument(target)
+        recovered = analysis.series_value(counts, theta)
         if abs(recovered - target) > 1e-8:
             print(f"FAIL elliptic round trip at {target}: recovered {recovered!r}")
             return EXIT_VERIFY_FAIL
@@ -334,6 +335,14 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader gone away is exit 3, not a failed flush at shutdown
         return code
+    except RuntimeError as exc:
+        # imported here, as a ConsistencyError is one: the codecs load no arithmetic
+        from .exactmath import ConsistencyError
+
+        if not isinstance(exc, ConsistencyError):
+            raise
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):  # the shutdown flush then writes to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import mpmath
 
+from morsecensus import analysis
 from morsecensus.analysis import asymptotic_row, series_argument, series_value
 from morsecensus.exactmath import catalan, factorial
 from morsecensus.inversion import check_conjecture, check_upper_bound
@@ -108,10 +109,11 @@ def test_criterion_07_pde_residual_vanishes():
 def test_criterion_08_elliptic_identity_round_trip(census_counts):
     """Series value at the quadrature-inverted argument recovers the input
     to 1e-8, quadrature tolerance 1e-12, 50 series terms."""
+    assert (analysis.ARGUMENT_TOLERANCE, analysis.SERIES_TERMS) == (1e-12, 50)
     start = time.monotonic()
     for target in (0.05, 0.1, 0.2):
-        theta = series_argument(target, tol=1e-12)
-        recovered = series_value(census_counts, theta, terms=50)
+        theta = series_argument(target)
+        recovered = series_value(census_counts, theta)
         assert abs(recovered - target) <= 1e-8, f"target {target}"
     assert time.monotonic() - start < 10
 

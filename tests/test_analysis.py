@@ -5,15 +5,18 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from morsecensus import analysis
 from morsecensus.analysis import (
+    GUARD_BITS,
     AsymptoticRow,
     asymptotic_row,
+    decimal_context,
     fit_residual_model,
     format_real,
     series_argument,
     series_value,
 )
-from morsecensus.exactmath import GUARD_BITS, decimal_context, factorial
+from morsecensus.exactmath import factorial
 from morsecensus.inversion import check_conjecture, check_upper_bound, morse_counts
 from morsecensus.recurrence import TableRangeError
 
@@ -86,8 +89,8 @@ class TestEllipticInversion:
 
     def test_round_trip_through_series(self, census_counts):
         for target in (0.05, 0.1, 0.2):
-            theta = series_argument(target, tol=1e-12)
-            assert abs(series_value(census_counts, theta, terms=50) - target) <= 1e-8
+            theta = series_argument(target)
+            assert abs(series_value(census_counts, theta) - target) <= 1e-8
 
     @pytest.mark.parametrize("target, bits", [
         (0.05, "0x1.9942554b3efe3p-5"),
@@ -99,9 +102,10 @@ class TestEllipticInversion:
         # Gauss-Kronrod rule reproduces exactly
         assert series_argument(target).hex() == bits
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "ARGUMENT_TOLERANCE", 1e-30)
         with pytest.raises(ValueError, match="Gauss-Kronrod"):
-            series_argument(0.2, tol=1e-30)
+            series_argument(0.2)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -111,7 +115,7 @@ class TestEllipticInversion:
 
     def test_series_needs_enough_table(self, small_counts):
         with pytest.raises(TableRangeError):
-            series_value(small_counts, 0.1, terms=len(small_counts))
+            series_value(small_counts, 0.1)
 
 
 class TestResidualFit:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from morsecensus import analysis, cli, inversion, recurrence, series, trees
+from morsecensus.exactmath import binomial_rows
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 BENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -446,7 +447,8 @@ class TestDependencies:
     """Each command imports the layers it runs and no other."""
 
     @pytest.mark.parametrize("argv, loads, never", [
-        (("census", "--max-n", "5"), {"morsecensus.inversion"}, _COUNTING),
+        (("census", "--max-n", "5"), {"morsecensus.inversion"},
+         _COUNTING | {"fractions", "decimal"}),
         (("verify", "bounds", "--max-n", "20"), {"morsecensus.series"},
          _COUNTING | {"fractions", "decimal"}),
         (("verify", "conjecture", "--max-n", "20"), {"morsecensus.inversion"},
@@ -461,7 +463,7 @@ class TestDependencies:
         (("verify", "tan", "--max-k", "20"), {"morsecensus.series"},
          {"morsecensus.recurrence", "morsecensus.inversion", "morsecensus.trees",
           "morsecensus.analysis", "mpmath", "json", "fractions", "decimal"}),
-        (("census", "--max-n", "5", "--format", "json"), {"json"}, set()),
+        (("census", "--max-n", "5", "--format", "json"), {"json"}, {"fractions", "decimal"}),
         (("table", "--points", "4,6,8,10", "--format", "json"), {"json"}, set()),
         (("table", "--points", "4,6,8,10"), {"morsecensus.analysis"}, {"json"}),
     ], ids=["census", "bounds", "conjecture", "elliptic", "table", "oracle", "pde", "tan",
@@ -508,6 +510,40 @@ class TestDependencies:
                      ("verify", "conjecture", "--max-n", "20")):
             loaded = command_modules(*argv, "--cache", str(tmp_path / "t.txt"))
             assert "mpmath" not in loaded, argv
+
+
+class TestInternalError:
+    # a ConsistencyError is a bug in the counting code, not a failed check:
+    # exit 4, one line on stderr, nothing on stdout
+
+    def test_pde_fill_off_by_one(self, capsys, monkeypatch):
+        true_sums = recurrence._sums
+
+        def off_at_level_10(levels, values, w, points):
+            sums = true_sums(levels, values, w, points)
+            if w == 10:
+                sums[3] += 1
+            return sums
+
+        monkeypatch.setattr(recurrence, "_sums", off_at_level_10)
+        code, out, err = run(capsys, "verify", "pde", "--order", "12")
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: D^3 f(0) = 2058170113 is not a multiple of 3!")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_census_binomial_off_by_one(self, capsys, monkeypatch):
+        def perturbed():
+            for row in binomial_rows():
+                if len(row) == 5:
+                    row = row.copy()
+                    row[1] += 1
+                yield row
+
+        monkeypatch.setattr(inversion, "binomial_rows", perturbed)
+        code, out, err = run(capsys, "census", "--max-n", "10")
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: A_0 at step 4 leaves remainder")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestOracle:

@@ -1,12 +1,10 @@
+import ast
 import math
 import os
-import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from morsecensus import exactmath
@@ -15,7 +13,6 @@ from morsecensus.exactmath import (
     catalan,
     factorial,
     format_rational,
-    log_rational,
 )
 
 
@@ -36,6 +33,16 @@ def catalan_by_convolution(n):
 def test_module_keeps_no_mutable_state():
     assert [name for name, value in vars(exactmath).items()
             if not name.startswith("__") and isinstance(value, (list, dict, set))] == []
+
+
+def test_module_imports_neither_fractions_nor_decimal():
+    imported = set()
+    for node in ast.walk(ast.parse(Path(exactmath.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert not {"fractions", "decimal"} & imported
 
 
 class TestFactorial:
@@ -84,53 +91,33 @@ class TestBinomialRows:
         assert next(other) == [math.comb(r, i) for i in range(r + 1)]
 
 
-class TestLogRational:
-    def test_log_one_is_zero(self):
-        assert log_rational(Fraction(1)) == 0
-
-    def test_reciprocal_symmetry(self):
-        # copy_negate is exact: unary minus would round to the default 28 digits
-        assert log_rational(Fraction(1, 3)) == log_rational(Fraction(3)).copy_negate()
-
-    def test_log_two_reference(self):
-        value = log_rational(Fraction(2), precision=64)
-        assert abs(float(value) - 0.6931471805599453) < 1e-15
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            log_rational(Fraction(0))
-        with pytest.raises(ValueError):
-            log_rational(Fraction(-2, 3))
-
-    @pytest.mark.parametrize("precision", [128, 192])
-    def test_exp_round_trip_on_huge_rationals(self, precision):
-        rng = random.Random(20060420)
-        for _ in range(12):
-            num = rng.randrange(1, 10 ** rng.randrange(1, 501))
-            den = rng.randrange(1, 10 ** rng.randrange(1, 501))
-            q = Fraction(num, den)
-            logged = log_rational(q, precision)
-            with mpmath.workprec(precision + 80):
-                recovered = mpmath.exp(mpmath.mpf(str(logged)))
-                exact = mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
-                assert abs(recovered / exact - 1) <= mpmath.mpf(2) ** (8 - precision)
-
-
 class TestSerialization:
     def test_integer_form(self):
-        assert format_rational(Fraction(7)) == "7"
-        assert format_rational(Fraction(-3)) == "-3"
+        assert format_rational(7) == "7"
+        assert format_rational(-3) == "-3"
+        assert format_rational(0) == "0"
+
+    @pytest.mark.parametrize("num, den, text", [
+        (6, 4, "3/2"), (5040, 5040, "1"), (-12, 3, "-4"), (0, 7, "0"), (19, 120, "19/120"),
+    ])
+    def test_lowest_terms(self, num, den, text):
+        assert format_rational(num, den) == text
 
     def test_fraction_form_with_leading_sign(self):
-        assert format_rational(Fraction(-19, 120)) == "-19/120"
-        assert format_rational(Fraction(1, 2)) == "1/2"
+        # the denominator printed is positive, whichever argument carries the sign
+        for num, den in ((-19, 120), (19, -120), (-38, 240), (38, -240)):
+            assert format_rational(num, den) == "-19/120"
+            assert format_rational(-num, den) == "19/120"
+        assert format_rational(1, 2) == "1/2"
 
     def test_past_the_default_int_digit_limit(self):
         # g(1000) has 5,622 digits, more than CPython's default limit of 4,300
         limit = sys.get_int_max_str_digits()
         big = 10**5999 + 7
         digits = "1" + "0" * 5998 + "7"
-        assert format_rational(Fraction(big, 3)) == digits + "/3"
+        assert format_rational(big, 3) == digits + "/3"
+        assert format_rational(3 * big, 9) == digits + "/3"
+        assert format_rational(7, big) == "7/" + digits
         assert format_rational(big) == digits
         assert sys.get_int_max_str_digits() == limit
 
