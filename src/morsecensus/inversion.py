@@ -28,47 +28,44 @@ at x^0 the left operator leaves -8 f_0 = -8.  With E_j = D^j F:
 
 The scheme.  Put x = y(theta)^2 and read E_j at it, as series in theta.
 The inverse function and the chain rule (d/dtheta G(y^2) = 2 y y' G'(y^2),
-and x G'(x) = DG) give
+and x G'(x) = DG) give y' E_0 = 1 and y E_j' = 2 y' E_(j+1).  The scheme
+carries B_0 = A_0 = E_0, B_1 = 2 E_1 and B_2 = 4 E_2, for which
 
-    y' E_0 = 1,    y E_j' = 2 y' E_{j+1}   (j = 0, 1),
+    y' B_0 = 1,    y B_j' = y' B_(j+1)   (j = 0, 1),
 
-and the ODE above closes the system.  On integers: Y_m = m! [theta^m] y,
-so Y_(2n+1) = g(n), and A_(j,m), X_m likewise for E_j and x.  A product of
-series becomes the binomial convolution (PQ)_m = sum_i C(m,i) P_i Q_(m-i),
-and a derivative the shift (P')_m = P_(m+1).  y is odd and x and E_j are
-even, so only the even m = 2k carry values, and only their steps run.
-Step m reads everything below m and yields, with Y_1 = 1, A_(0,0) = 1 and
-A_(j,0) = 0 for j >= 1:
+and 4 times the ODE above, 32 B_2 - 32 B_0 + x G~ = -32 with
+G~ = 27 B_2 + 108 B_1 + 96 B_0, closes the system.  On integers:
+Y_m = m! [theta^m] y, so Y_(2n+1) = g(n), and B_(j,m), X_m likewise for
+B_j and x.  A product of series becomes the binomial convolution
+(PQ)_m = sum_i C(m,i) P_i Q_(m-i), and a derivative the shift
+(P')_m = P_(m+1).  y is odd and x and B_j are even, so only the even
+m = 2k carry values, and only their steps run.  Step m reads everything
+below m and yields, with Y_1 = 1, B_(0,0) = 1 and B_(j,0) = 0 for j >= 1:
 
-    X_m     = sum_i C(m,i) Y_i Y_(m-i)                          (x = y^2)
-    r_j     = sum_{0<i<m} Y_(m+1-i) (2 C(m,i) A_(j+1,i) - C(m,i-1) A_(j,i))
-    r_2     = -sum_{0<i<=m} C(m,i) X_i G_(m-i),   G = 27 A_2 + 54 A_1 + 24 A_0
+    X_m = sum_i C(m,i) Y_i Y_(m-i)                          (x = y^2)
+    r_j = sum_{0<i<m} Y_(m+1-i) (C(m,i) B_(j+1,i) - C(m,i-1) B_(j,i))
+    r_2 = -sum_{0<i<=m} C(m,i) X_i G~_(m-i)
 
-so that m A_(j,m) - 2 A_(j+1,m) = r_j for j = 0, 1, and
-32 A_(2,m) - 8 A_(0,m) = r_2 for m > 0 (at m = 0 the initial values
-satisfy the ODE's -8).  Eliminating A_1 and A_2:
+so that m B_(j,m) - B_(j+1,m) = r_j for j = 0, 1, and
+32 B_(2,m) - 32 B_(0,m) = r_2 for m > 0 (at m = 0 the initial values
+satisfy the -32).  Eliminating B_1 and B_2:
 
-    A_(0,m) = (r_2 + 8m r_0 + 16 r_1) / (8(m^2 - 1))
-    A_(1,m) = (m A_(0,m) - r_0) / 2,    A_(2,m) = (m A_(1,m) - r_1) / 2
+    B_(0,m) = (r_2 + 32 (m r_0 + r_1)) / (32 (m^2 - 1))
+    B_(1,m) = m B_(0,m) - r_0,    B_(2,m) = m B_(1,m) - r_1
 
-and then, from y' E_0 = 1 and with no division,
+and then, from y' B_0 = 1 and with no division,
 
-    Y_(m+1) = -sum_{i<m} C(m,i) Y_(i+1) A_(0,m-i).
+    Y_(m+1) = -sum_{i<m} C(m,i) Y_(i+1) B_(0,m-i).
 
-Integrality.  Every A_(j,m) is an integer.  Series whose coefficients
-P_m = m! [theta^m] P are integers form a ring, the Hurwitz ring: the
-binomial convolution and the shift keep integers.  A series P of it with
-P_0 = 1 has an inverse Q in it, as Q_0 = 1 and
+Integrality.  The step's one division is exact.  Series whose
+coefficients P_m = m! [theta^m] P are integers form a ring, the Hurwitz
+ring: the binomial convolution and the shift keep integers.  A series P
+of it with P_0 = 1 has an inverse Q in it, as Q_0 = 1 and
 Q_m = -sum_{0<i<=m} C(m,i) P_i Q_(m-i).  Each g(n) counts classes, so y
-is in the ring, and so is y', whose constant term is Y_1 = 1: E_0 = 1/y'
-is integral.  Then E_(j+1) = y E_j' / (2 y').  y and E_j' are odd
-series, so the coefficient m of y E_j' sums C(m,i) Y_i (E_j')_(m-i) over
-odd i only, is zero for odd m, and for even m every C(m,i) with odd i
-is even (Lucas's theorem).  So y E_j' has even coefficients, halving it
-keeps it integral, and so does dividing by y', which is multiplying by
-E_0.  The scheme computes these series, so its divisions are exact; each
-is still checked, as a guard against a bug, and a remainder raises
-ConsistencyError.
+is in the ring, and so is y', whose constant term is Y_1 = 1: B_0 = 1/y'
+is integral, so the division that yields B_(0,m) is exact.  B_(1,m) and
+B_(2,m) are integer combinations by construction.  The division is still checked, as
+a guard against a bug, and a remainder raises ConsistencyError.
 
 Cost.  The terms i and m-i of X_m are equal, as C(m, i) = C(m, m-i), so
 only half of them are summed, and the binomial row C(m, .) comes from the
@@ -85,23 +82,16 @@ from .exactmath import ConsistencyError, binomial_rows, catalan, factorial
 __all__ = ["morse_counts", "check_upper_bound", "check_conjecture"]
 
 
-def _exact(num: int, den: int, what: str, m: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ConsistencyError(f"{what} at step {m} leaves remainder {r} on division by {den}")
-    return q
-
-
 def morse_counts(max_n: int) -> list[int]:
     """[g(0), ..., g(max_n)]: the number of Morse classes with 2n+2 critical points.
 
     Lists are indexed by k for the step m = 2k: g[k] = Y_(2k+1), x[k] = X_(2k),
-    a[j][k] = A_(j,2k) and G[k] = G_(2k), in the notation of the module docstring.
+    b[j][k] = B_(j,2k) and G[k] = G~_(2k), in the notation of the module docstring.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    g, x, G = [1], [0], [24]
-    a = [[1], [0], [0]]
+    g, x, G = [1], [0], [96]
+    b = [[1], [0], [0]]
     for k, row in zip(range(1, max_n + 1), binomial_rows()):
         m = 2 * k
         even, odd = row[0::2], row[1::2]  # C(m, 2i), C(m, 2i + 1)
@@ -112,17 +102,20 @@ def morse_counts(max_n: int) -> list[int]:
             x_m += odd[half] * g[half] ** 2
         x.append(x_m)
         back = g[k - 1:0:-1]  # Y_(m+1-2i) = g[k-i] for i = 1..k-1
-        r0, r1 = (sum(map(mul, back, (2 * c * hi - d * lo for c, d, hi, lo
-                                      in zip(even[1:k], odd, a[j + 1][1:], a[j][1:]))))
+        r0, r1 = (sum(map(mul, back, (c * hi - d * lo for c, d, hi, lo
+                                      in zip(even[1:k], odd, b[j + 1][1:], b[j][1:]))))
                   for j in range(2))
         r2 = -sum(map(mul, map(mul, even[1:], x[1:]), reversed(G)))
-        a0 = _exact(r2 + 8 * m * r0 + 16 * r1, 8 * (m * m - 1), "A_0", m)
-        a1 = _exact(m * a0 - r0, 2, "A_1", m)
-        a2 = _exact(m * a1 - r1, 2, "A_2", m)
-        for col, value in zip(a, (a0, a1, a2)):
+        den = 32 * (m * m - 1)
+        b0, rem = divmod(r2 + 32 * (m * r0 + r1), den)
+        if rem:
+            raise ConsistencyError(f"A_0 at step {m} leaves remainder {rem} on division by {den}")
+        b1 = m * b0 - r0
+        b2 = m * b1 - r1
+        for col, value in zip(b, (b0, b1, b2)):
             col.append(value)
-        G.append(27 * a2 + 54 * a1 + 24 * a0)
-        g.append(-sum(map(mul, map(mul, even[:k], g), reversed(a[0][1:]))))
+        G.append(27 * b2 + 108 * b1 + 96 * b0)
+        g.append(-sum(map(mul, map(mul, even[:k], g), reversed(b[0][1:]))))
     return g
 
 

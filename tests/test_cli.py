@@ -1,10 +1,12 @@
 import ast
 import functools
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -113,6 +115,49 @@ class TestBenchmarkReference:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.encode() == reference.read_bytes()
+
+
+def _load_tracer():
+    """perfbench/tracer.py as a module, loaded by path: the package's tests
+    put nothing of perfbench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  BENCH_RUN.parent / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+class TestBenchmarkContract:
+    # a traced benchmark run lays the tracer's wrappers over the package and
+    # counts a command that then fails, or prints other bytes, as a failed
+    # operation; make_reference.py calls the table the way the last test does
+
+    def test_traced_toy_commands_match_reference(self, capsys):
+        toy = [(ref, args) for ref, args in _bench_commands() if ref.parent.name == "toy"]
+        assert len(toy) == 11
+        tracer = _load_tracer()
+        spans = tracer.Tracer()
+        undo = tracer.install(spans)
+        try:
+            for reference, args in toy:
+                code, out, _ = run(capsys, *args, "--cache", "x")
+                assert code == 0, args
+                assert out.encode() == reference.read_bytes(), args
+        finally:
+            tracer.uninstall(undo)
+        recorded = spans.take()
+        assert [span for span in recorded if span[tracer.ERROR] is not None] == []
+        extras = tracer.span_figures(recorded)["extras"]
+        for name in ("recurrence.extend_table", "series.pde_residual",
+                     "trees.enumerate_morse_trees"):
+            assert extras.get(name), name
+
+    def test_reference_cross_check_call_shapes(self):
+        rows = json.loads((BENCH_RUN.parent / "reference" / "toy" / "census10.json").read_text())
+        table = recurrence.extend_table(None, 20, use_fractions=True)
+        for row in rows:
+            assert table.normalized_count(row["n"]) == Fraction(row["h"])
+            assert table.morse_count(row["n"]) == int(row["g"])
 
 
 class TestCountingCommandsReadNoTable:
@@ -543,6 +588,19 @@ class TestInternalError:
         code, out, err = run(capsys, "census", "--max-n", "10")
         assert (code, out) == (4, "")
         assert err.startswith("internal error: A_0 at step 4 leaves remainder")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_oracle_table_off_by_one(self, capsys, monkeypatch):
+        # S'(0, 2) = 2^2 g(2) = 76 raised to 77: CensusTable.morse_count finds the remainder
+        table = recurrence.extend_table(None, 4)
+        levels = [list(level) for level in table.levels]
+        assert levels[4][2] == 76
+        levels[4][2] += 1
+        monkeypatch.setattr(recurrence, "extend_table",
+                            lambda *args, **kwargs: recurrence.CensusTable(4, levels))
+        code, out, err = run(capsys, "oracle", "2")
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: (2n+1)! * T(0,2) is not an integer")
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
