@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .exactmath import TableRangeError, factorial
+from .exactmath import factorial
 
 # `Decimal`, `Context` and `Fraction` in annotations are unbound here (see the
 # module docstring): they name the types for readers only, and get_type_hints fails.
@@ -86,7 +86,7 @@ def asymptotic_row(counts: Sequence[int], n: int, precision: int = 128) -> Asymp
     from fractions import Fraction
 
     if not 1 <= n < len(counts):
-        raise TableRangeError(f"asymptotic rows need 1 <= n <= {len(counts) - 1}; got n={n}")
+        raise ValueError(f"asymptotic rows need 1 <= n <= {len(counts) - 1}; got n={n}")
     h = Fraction(counts[n], factorial(2 * n + 1))
     with localcontext(decimal_context(precision)):
         log_h = Decimal(h.numerator).ln() - Decimal(h.denominator).ln()
@@ -196,7 +196,7 @@ def series_value(counts: Sequence[int], argument: float) -> float:
     h(n) is an int true division, which CPython rounds correctly.
     """
     if SERIES_TERMS >= len(counts):
-        raise TableRangeError(f"{SERIES_TERMS} series terms need the counts to n={SERIES_TERMS}")
+        raise ValueError(f"{SERIES_TERMS} series terms need the counts to n={SERIES_TERMS}")
     acc = 0.0
     sq = argument * argument
     for n in reversed(range(SERIES_TERMS + 1)):

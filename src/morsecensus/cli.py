@@ -19,7 +19,7 @@ loads no more than its command needs:
 Only `argparse` loads with this module, beyond `os` and `sys`, which
 every interpreter has loaded at start-up, and `json` only for `census
 --format json` and `table --format json`.  Both commands print
-their CSV and JSON records through one writer, :func:`_print_records`.
+their text, CSV and JSON records through one writer, :func:`_print_records`.
 
 Each `verify` suite is a subcommand that declares only its own bound,
 which argparse checks (:func:`_at_least`); every handler takes `args`.
@@ -49,30 +49,30 @@ EXIT_INTERNAL = 4
 # census
 
 
-def _print_records(records: list[dict], fmt: str) -> None:
-    """Print dict records as CSV (a header of the field names, then one
-    comma-joined line per record) or as JSON (`json.dumps(records, indent=2)`)."""
+def _print_records(records: list[dict], fmt: str, line: str) -> None:
+    """Print dict records as text (`line.format_map(record)` per record), as
+    CSV (a header of the field names, then one comma-joined line per record)
+    or as JSON (`json.dumps(records, indent=2)`)."""
     if fmt == "json":
         import json
 
         print(json.dumps(records, indent=2))
-    else:
+    elif fmt == "csv":
         print(",".join(records[0]))
         for record in records:
             print(",".join(map(str, record.values())))
+    else:
+        for record in records:
+            print(line.format_map(record))
 
 
 def _cmd_census(args) -> int:
     from . import inversion
     from .exactmath import factorial, format_rational
 
-    records = [{"n": n, "h": format_rational(g, factorial(2 * n + 1)), "g": format_rational(g)}
-               for n, g in enumerate(inversion.morse_counts(args.max_n))]
-    if args.format == "text":
-        for record in records:
-            print("n={n} h={h} g={g}".format(**record))
-    else:
-        _print_records(records, args.format)
+    _print_records([{"n": n, "h": format_rational(g, factorial(2 * n + 1)), "g": format_rational(g)}
+                    for n, g in enumerate(inversion.morse_counts(args.max_n))],
+                   args.format, "n={n} h={h} g={g}")
     return EXIT_OK
 
 
@@ -87,24 +87,19 @@ def _cmd_table(args) -> int:
     points = args.points
     counts = inversion.morse_counts(max(points))
     rows = [analysis.asymptotic_row(counts, n, args.precision) for n in points]
-    if args.format == "text":
-        for row in rows:
-            print(f"n={row.n} delta={analysis.format_real(row.delta)} "
-                  f"delta/n={analysis.format_real(row.delta_over_n)}")
-        if len({row.n for row in rows}) >= 4:
-            a, b, c = analysis.fit_residual_model(rows)
-            print(f"# heuristic least-squares fit delta ~ a*n + b*log n + c: "
-                  f"a={a:.4f} b={b:.4f} c={c:.4f} (suggestive only, no error bars)")
-        return EXIT_OK
 
-    def real(x):  # 9 significant digits: a string in CSV, a number in JSON
+    def real(x):  # 9 significant digits: a string in text and CSV, a number in JSON
         text = analysis.format_real(x)
-        return text if args.format == "csv" else float(text)
+        return float(text) if args.format == "json" else text
 
     _print_records([{"n": row.n, "h": format_rational(*row.h.as_integer_ratio()),
                      "log_h": real(row.log_h), "delta": real(row.delta),
                      "delta_over_n": real(row.delta_over_n)}
-                    for row in rows], args.format)
+                    for row in rows], args.format, "n={n} delta={delta} delta/n={delta_over_n}")
+    if args.format == "text" and len({row.n for row in rows}) >= 4:
+        a, b, c = analysis.fit_residual_model(rows)
+        print(f"# heuristic least-squares fit delta ~ a*n + b*log n + c: "
+              f"a={a:.4f} b={b:.4f} c={c:.4f} (suggestive only, no error bars)")
     return EXIT_OK
 
 

@@ -12,7 +12,6 @@ from math import comb, factorial, gcd  # factorial re-exported; ValueError on n 
 from operator import add
 
 __all__ = [
-    "TableRangeError",
     "ConsistencyError",
     "factorial",
     "catalan",
@@ -21,12 +20,8 @@ __all__ = [
 ]
 
 
-# Shared by every layer; `recurrence` re-exports both, so a layer raises or
-# catches them without loading the table code.
-class TableRangeError(ValueError):
-    """Requested index lies outside the table's weight bound."""
-
-
+# Shared by every layer; `recurrence` re-exports it, so a layer raises or
+# catches it without loading the table code.
 class ConsistencyError(RuntimeError):
     """A value the recurrence makes integral is not an integer: a recurrence bug."""
 

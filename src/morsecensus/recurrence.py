@@ -65,12 +65,11 @@ from fractions import Fraction
 from math import comb
 from operator import mul, sub
 
-from .exactmath import ConsistencyError, TableRangeError, factorial
+from .exactmath import ConsistencyError, factorial
 
 __all__ = [
     "CensusTable",
     "extend_table",
-    "TableRangeError",
     "ConsistencyError",
 ]
 
@@ -94,7 +93,7 @@ class CensusTable(namedtuple("CensusTable", "weight_bound levels")):
         """T(x, y) = S'(x, y) / (2^(x+y) (x+2y+1)!); `normalized_count` and
         `items` read T through it."""
         if x < 0 or y < 0 or x + 2 * y > self.weight_bound:
-            raise TableRangeError(
+            raise ValueError(
                 f"entry ({x},{y}) outside table with weight bound {self.weight_bound}"
             )
         return Fraction(self.levels[x + 2 * y][y], _scale(x, y))
@@ -106,7 +105,7 @@ class CensusTable(namedtuple("CensusTable", "weight_bound levels")):
     def morse_count(self, n: int) -> int:
         """Number of equivalence classes with 2n+2 critical points."""
         if n < 0 or 2 * n > self.weight_bound:
-            raise TableRangeError(
+            raise ValueError(
                 f"n={n} needs weight bound >= {2 * n}, table has {self.weight_bound}"
             )
         count, rest = divmod(self.levels[2 * n][n], 1 << n)

@@ -38,7 +38,7 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .exactmath import TableRangeError, binomial_rows, factorial
+from .exactmath import binomial_rows, factorial
 
 # CensusTable (from :mod:`recurrence`) appears only in annotations, which are
 # never evaluated here, so `verify tan|bounds` do not load the table code.  The
@@ -115,7 +115,7 @@ def bivariate_generating_series(table: CensusTable, v_max: int) -> Series2:
     requires weight bound >= v_max - 1.
     """
     if v_max > table.weight_bound + 1:
-        raise TableRangeError(
+        raise ValueError(
             f"second-exponent bound {v_max} needs weight bound {v_max - 1}"
         )
     return Series2({(w - 2 * y, w + 1): c

@@ -18,7 +18,6 @@ from morsecensus.analysis import (
 )
 from morsecensus.exactmath import factorial
 from morsecensus.inversion import check_conjecture, check_upper_bound, morse_counts
-from morsecensus.recurrence import TableRangeError
 
 
 class TestAsymptoticRow:
@@ -35,11 +34,11 @@ class TestAsymptoticRow:
             assert row.delta_over_n == row.delta / 7
 
     def test_needs_positive_index(self, small_counts):
-        with pytest.raises(TableRangeError):
+        with pytest.raises(ValueError, match="^asymptotic rows need 1 <= n <= 15; got n=0$"):
             asymptotic_row(small_counts, 0)
 
     def test_out_of_range(self, small_counts):
-        with pytest.raises(TableRangeError):
+        with pytest.raises(ValueError, match="^asymptotic rows need 1 <= n <= 15; got n=16$"):
             asymptotic_row(small_counts, len(small_counts))
 
 
@@ -114,7 +113,7 @@ class TestEllipticInversion:
             series_argument(-0.01)
 
     def test_series_needs_enough_table(self, small_counts):
-        with pytest.raises(TableRangeError):
+        with pytest.raises(ValueError, match="^50 series terms need the counts to n=50$"):
             series_value(small_counts, 0.1)
 
 

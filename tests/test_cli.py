@@ -255,6 +255,9 @@ CENSUS_3_JSON = """\
   }
 ]
 """
+# under four points no fit line follows the rows
+TABLE_10_20_TEXT = ("n=10 delta=-6.34178333 delta/n=-0.634178333\n"
+                    "n=20 delta=-15.0047386 delta/n=-0.75023693\n")
 TABLE_10_20_CSV = ("n,h,log_h,delta,delta_over_n\n"
                    f"10,{H_10},-5.66625241,-6.34178333,-0.634178333\n"
                    f"20,{H_20},-9.20762695,-15.0047386,-0.75023693\n")
@@ -279,14 +282,15 @@ TABLE_10_20_JSON = (
 
 
 class TestRecordOutput:
-    """The CSV and JSON stdout of census and table, byte for byte."""
+    """The stdout of census and table in every format, byte for byte."""
 
     @pytest.mark.parametrize("argv, expected", [
         (("census", "--max-n", "3", "--format", "csv"), CENSUS_3_CSV),
         (("census", "--max-n", "3", "--format", "json"), CENSUS_3_JSON),
+        (("table", "--points", "10,20"), TABLE_10_20_TEXT),
         (("table", "--points", "10,20", "--format", "csv"), TABLE_10_20_CSV),
         (("table", "--points", "10,20", "--format", "json"), TABLE_10_20_JSON),
-    ], ids=["census-csv", "census-json", "table-csv", "table-json"])
+    ], ids=["census-csv", "census-json", "table-text", "table-csv", "table-json"])
     def test_whole_stdout(self, capsys, argv, expected):
         assert run(capsys, *argv) == (0, expected, "")
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsecensus import recurrence
-from morsecensus.recurrence import CensusTable, ConsistencyError, TableRangeError, extend_table
+from morsecensus.recurrence import CensusTable, ConsistencyError, extend_table
 
 
 @pytest.fixture(scope="module")
@@ -55,17 +55,17 @@ class TestFill:
         assert list(table.items()) == [((0, 0), 1)]
 
     def test_range_errors(self, table20):
-        with pytest.raises(TableRangeError):
+        with pytest.raises(ValueError, match=r"^entry \(0,11\) outside table with weight bound 20$"):
             table20.normalized_count(11)
-        with pytest.raises(TableRangeError):
+        with pytest.raises(ValueError, match="^n=11 needs weight bound >= 22, table has 20$"):
             table20.morse_count(11)
-        with pytest.raises(TableRangeError):
+        with pytest.raises(ValueError, match="^n=-1 needs weight bound >= -2, table has 20$"):
             table20.morse_count(-1)
         with pytest.raises(ValueError):
             extend_table(None, -1)
-        with pytest.raises(TableRangeError):
+        with pytest.raises(ValueError, match=r"^entry \(19,1\) outside table with weight bound 20$"):
             table20.entry(19, 1)
-        with pytest.raises(TableRangeError):
+        with pytest.raises(ValueError, match=r"^entry \(-1,0\) outside table with weight bound 20$"):
             table20.entry(-1, 0)
 
 

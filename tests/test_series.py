@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsecensus.recurrence import TableRangeError, extend_table
+from morsecensus.recurrence import extend_table
 from morsecensus.series import (
     Series2,
     bivariate_generating_series,
@@ -207,7 +207,7 @@ class TestGeneratingSeries:
             for x in range(8) for y in range(4) if x + 2 * y < 8}
 
     def test_bivariate_range_check(self, small_table):
-        with pytest.raises(TableRangeError):
+        with pytest.raises(ValueError, match="^second-exponent bound 32 needs weight bound 31$"):
             bivariate_generating_series(small_table, small_table.weight_bound + 2)
         # no second exponent is <= 0, and a negative bound reads no level
         assert bivariate_generating_series(small_table, 0) == ({}, 0)
