@@ -10,3 +10,8 @@ asymptotics.
 """
 
 __version__ = "0.1.0"
+
+
+class ConsistencyError(RuntimeError):
+    """A value the recurrence makes integral is not an integer: a bug in the
+    counting code, which the command line reports with exit code 4."""

@@ -35,6 +35,8 @@ import argparse
 import os
 import sys
 
+from . import ConsistencyError
+
 REFERENCE_TABLE_POINTS = (10, 20, 30, 40, 50, 100, 150, 200)
 ELLIPTIC_POINTS = (0.05, 0.1, 0.2)
 
@@ -128,7 +130,7 @@ def _verify_pde(args) -> int:
     from .exactmath import format_rational
 
     table = recurrence.extend_table(None, args.order - 1)
-    residual = series.pde_residual(series.bivariate_generating_series(table, args.order))
+    residual = series.pde_residual(series.bivariate_generating_series(table))
     if residual.coeffs:
         (a, b), c = min(residual.coeffs.items())
         print(f"FAIL pde residual nonzero, first coefficient: {a} {b}: "
@@ -330,12 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader gone away is exit 3, not a failed flush at shutdown
         return code
-    except RuntimeError as exc:
-        # imported here, as a ConsistencyError is one: the codecs load no arithmetic
-        from .exactmath import ConsistencyError
-
-        if not isinstance(exc, ConsistencyError):
-            raise
+    except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except OSError as exc:

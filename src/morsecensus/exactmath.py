@@ -12,18 +12,11 @@ from math import comb, factorial, gcd  # factorial re-exported; ValueError on n 
 from operator import add
 
 __all__ = [
-    "ConsistencyError",
     "factorial",
     "catalan",
     "binomial_rows",
     "format_rational",
 ]
-
-
-# Shared by every layer; `recurrence` re-exports it, so a layer raises or
-# catches it without loading the table code.
-class ConsistencyError(RuntimeError):
-    """A value the recurrence makes integral is not an integer: a recurrence bug."""
 
 
 def catalan(n: int) -> int:

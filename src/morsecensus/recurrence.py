@@ -65,13 +65,10 @@ from fractions import Fraction
 from math import comb
 from operator import mul, sub
 
-from .exactmath import ConsistencyError, factorial
+from . import ConsistencyError
+from .exactmath import factorial
 
-__all__ = [
-    "CensusTable",
-    "extend_table",
-    "ConsistencyError",
-]
+__all__ = ["CensusTable", "extend_table"]
 
 
 def _scale(x: int, y: int) -> int:
@@ -126,21 +123,20 @@ class CensusTable(namedtuple("CensusTable", "weight_bound levels")):
 # fill routines
 
 
-def _sums(levels: list[list[int]], values: dict[int, list[int]], w: int,
-          points: list[int]) -> list[int]:
-    """V(p) = sum of C(w, w1 + 1) L_{w1}(p) L_{w - 2 - w1}(p) over w1, at each p in `points`.
+def _sums(levels: list[list[int]], values: list[list[int]], w: int) -> list[int]:
+    """V(p) = sum of C(w, w1 + 1) L_{w1}(p) L_{w - 2 - w1}(p) over w1, at p = 0..w//2 - 1.
 
     L_k is level k as a polynomial in z, sum_y S'(k - 2y, y) z^y.  The sum
     runs over the pairs of levels w1 <= w2 = w - 2 - w1; swapping the two
     levels gives the same term, so an unequal pair is counted twice.
     `values[p]` holds L_0(p), L_1(p), ...; it is extended here, by Horner's
-    rule, to the levels <= w - 2 that level w reads.
+    rule, to the points and the levels <= w - 2 that level w reads.
     """
     half = w // 2
     coeffs = [comb(w, w1 + 1) << (w1 != w - 2 - w1) for w1 in range(half)]
+    values.extend([] for _ in range(len(values), half))
     sums = []
-    for p in points:
-        col = values.setdefault(p, [])
+    for p, col in enumerate(values):
         for level in levels[len(col):w - 1]:
             acc = 0
             for c in reversed(level):
@@ -181,10 +177,10 @@ def _fill(levels: list[list[int]], weight_bound: int) -> None:
     polynomial V of :func:`_sums`.  They come from its values at the n
     points 0..n-1 by :func:`_interpolate`.
     """
-    values: dict[int, list[int]] = {}
+    values: list[list[int]] = []
     for w in range(len(levels), weight_bound + 1):
         n = w // 2
-        conv = [0, *_interpolate(_sums(levels, values, w, list(range(n))))]
+        conv = [0, *_interpolate(_sums(levels, values, w))]
         below = [0, *levels[w - 1], 0]  # S'(x+1, -1) = S'(-1, y) = 0
         levels.append([(w - 2 * y + 1) * (below[y] + below[y + 1] + conv[y])
                        for y in range(n + 1)])

@@ -108,19 +108,14 @@ def scaled_tangent_series(order_index: int) -> list[int]:
     return scaled
 
 
-def bivariate_generating_series(table: CensusTable, v_max: int) -> Series2:
+def bivariate_generating_series(table: CensusTable) -> Series2:
     """sigma's Hurwitz coefficients: S'(x, y) at (x, x+2y+1), straight from the table.
 
-    Complete for every monomial with second exponent <= v_max, which
-    requires weight bound >= v_max - 1.
+    Complete for every monomial with second exponent <= weight bound + 1.
     """
-    if v_max > table.weight_bound + 1:
-        raise ValueError(
-            f"second-exponent bound {v_max} needs weight bound {v_max - 1}"
-        )
     return Series2({(w - 2 * y, w + 1): c
-                    for w, level in enumerate(table.levels[:max(v_max, 0)])
-                    for y, c in enumerate(level)}, v_max)
+                    for w, level in enumerate(table.levels)
+                    for y, c in enumerate(level)}, table.weight_bound + 1)
 
 
 def pde_residual(series: Series2) -> Series2:

@@ -15,7 +15,7 @@ import mpmath
 from morsecensus import analysis
 from morsecensus.analysis import asymptotic_row, series_argument, series_value
 from morsecensus.exactmath import catalan, factorial
-from morsecensus.inversion import check_conjecture, check_upper_bound
+from morsecensus.inversion import check_conjecture
 from morsecensus.recurrence import extend_table
 from morsecensus.series import (
     bivariate_generating_series,
@@ -71,7 +71,8 @@ def test_criterion_03_sandwich_bounds_exact(census_counts, acceptance_max_n):
         h = Fraction(census_counts[n], factorial(2 * n + 1))
         assert h >= Fraction(tangent[n], factorial(2 * n + 1) << n), f"lower bound at n={n}"
         assert h <= catalan(n), f"upper bound at n={n}"
-        assert check_upper_bound(n, census_counts[n]), f"integer estimate at n={n}"
+        assert census_counts[n] * (n + 1) <= factorial(2 * n + 1) << (2 * n), \
+            f"integer estimate at n={n}"
 
 
 def test_criterion_04_strict_factorial_bound(census_counts, acceptance_max_n):
@@ -100,7 +101,7 @@ def test_criterion_07_pde_residual_vanishes():
     series is exactly zero at truncation 25."""
     start = time.monotonic()
     table = extend_table(None, 24)
-    residual = pde_residual(bivariate_generating_series(table, 25))
+    residual = pde_residual(bivariate_generating_series(table))
     assert residual.v_bound == 24
     assert not residual.coeffs, f"first nonzero: {min(residual.coeffs.items())}"
     assert time.monotonic() - start < 60

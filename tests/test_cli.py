@@ -568,11 +568,8 @@ class TestInternalError:
     def test_pde_fill_off_by_one(self, capsys, monkeypatch):
         true_sums = recurrence._sums
 
-        def off_at_level_10(levels, values, w, points):
-            sums = true_sums(levels, values, w, points)
-            if w == 10:
-                sums[3] += 1
-            return sums
+        def off_at_level_10(levels, values, w):
+            return [v + (w == 10 and p == 3) for p, v in enumerate(true_sums(levels, values, w))]
 
         monkeypatch.setattr(recurrence, "_sums", off_at_level_10)
         code, out, err = run(capsys, "verify", "pde", "--order", "12")
@@ -606,6 +603,19 @@ class TestInternalError:
         assert (code, out) == (4, "")
         assert err.startswith("internal error: (2n+1)! * T(0,2) is not an integer")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])
+    def test_other_runtime_errors_propagate(self, capsys, monkeypatch, error):
+        # only a ConsistencyError is an internal error: any other exception,
+        # a RuntimeError subclass too, leaves main unchanged, not as exit 4
+        def fail(max_n):
+            raise error
+
+        monkeypatch.setattr(inversion, "morse_counts", fail)
+        with pytest.raises(type(error)) as raised:
+            cli.main(["census", "--max-n", "3"])
+        assert raised.value is error
+        assert capsys.readouterr() == ("", "")
 
 
 class TestOracle:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsecensus import recurrence
-from morsecensus.recurrence import CensusTable, ConsistencyError, extend_table
+from morsecensus import ConsistencyError, recurrence
+from morsecensus.recurrence import CensusTable, extend_table
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +120,8 @@ class TestDeterminismAndModes:
     def test_wrong_sums_raise_consistency_error(self, monkeypatch):
         sums = recurrence._sums
 
-        def off_by_one_at_level_10(levels, values, w, points):
-            result = sums(levels, values, w, points)
-            return [v + (w == 10 and p == 3) for p, v in zip(points, result)]
+        def off_by_one_at_level_10(levels, values, w):
+            return [v + (w == 10 and p == 3) for p, v in enumerate(sums(levels, values, w))]
 
         monkeypatch.setattr(recurrence, "_sums", off_by_one_at_level_10)
         with pytest.raises(ConsistencyError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsecensus.recurrence import extend_table
+from morsecensus.recurrence import CensusTable, extend_table
 from morsecensus.series import (
     Series2,
     bivariate_generating_series,
@@ -16,6 +16,11 @@ from morsecensus.series import (
 
 # the tangent numbers a_k = 2^k (2k+1)! u_k for k = 0..5 (OEIS A000182)
 TANGENT_NUMBERS = [1, 2, 16, 272, 7936, 353792]
+
+
+def truncated(table, v_max):
+    """`table` cut to weight bound v_max - 1, whose series is complete through v_max."""
+    return CensusTable(v_max - 1, table.levels[:v_max])
 
 
 def tan_coefficients(order_index):
@@ -190,7 +195,7 @@ class TestTangentRoutes:
 
 class TestGeneratingSeries:
     def test_bivariate_coefficients(self, small_table):
-        s = bivariate_generating_series(small_table, 8)
+        s = bivariate_generating_series(truncated(small_table, 8))
         assert s.v_bound == 8
         assert s.coeffs[(0, 1)] == 1
         assert s.coeffs[(1, 2)] == 2  # S'(1, 0) = 2!
@@ -206,12 +211,12 @@ class TestGeneratingSeries:
             (x, x + 2 * y + 1): small_table.entry(x, y)
             for x in range(8) for y in range(4) if x + 2 * y < 8}
 
-    def test_bivariate_range_check(self, small_table):
-        with pytest.raises(ValueError, match="^second-exponent bound 32 needs weight bound 31$"):
-            bivariate_generating_series(small_table, small_table.weight_bound + 2)
-        # no second exponent is <= 0, and a negative bound reads no level
-        assert bivariate_generating_series(small_table, 0) == ({}, 0)
-        assert bivariate_generating_series(small_table, -3) == ({}, -3)
+    def test_bivariate_bound_read_off_the_table(self, small_table):
+        # level w puts its entries at second exponent w + 1
+        for weight_bound in (0, 1, 30):
+            s = bivariate_generating_series(truncated(small_table, weight_bound + 1))
+            assert s.v_bound == weight_bound + 1
+            assert max(b for _, b in s.coeffs) == weight_bound + 1
 
     def test_coefficientwise_lower_bound(self, small_table):
         # h(n) >= u_n, that is g(n) 2^n >= a_n
@@ -224,31 +229,33 @@ class TestPdeResidual:
     @pytest.mark.parametrize("order", [25, 80])  # 80: the order README times
     def test_residual_vanishes_at_order(self, order):
         table = extend_table(None, order - 1)
-        residual = pde_residual(bivariate_generating_series(table, order))
+        residual = pde_residual(bivariate_generating_series(table))
         assert residual == ({}, order - 1)
 
     def test_residual_vanishes_for_all_smaller_truncations(self, small_table):
         for v_max in range(1, small_table.weight_bound + 2):
-            assert pde_residual(bivariate_generating_series(small_table, v_max)) == ({}, v_max - 1)
+            residual = pde_residual(bivariate_generating_series(truncated(small_table, v_max)))
+            assert residual == ({}, v_max - 1)
 
     def test_residual_vanishes_at_order_200(self, acceptance_max_n, request):
         if acceptance_max_n < 200:
             pytest.skip("the weight-400 table is built at the full gate only")
         table = request.getfixturevalue("census_table")
-        residual = pde_residual(bivariate_generating_series(table, 200))
+        # census_table has weight 400 here: order 200 reads its levels 0..199
+        residual = pde_residual(bivariate_generating_series(truncated(table, 200)))
         assert residual == ({}, 199)
 
     def test_forced_constant_cancellation(self, small_table):
         # dV shifts sigma(0, 1) = S'(0, 0) = 1 to the constant, where the
         # flux's U contributes dU(U) = 1 and cancels it
-        xi = bivariate_generating_series(small_table, 6)
+        xi = bivariate_generating_series(truncated(small_table, 6))
         assert xi.coeffs[(0, 1)] == 1
         assert (0, 0) not in pde_residual(xi).coeffs
         no_constant = Series2({key: c for key, c in xi.coeffs.items() if key != (0, 1)}, 6)
         assert pde_residual(no_constant).coeffs[(0, 0)] == -1
 
     def test_residual_detects_a_perturbation(self, small_table):
-        xi = bivariate_generating_series(small_table, 10)
+        xi = bivariate_generating_series(truncated(small_table, 10))
         coeffs = dict(xi.coeffs)
         coeffs[(1, 4)] += 1  # S'(1, 1) = 44 becomes 45
         perturbed = Series2(coeffs, xi.v_bound)
@@ -259,7 +266,7 @@ class TestPdeResidual:
     def test_every_single_perturbation_is_caught(self):
         # each S' of weight <= 14 in turn, plus one: the residual converts
         # R(a, b) / (b! 2^((a+b)/2)) at a > 0 too
-        xi = bivariate_generating_series(extend_table(None, 14), 15)
+        xi = bivariate_generating_series(extend_table(None, 14))
         for key in xi.coeffs:
             perturbed = Series2({**xi.coeffs, key: xi.coeffs[key] + 1}, xi.v_bound)
             residual = pde_residual(perturbed)
