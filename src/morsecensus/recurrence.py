@@ -49,9 +49,11 @@ are the coefficients of
 the sum for S'(w-2y, y) is the coefficient of z^(y-1).  V has integer
 coefficients and degree at most floor(w1/2) + floor(w2/2) <= n - 1, where
 n = floor(w/2), so its values at the n points 0..n-1 determine it.  The
-fill evaluates V there, about w^2/4 products of big integers per level
-against about w^3/48 for the convolution taken coefficient by coefficient,
-and interpolates in integers with Newton's forward-difference form
+fill to weight W evaluates each level once, when it reaches it, at each
+point 0..W//2 - 1, by Horner's rule.  V at a point is then about w/2
+products of those values: about w^2/4 products of big integers per level
+against about w^3/48 for the convolution taken coefficient by coefficient.
+The fill interpolates in integers with Newton's forward-difference form
 V(x) = sum_k (D^k V(0) / k!) x(x-1)...(x-k+1).  The divisions are exact:
 for an integer polynomial, D^k x^m at 0 is k! times a Stirling number of
 the second kind, so every D^k V(0) is a multiple of k!.  A remainder means
@@ -123,29 +125,6 @@ class CensusTable(namedtuple("CensusTable", "weight_bound levels")):
 # fill routines
 
 
-def _sums(levels: list[list[int]], values: list[list[int]], w: int) -> list[int]:
-    """V(p) = sum of C(w, w1 + 1) L_{w1}(p) L_{w - 2 - w1}(p) over w1, at p = 0..w//2 - 1.
-
-    L_k is level k as a polynomial in z, sum_y S'(k - 2y, y) z^y.  The sum
-    runs over the pairs of levels w1 <= w2 = w - 2 - w1; swapping the two
-    levels gives the same term, so an unequal pair is counted twice.
-    `values[p]` holds L_0(p), L_1(p), ...; it is extended here, by Horner's
-    rule, to the points and the levels <= w - 2 that level w reads.
-    """
-    half = w // 2
-    coeffs = [comb(w, w1 + 1) << (w1 != w - 2 - w1) for w1 in range(half)]
-    values.extend([] for _ in range(len(values), half))
-    sums = []
-    for p, col in enumerate(values):
-        for level in levels[len(col):w - 1]:
-            acc = 0
-            for c in reversed(level):
-                acc = acc * p + c
-            col.append(acc)
-        sums.append(sum(map(mul, map(mul, coeffs, col), reversed(col[w - 1 - half:w - 1]))))
-    return sums
-
-
 def _interpolate(values: list[int]) -> list[int]:
     """Coefficients of the integer polynomial of degree < len(values) that
     takes `values` at 0, 1, 2, ...; ConsistencyError if there is none.
@@ -174,16 +153,29 @@ def _fill(levels: list[list[int]], weight_bound: int) -> None:
     """Append the levels of S' from len(levels) up to `weight_bound`.
 
     Level w needs the coefficients of z^0..z^(n-1), n = w // 2, of the
-    polynomial V of :func:`_sums`.  They come from its values at the n
-    points 0..n-1 by :func:`_interpolate`.
+    polynomial V of the module docstring.  Its sum runs over the pairs of
+    levels w1 <= w2 = w - 2 - w1; swapping the two levels gives the same
+    term, so an unequal pair is counted twice.  `cols[p]` holds L_0(p),
+    L_1(p), ... at the points p = 0..weight_bound//2 - 1: the loop
+    evaluates each level there once, by Horner's rule, when it reaches it.
+    V's values at 0..n-1 give its coefficients by :func:`_interpolate`.
     """
-    values: list[list[int]] = []
-    for w in range(len(levels), weight_bound + 1):
-        n = w // 2
-        conv = [0, *_interpolate(_sums(levels, values, w))]
-        below = [0, *levels[w - 1], 0]  # S'(x+1, -1) = S'(-1, y) = 0
-        levels.append([(w - 2 * y + 1) * (below[y] + below[y + 1] + conv[y])
-                       for y in range(n + 1)])
+    cols: list[list[int]] = [[] for _ in range(weight_bound // 2)]
+    for w in range(weight_bound + 1):
+        if w == len(levels):
+            n = w // 2
+            coeffs = [comb(w, w1 + 1) << (w1 != w - 2 - w1) for w1 in range(n)]
+            sums = [sum(map(mul, map(mul, coeffs, col), reversed(col[w - 1 - n:w - 1])))
+                    for col in cols[:n]]
+            conv = [0, *_interpolate(sums)]
+            below = [0, *levels[w - 1], 0]  # S'(x+1, -1) = S'(-1, y) = 0
+            levels.append([(w - 2 * y + 1) * (below[y] + below[y + 1] + conv[y])
+                           for y in range(n + 1)])
+        for p, col in enumerate(cols):
+            acc = 0
+            for c in reversed(levels[w]):
+                acc = acc * p + c
+            col.append(acc)
 
 
 def _fill_fractions(entries: dict[tuple[int, int], Fraction], w_start: int, w_stop: int) -> None:

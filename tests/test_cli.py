@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ from morsecensus.exactmath import binomial_rows
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 BENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # T(0,1) = 2/3 in place of 1/3, in the retired v1 cache format
 TAMPERED_V1_CACHE = "morse-htable v1 W=2\n0 0 1\n1 0 1/2\n0 1 2/3\n2 0 1/4\n"
@@ -279,6 +281,39 @@ TABLE_10_20_JSON = (
     '  }\n'
     ']\n'
 )
+
+
+def _readme_example() -> list[tuple[list[str], list[str]]]:
+    """The `$ morsecensus ...` lines of the fenced block under README's
+    `## Example`, each as (CLI arguments, the lines shown below it)."""
+    block = README.read_text().split("## Example\n", 1)[1].split("```")[1]
+    examples: list[tuple[list[str], list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("$ morsecensus "):
+            examples.append((line.split()[2:], []))
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+def _shows(shown: str, line: str) -> bool:
+    """`line` is `shown`, where `<N-character rational>` stands for a p/q of N characters."""
+    parts = re.split(r"<(\d+)-character rational>", shown)
+    match = re.fullmatch(r"(\d+/\d+)".join(map(re.escape, parts[::2])), line)
+    return match is not None and [len(g) for g in match.groups()] == [int(n) for n in parts[1::2]]
+
+
+class TestReadmeExample:
+    def test_commands_print_the_lines_shown(self, capsys):
+        examples = _readme_example()
+        assert any(argv[0] == "table" for argv, _ in examples)
+        for argv, shown in examples:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            lines = out.splitlines()
+            assert len(lines) == len(shown), argv
+            for expected, line in zip(shown, lines):
+                assert _shows(expected, line), (expected, line)
 
 
 class TestRecordOutput:
@@ -566,12 +601,14 @@ class TestInternalError:
     # exit 4, one line on stderr, nothing on stdout
 
     def test_pde_fill_off_by_one(self, capsys, monkeypatch):
-        true_sums = recurrence._sums
+        true_interpolate = recurrence._interpolate
 
-        def off_at_level_10(levels, values, w):
-            return [v + (w == 10 and p == 3) for p, v in enumerate(true_sums(levels, values, w))]
+        def off_at_level_10(values):
+            # level 10 is the first to interpolate 5 values
+            return true_interpolate([v + (len(values) == 5 and p == 3)
+                                     for p, v in enumerate(values)])
 
-        monkeypatch.setattr(recurrence, "_sums", off_at_level_10)
+        monkeypatch.setattr(recurrence, "_interpolate", off_at_level_10)
         code, out, err = run(capsys, "verify", "pde", "--order", "12")
         assert (code, out) == (4, "")
         assert err.startswith("internal error: D^3 f(0) = 2058170113 is not a multiple of 3!")

@@ -118,12 +118,13 @@ class TestDeterminismAndModes:
             recurrence._pack({(0, 0): Fraction(1, 3)}, 0)
 
     def test_wrong_sums_raise_consistency_error(self, monkeypatch):
-        sums = recurrence._sums
+        interpolate = recurrence._interpolate
 
-        def off_by_one_at_level_10(levels, values, w):
-            return [v + (w == 10 and p == 3) for p, v in enumerate(sums(levels, values, w))]
+        def off_by_one_at_level_10(values):
+            # level 10 is the first to interpolate 5 values
+            return interpolate([v + (len(values) == 5 and p == 3) for p, v in enumerate(values)])
 
-        monkeypatch.setattr(recurrence, "_sums", off_by_one_at_level_10)
+        monkeypatch.setattr(recurrence, "_interpolate", off_by_one_at_level_10)
         with pytest.raises(ConsistencyError):
             extend_table(None, 12)
 
