@@ -3,17 +3,18 @@
 The functions take the counts g(0), g(1), ... as a list of ints (see
 :func:`inversion.morse_counts`) and read h(n) = g(n)/(2n+1)! from them.
 All logarithms are natural.  High-precision values are `decimal.Decimal`s
-in :func:`decimal_context` at an explicit precision (default 128 bits),
-with pi from the Gauss-Legendre iteration; exact comparisons stay in
-integers/rationals and never pass through floating point.  This module is
-the package's only user of `decimal`.
+at one working precision, ROW_DIGITS significant digits, with pi from the
+Gauss-Legendre iteration; exact comparisons stay in integers/rationals and
+never pass through floating point.  This module is the package's only user
+of `decimal`.
 
 The functions return numbers; the one text they make is
 :func:`format_real`'s, and the CLI writes the rows.  The CLI imports this
 module for `table` and `verify elliptic` only.  `decimal` and `fractions`
 are imported inside the functions that compute with them, so `verify
 elliptic`, which runs the plain-float :func:`series_argument` and
-:func:`series_value`, loads neither.
+:func:`series_value`, loads neither, and only :func:`fit_residual_model`
+loads `fractions`.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from collections.abc import Sequence
 
 from .exactmath import factorial
 
-# `Decimal`, `Context` and `Fraction` in annotations are unbound here (see the
+# `Decimal` and `Fraction` in annotations are unbound here (see the
 # module docstring): they name the types for readers only, and get_type_hints fails.
 
 __all__ = [
@@ -35,43 +36,34 @@ __all__ = [
     "format_real",
     "SUPPORTED_ARGUMENT_RANGE",
     "ARGUMENT_TOLERANCE",
-    "SERIES_TERMS",
-    "GUARD_BITS",
-    "decimal_context",
+    "ROW_DIGITS",
 ]
 
-GUARD_BITS = 64
+# the working precision of asymptotic_row, in digits (about 200 bits): the
+# rows print 9, and those come out the same at every working precision from
+# 64 to 2048 bits (checked for n <= 400)
+ROW_DIGITS = 60
 
 # targets series_argument accepts; its radicand is positive for every target
 # (see there), and up to here one Gauss-Kronrod rule suffices (error estimate
 # 3.3e-17 at 0.3) and the argument stays inside the series' radius >= 1/2
 SUPPORTED_ARGUMENT_RANGE = 0.3
-# the Gauss-Kronrod error estimate series_argument accepts, and the number of
-# terms after the first that series_value sums
+# the Gauss-Kronrod error estimate series_argument accepts
 ARGUMENT_TOLERANCE = 1e-12
-SERIES_TERMS = 50
 
 
-def decimal_context(precision: int) -> Context:
-    """The decimal context of `precision` + GUARD_BITS bits, plus 2 digits: the
-    guard bits keep the rounding of a row's arithmetic inside `precision` bits."""
-    from decimal import Context
+class AsymptoticRow(namedtuple("AsymptoticRow", "n log_h delta delta_over_n")):
+    """One row of the finite-size correction table: the int n and the
+    Decimals log_h, delta and delta_over_n.
 
-    return Context(prec=math.ceil((precision + GUARD_BITS) * math.log10(2)) + 2)
-
-
-class AsymptoticRow(namedtuple("AsymptoticRow", "n h log_h delta delta_over_n")):
-    """One row of the finite-size correction table: the int n, the Fraction h
-    and the Decimals log_h, delta and delta_over_n.
-
-    A tuple of those five fields: it unpacks and indexes as one, and
+    A tuple of those four fields: it unpacks and indexes as one, and
     compares equal to any tuple with the same values.
     """
 
     __slots__ = ()
 
 
-def asymptotic_row(counts: Sequence[int], n: int, precision: int = 128) -> AsymptoticRow:
+def asymptotic_row(counts: Sequence[int], n: int) -> AsymptoticRow:
     """Stirling residual of the normalized count at index n.
 
     delta = log h - 2n (1 + log(n/(2n+1))) + (3/2) log(2n+1) - 1
@@ -79,21 +71,19 @@ def asymptotic_row(counts: Sequence[int], n: int, precision: int = 128) -> Asymp
 
     the finite-n remainder left after subtracting the Stirling-predicted
     main terms from log h; its /n column is the quantity tabulated by the
-    asymptotic experiments.  log h is ln(numerator) - ln(denominator) of the
-    exact integers, so the huge terms of h lose no accuracy.
+    asymptotic experiments.  log h is ln g(n) - ln (2n+1)! of the exact
+    integers, so the huge terms of h lose no accuracy.
     """
-    from decimal import Decimal, localcontext
-    from fractions import Fraction
+    from decimal import Context, Decimal, localcontext
 
     if not 1 <= n < len(counts):
         raise ValueError(f"asymptotic rows need 1 <= n <= {len(counts) - 1}; got n={n}")
-    h = Fraction(counts[n], factorial(2 * n + 1))
-    with localcontext(decimal_context(precision)):
-        log_h = Decimal(h.numerator).ln() - Decimal(h.denominator).ln()
+    with localcontext(Context(prec=ROW_DIGITS)):
+        log_h = Decimal(counts[n]).ln() - Decimal(factorial(2 * n + 1)).ln()
         m = Decimal(2 * n + 1)
         delta = (log_h - 2 * n * (1 + (n / m).ln()) + Decimal(3) / 2 * m.ln() - 1
                  + (2 * _pi()).ln() / 2)
-        return AsymptoticRow(n, h, log_h, delta, delta / n)
+        return AsymptoticRow(n, log_h, delta, delta / n)
 
 
 def _pi() -> Decimal:
@@ -165,8 +155,6 @@ def series_argument(target: float) -> float:
         raise ValueError(
             f"target {target} outside the supported range [0, {SUPPORTED_ARGUMENT_RANGE}]"
         )
-    if target == 0:
-        return 0.0
 
     def f(t: float) -> float:
         return 1.0 / math.sqrt(t**4 / 4 - t**2 + 2 * target * t + 1)
@@ -189,17 +177,13 @@ def series_argument(target: float) -> float:
 
 
 def series_value(counts: Sequence[int], argument: float) -> float:
-    """Evaluate sum_{n <= SERIES_TERMS} h(n) * argument^(2n+1) in double precision.
-
-    Convergence: h(n) <= Catalan(n) ~ 4^n gives radius >= 1/2, so 50 terms
-    leave truncation error far below 1e-8 for arguments below 0.25.  Each
-    h(n) is an int true division, which CPython rounds correctly.
+    """Evaluate sum_n h(n) * argument^(2n+1) over the given counts, in double
+    precision.  Each h(n) is an int true division, which CPython rounds
+    correctly.
     """
-    if SERIES_TERMS >= len(counts):
-        raise ValueError(f"{SERIES_TERMS} series terms need the counts to n={SERIES_TERMS}")
     acc = 0.0
     sq = argument * argument
-    for n in reversed(range(SERIES_TERMS + 1)):
+    for n in reversed(range(len(counts))):
         acc = acc * sq + counts[n] / factorial(2 * n + 1)
     return acc * argument
 

@@ -217,6 +217,14 @@ class TestTable:
             run(capsys, "table", "--points", "10", "--precision", "32")
         assert err.value.code == 2
 
+    def test_precision_changes_no_byte(self, capsys):
+        # the rows' 60 working digits print the same 9 as any working precision
+        argv = ("table", "--points", "10,20,30,40,50,100")
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0
+        for bits in ("64", "512", "2048"):
+            assert run(capsys, *argv, "--precision", bits) == (0, expected, ""), bits
+
     def test_fit_line_golden(self, capsys):
         code, out, _ = run(capsys, "table", "--points", "4,6,8,10")
         assert code == 0
@@ -549,9 +557,13 @@ class TestDependencies:
           "morsecensus.analysis", "mpmath", "json", "fractions", "decimal"}),
         (("census", "--max-n", "5", "--format", "json"), {"json"}, {"fractions", "decimal"}),
         (("table", "--points", "4,6,8,10", "--format", "json"), {"json"}, set()),
-        (("table", "--points", "4,6,8,10"), {"morsecensus.analysis"}, {"json"}),
+        (("table", "--points", "4,6,8,10"), {"morsecensus.analysis", "fractions"}, {"json"}),
+        # only the text mode's fit computes in fractions
+        (("table", "--points", "4,6,8,10", "--format", "csv"), {"decimal"}, {"fractions"}),
+        (("table", "--points", "4,6,8,10", "--format", "json"), {"decimal"}, {"fractions"}),
     ], ids=["census", "bounds", "conjecture", "elliptic", "table", "oracle", "pde", "tan",
-            "census-json", "table-json", "table-text"])
+            "census-json", "table-json", "table-text", "table-csv-no-fractions",
+            "table-json-no-fractions"])
     def test_command_loads_only_its_layers(self, argv, loads, never, tmp_path):
         if _COUNTING <= never:  # nor when a cache file is named
             argv += ("--cache", str(tmp_path / "t.txt"))
