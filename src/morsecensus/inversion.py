@@ -1,5 +1,4 @@
-"""Class counts g(n) from the inverse of the elliptic integral, on integers,
-and the exact bounds they are checked against.
+"""Class counts g(n) from the inverse of the elliptic integral, on integers.
 
 The census series y(theta) = sum_n h(n) theta^(2n+1), h(n) = g(n)/(2n+1)!,
 is the inverse function of
@@ -78,9 +77,9 @@ from __future__ import annotations
 from operator import mul
 
 from . import ConsistencyError
-from .exactmath import binomial_rows, catalan, factorial
+from .exactmath import binomial_rows
 
-__all__ = ["morse_counts", "check_upper_bound", "check_conjecture"]
+__all__ = ["morse_counts"]
 
 
 def morse_counts(max_n: int) -> list[int]:
@@ -118,21 +117,3 @@ def morse_counts(max_n: int) -> list[int]:
         G.append(27 * b2 + 108 * b1 + 96 * b0)
         g.append(-sum(map(mul, map(mul, even[:k], g), reversed(b[0][1:]))))
     return g
-
-
-def check_upper_bound(n: int, g: int) -> bool:
-    """h(n) <= Catalan(n), i.e. g <= Catalan(n) (2n+1)!, for the count g = g(n).
-
-    The estimate g (n+1) <= 4^n (2n+1)! that `verify bounds` names the
-    "sharper upper estimate" is implied, not computed: it is weaker, as
-    Catalan(n) (n+1) = C(2n, n) <= 4^n.
-    """
-    scale = factorial(2 * n + 1)  # ValueError on n < 0
-    return g <= catalan(n) * scale
-
-
-def check_conjecture(n: int, g: int) -> bool:
-    """The conjectured strict bound g(n) < (2n+1)!, i.e. h(n) < 1, for n >= 1."""
-    if n < 1:
-        raise ValueError("the conjecture is tested for n >= 1 (equality holds at n=0)")
-    return g < factorial(2 * n + 1)

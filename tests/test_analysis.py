@@ -15,7 +15,7 @@ from morsecensus.analysis import (
     series_value,
 )
 from morsecensus.exactmath import factorial
-from morsecensus.inversion import check_conjecture, check_upper_bound, morse_counts
+from morsecensus.inversion import morse_counts
 
 
 class TestAsymptoticRow:
@@ -39,22 +39,6 @@ class TestAsymptoticRow:
     def test_out_of_range(self, small_counts):
         with pytest.raises(ValueError, match="^asymptotic rows need 1 <= n <= 15; got n=16$"):
             asymptotic_row(small_counts, len(small_counts))
-
-
-class TestBoundChecks:
-    def test_upper_bound_small_cases(self, small_counts):
-        # 1 <= 1, 1/3 <= 1, 19/120 <= 2
-        for n in range(3):
-            assert check_upper_bound(n, small_counts[n])
-
-    def test_conjecture_small_cases(self, small_counts):
-        assert check_conjecture(1, small_counts[1])
-        assert check_conjecture(2, small_counts[2])
-
-    def test_conjecture_excludes_index_zero(self, small_counts):
-        # h(0) = 1 exactly: the strict bound starts at n = 1
-        with pytest.raises(ValueError):
-            check_conjecture(0, small_counts[0])
 
 
 class TestGrowthRatio:

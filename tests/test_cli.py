@@ -356,6 +356,18 @@ class TestRecordOutput:
         assert abs(records[0]["delta_over_n"] + 0.634) <= 1e-3
 
 
+def patch_g3(monkeypatch, value):
+    """Make the one-variable route return `value` as g(3)."""
+    counts = inversion.morse_counts
+
+    def patched(max_n):
+        g = counts(max_n)
+        g[3] = value
+        return g
+
+    monkeypatch.setattr(inversion, "morse_counts", patched)
+
+
 class TestVerify:
     def test_tan(self, capsys):
         code, out, _ = run(capsys, "verify", "tan", "--max-k", "40")
@@ -412,21 +424,36 @@ class TestVerify:
     @pytest.mark.parametrize("g3, code, line", [
         (34, 0, "ok sandwich + sharper upper estimate + conjecture hold for n <= 6"),
         (33, 1, "FAIL lower bound at n=3: h=11/1680"),
+        (5039, 0, "ok sandwich + sharper upper estimate + conjecture hold for n <= 6"),
         (5040, 1, "FAIL conjecture g < (2n+1)! at n=3"),
-    ], ids=["equal", "below", "factorial"])
+        (25200, 1, "FAIL conjecture g < (2n+1)! at n=3"),
+        (25201, 1, "FAIL upper bound at n=3: h=25201/5040"),
+    ], ids=["equal", "below", "under-factorial", "factorial", "catalan", "above-catalan"])
     def test_lower_bound(self, capsys, monkeypatch, g3, code, line):
         # g(3) 2^3 against the tangent number a_3 = 272 = 34 * 2^3: equality
-        # passes, one less fails; g(3) = 7! passes both bounds of the sandwich
-        # (h(3) = 1 <= Catalan(3)) and fails only the conjecture
-        counts = inversion.morse_counts
-
-        def patched_g3(max_n):
-            g = counts(max_n)
-            g[3] = g3
-            return g
-
-        monkeypatch.setattr(inversion, "morse_counts", patched_g3)
+        # passes, one less fails.  g(3) = 7! passes both bounds of the sandwich
+        # (h(3) = 1 <= Catalan(3)) and fails only the conjecture, as does
+        # g(3) = Catalan(3) 7! = 25200, where the upper bound holds with
+        # equality; one more fails the upper bound
+        patch_g3(monkeypatch, g3)
         assert run(capsys, "verify", "bounds", "--max-n", "6") == (code, line + "\n", "")
+
+    @pytest.mark.parametrize("g3, code, line", [
+        (5039, 0, "ok g(n) < (2n+1)! for 1 <= n <= 6"),
+        (5040, 1, "FAIL g < (2n+1)! at n=3: h=1"),
+    ], ids=["under-factorial", "factorial"])
+    def test_conjecture_is_strict(self, capsys, monkeypatch, g3, code, line):
+        # h(3) = 1 fails: the conjectured bound is g(n) < (2n+1)!, not <=
+        patch_g3(monkeypatch, g3)
+        assert run(capsys, "verify", "conjecture", "--max-n", "6") == (code, line + "\n", "")
+
+    @pytest.mark.parametrize("suite, line", [
+        ("bounds", "ok sandwich + sharper upper estimate + conjecture hold for n <= 0"),
+        ("conjecture", "ok g(n) < (2n+1)! for 1 <= n <= 0"),
+    ], ids=["bounds", "conjecture"])
+    def test_index_zero_is_not_held_to_the_conjecture(self, capsys, suite, line):
+        # h(0) = 1 exactly: the strict bound starts at n = 1
+        assert run(capsys, "verify", suite, "--max-n", "0") == (0, line + "\n", "")
 
     def test_elliptic_round_trip_off_fails(self, capsys, monkeypatch):
         true_value = analysis.series_value

@@ -6,7 +6,7 @@ import pytest
 
 from morsecensus import ConsistencyError, inversion
 from morsecensus.exactmath import binomial_rows, catalan, factorial
-from morsecensus.inversion import check_conjecture, check_upper_bound, morse_counts
+from morsecensus.inversion import morse_counts
 
 
 def phi_closed_form(k_max):
@@ -149,30 +149,14 @@ class TestIntegralityProof:
 
 class TestBounds:
     def test_hold_on_the_counts(self):
-        counts = morse_counts(30)
-        assert all(check_upper_bound(n, g) for n, g in enumerate(counts))
-        assert all(check_conjecture(n, g) for n, g in enumerate(counts) if n)
-
-    def test_upper_bound_is_the_catalan_bound_exactly(self):
-        # true at g = Catalan(n) (2n+1)!, false one above: the comparison is <=
-        for n in range(31):
-            top = catalan(n) * factorial(2 * n + 1)
-            assert check_upper_bound(n, top)
-            assert not check_upper_bound(n, top + 1)
+        # h(n) <= Catalan(n) for every n, and h(n) < 1 for n >= 1
+        for n, g in enumerate(morse_counts(30)):
+            scale = factorial(2 * n + 1)
+            assert g <= catalan(n) * scale
+            assert g < scale or n == 0
 
     def test_catalan_bound_implies_the_estimate(self):
         # g <= Catalan(n) (2n+1)! gives g (n+1) <= 4^n (2n+1)!, so
-        # check_upper_bound need not test the estimate
+        # `verify bounds` need not test the estimate
         for n in range(401):
             assert catalan(n) * (n + 1) == comb(2 * n, n) <= 4**n
-
-    def test_negative_index_rejected(self):
-        # (2n+1)! comes first, so a negative n fails there, not in catalan
-        with pytest.raises(ValueError, match=r"^factorial\(\) not defined for negative values$"):
-            check_upper_bound(-1, 0)
-
-    def test_fail_on_wrong_counts(self):
-        # h(3) = 428000/7! exceeds Catalan(3) = 5; g(3) = 7! makes h(3) = 1
-        assert not check_upper_bound(3, 428000)
-        assert not check_conjecture(3, factorial(7))
-        assert check_conjecture(3, factorial(7) - 1)
