@@ -347,7 +347,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):  # the shutdown flush then writes to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -111,32 +111,34 @@ class EncodedPair(namedtuple("EncodedPair", "stem perm")):
 
 
 def _morse_adjacency(n: int, edges) -> tuple[list[list[int]], list[int], list[int]] | None:
-    """(neighbor lists, BFS order, parents) of vertices 0..2n+1 if the edges
+    """(child lists, BFS order, parents) of vertices 0..2n+1 if the edges
     form a Morse tree, else None.
 
-    Checks n >= 0, 2n+1 edges, labels in range, no loop, degrees 1 or 3,
-    a lower and a higher neighbor at every node, and connectivity, which
-    with 2n+1 edges also rules out duplicate edges and cycles.  The order
-    is breadth-first from the leaf 0, so every vertex follows its parent;
-    parent[0] is 0.
+    Checks n >= 0, 2n+1 edges, labels in range, degrees 1 or 3, a lower
+    and a higher neighbor at every node, and connectivity, which with 2n+1
+    edges also rules out loops, duplicate edges and cycles.  The order is
+    breadth-first from the leaf 0 (parent[0] is 0), and each list keeps
+    the children only: the stem at 0, none at a leaf and two at a node.
     """
     m = 2 * n + 2
     if n < 0 or len(edges) != m - 1:
         return None
     adj: list[list[int]] = [[] for _ in range(m)]
     for a, b in edges:
-        if not (0 <= a < m and 0 <= b < m) or a == b:
+        if not (0 <= a < m and 0 <= b < m):
             return None
         adj[a].append(b)
         adj[b].append(a)
-    for v, neighbors in enumerate(adj):
-        if len(neighbors) != 1 and (len(neighbors) != 3 or min(neighbors) > v or max(neighbors) < v):
-            return None
     parent = [-1] * m
     parent[0] = 0
     order = [0]
     for v in order:
-        for w in adj[v]:
+        neighbors = adj[v]
+        if len(neighbors) != 1 and (len(neighbors) != 3 or min(neighbors) > v or max(neighbors) < v):
+            return None
+        if v:
+            neighbors.remove(parent[v])
+        for w in neighbors:
             if parent[w] < 0:
                 parent[w] = v
                 order.append(w)
@@ -251,15 +253,11 @@ def encode(tree: MorseTree) -> EncodedPair:
             parens.append(")")
             continue
         perm.append(v)
-        if len(adj[v]) == 1:
+        if not adj[v]:
             parens.append("()")
             continue
         parens.append("(")
-        first, second, other = adj[v]  # the two children are the neighbors but the parent
-        if first == parent[v]:
-            first = other
-        elif second == parent[v]:
-            second = other
+        first, second = adj[v]
         if low[first] > low[second]:
             first, second = second, first
         stack += (-1, second, first)

@@ -827,21 +827,36 @@ class TestBrokenPipe:
     # PYTHONUNBUFFERED is set: the output is still in the buffer when the
     # command returns, and the failed write must surface as exit 3
 
+    @staticmethod
+    def run_on_closed_pipe(script, *argv):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run([sys.executable, "-c", script, *argv],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+
     @pytest.mark.parametrize("argv", [
         ("census", "--max-n", "5"),
         ("census", "--max-n", "5", "--format", "json"),
         ("verify", "tan", "--max-k", "5"),
     ], ids=["census", "census-json", "tan"])
     def test_closed_reader_is_io_error(self, argv):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = SRC
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from morsecensus.cli import main; sys.exit(main())", *argv],
-                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
-        finally:
-            os.close(write)
+        proc = self.run_on_closed_pipe(
+            "import sys; from morsecensus.cli import main; sys.exit(main())", *argv)
         assert (proc.returncode, proc.stderr) == (3, b"i/o error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_reader_leaves_no_descriptor_open(self):
+        # main runs in process, so a descriptor it opens and leaves open
+        # shows in the interpreter's own table after it returns
+        proc = self.run_on_closed_pipe(
+            "import os, sys\n"
+            "from morsecensus.cli import main\n"
+            "before = len(os.listdir('/proc/self/fd'))\n"
+            "code = main(['census', '--max-n', '5'])\n"
+            "print(code, len(os.listdir('/proc/self/fd')) - before, file=sys.stderr)\n")
+        assert proc.stderr.splitlines()[-1] == b"3 0"

@@ -41,6 +41,13 @@ def comb(n: int) -> MorseTree:
     return MorseTree.from_edges(n, edges)
 
 
+def scrambled(tree: MorseTree, rng: random.Random) -> MorseTree:
+    """The same tree as a raw MorseTree: edges shuffled, each flipped at random."""
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in tree.edges]
+    rng.shuffle(edges)
+    return MorseTree(tree.n, tuple(edges))
+
+
 ROUND_TRIP = settings(derandomize=True, deadline=None, max_examples=100)
 
 
@@ -404,6 +411,13 @@ class TestEncodeDecode:
             for tree in enumerate_morse_trees(n):
                 assert decode(encode(tree)) == tree
 
+    def test_encode_ignores_edge_order(self):
+        # a node's parent may come first, second or third among its neighbors
+        rng = random.Random(7)
+        for tree in enumerate_morse_trees(3):
+            for _ in range(3):
+                assert encode(scrambled(tree, rng)) == encode(tree)
+
     def test_injective_on_small_indices(self):
         for n in range(3):
             trees = enumerate_morse_trees(n)
@@ -520,6 +534,11 @@ class TestRoundTripProperties:
     @given(morse_trees())
     def test_encode_matches_reference(self, tree):
         assert encode(tree) == reference_encode(tree)
+
+    @ROUND_TRIP
+    @given(morse_trees(), st.integers(0, 2**32 - 1))
+    def test_encode_ignores_edge_order(self, tree, seed):
+        assert encode(scrambled(tree, random.Random(seed))) == encode(tree)
 
     @ROUND_TRIP
     @given(morse_trees())
