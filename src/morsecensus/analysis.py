@@ -1,7 +1,7 @@
 """Numerical asymptotics of the census.
 
 The functions take the counts g(0), g(1), ... as a list of ints (see
-:func:`inversion.morse_counts`) and read h(n) = g(n)/(2n+1)! from them.
+:func:`series.morse_counts`) and read h(n) = g(n)/(2n+1)! from them.
 All logarithms are natural.  High-precision values are `decimal.Decimal`s
 at one working precision, ROW_DIGITS significant digits, with pi from the
 Gauss-Legendre iteration; exact comparisons stay in integers/rationals and
@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-
-from .exactmath import factorial
 
 # `Decimal` and `Fraction` in annotations are unbound here (see the
 # module docstring): they name the types for readers only, and get_type_hints fails.
@@ -79,7 +77,7 @@ def asymptotic_row(counts: Sequence[int], n: int) -> AsymptoticRow:
     if not 1 <= n < len(counts):
         raise ValueError(f"asymptotic rows need 1 <= n <= {len(counts) - 1}; got n={n}")
     with localcontext(Context(prec=ROW_DIGITS)):
-        log_h = Decimal(counts[n]).ln() - Decimal(factorial(2 * n + 1)).ln()
+        log_h = Decimal(counts[n]).ln() - Decimal(math.factorial(2 * n + 1)).ln()
         m = Decimal(2 * n + 1)
         delta = (log_h - 2 * n * (1 + (n / m).ln()) + Decimal(3) / 2 * m.ln() - 1
                  + (2 * _pi()).ln() / 2)
@@ -184,7 +182,7 @@ def series_value(counts: Sequence[int], argument: float) -> float:
     acc = 0.0
     sq = argument * argument
     for n in reversed(range(len(counts))):
-        acc = acc * sq + counts[n] / factorial(2 * n + 1)
+        acc = acc * sq + counts[n] / math.factorial(2 * n + 1)
     return acc * argument
 
 

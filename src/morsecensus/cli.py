@@ -2,7 +2,7 @@
 
 Subcommands: census, table, verify, oracle, encode, decode.  The counts
 that `census`, `table` and `verify bounds|conjecture|elliptic` print or
-check come from the one-variable route of :mod:`inversion`, in memory.
+check come from the one-variable route of :mod:`series`, in memory.
 `verify pde` and `oracle` fill the small two-parameter table of
 :mod:`recurrence` they need, in memory too: weight 79 at `verify pde
 --order 80`, weight 8 for `oracle`.
@@ -10,14 +10,14 @@ check come from the one-variable route of :mod:`inversion`, in memory.
 Each command imports the layers it runs, inside its handler, so a process
 loads no more than its command needs:
 
-* census, verify bounds|conjecture: inversion (and series for bounds);
-* verify tan: series;  verify elliptic: inversion and analysis;
-* table: inversion and analysis, which compute its reals in `decimal`;
+* census, verify bounds|conjecture|tan: series;
+* table, verify elliptic: series and analysis, which computes the reals
+  of `table` in `decimal`;
 * verify pde: recurrence and series;  oracle: recurrence and trees;
 * encode, decode: trees.
 
-Only `argparse` loads with this module, beyond `os` and `sys`, which
-every interpreter has loaded at start-up, and `json` only for `census
+Only `argparse` loads with this module, beyond `os`, `sys` and `math`,
+which an interpreter has loaded at start-up, and `json` only for `census
 --format json` and `table --format json`.  Both commands print
 their text, CSV and JSON records through one writer, :func:`_print_records`.
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import factorial
 
 from . import ConsistencyError
 
@@ -72,11 +73,11 @@ def _print_records(records: list[dict], fmt: str, line: str) -> None:
 
 
 def _cmd_census(args) -> int:
-    from . import inversion
-    from .exactmath import factorial, format_rational
+    from . import series
+    from .exactmath import format_rational
 
     _print_records([{"n": n, "h": format_rational(g, factorial(2 * n + 1)), "g": format_rational(g)}
-                    for n, g in enumerate(inversion.morse_counts(args.max_n))],
+                    for n, g in enumerate(series.morse_counts(args.max_n))],
                    args.format, "n={n} h={h} g={g}")
     return EXIT_OK
 
@@ -86,11 +87,11 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from . import analysis, inversion
-    from .exactmath import factorial, format_rational
+    from . import analysis, series
+    from .exactmath import format_rational
 
     points = args.points
-    counts = inversion.morse_counts(max(points))
+    counts = series.morse_counts(max(points))
     rows = [analysis.asymptotic_row(counts, n) for n in points]
 
     def real(x):  # 9 significant digits: a string in text and CSV, a number in JSON
@@ -114,7 +115,7 @@ def _cmd_table(args) -> int:
 
 def _verify_tan(args) -> int:
     from . import series
-    from .exactmath import factorial, format_rational
+    from .exactmath import format_rational
 
     via_seidel = series.scaled_tangent_series(args.max_k)
     via_ode = series.ode_comparison_series(args.max_k)
@@ -145,11 +146,11 @@ def _verify_pde(args) -> int:
 
 
 def _verify_bounds(args) -> int:
-    from . import inversion, series
-    from .exactmath import catalan, factorial, format_rational
+    from . import series
+    from .exactmath import catalan, format_rational
 
     tangent = series.scaled_tangent_series(args.max_n)
-    for n, g in enumerate(inversion.morse_counts(args.max_n)):
+    for n, g in enumerate(series.morse_counts(args.max_n)):
         scale = factorial(2 * n + 1)
         if g << n < tangent[n]:  # h(n) >= u_n, times 2^n (2n+1)!
             print(f"FAIL lower bound at n={n}: h={format_rational(g, scale)}")
@@ -167,10 +168,10 @@ def _verify_bounds(args) -> int:
 
 
 def _verify_conjecture(args) -> int:
-    from . import inversion
-    from .exactmath import factorial, format_rational
+    from . import series
+    from .exactmath import format_rational
 
-    for n, g in enumerate(inversion.morse_counts(args.max_n)):
+    for n, g in enumerate(series.morse_counts(args.max_n)):
         scale = factorial(2 * n + 1)
         if n >= 1 and g >= scale:  # h(0) = 1 exactly: the strict bound starts at n = 1
             print(f"FAIL g < (2n+1)! at n={n}: h={format_rational(g, scale)}")
@@ -180,11 +181,11 @@ def _verify_conjecture(args) -> int:
 
 
 def _verify_elliptic(args) -> int:
-    from . import analysis, inversion
+    from . import analysis, series
 
     # h(n) <= Catalan(n) ~ 4^n gives the series radius >= 1/2, so its terms to
     # n = 50 leave a truncation error far below 1e-8 at arguments below 0.25
-    counts = inversion.morse_counts(50)
+    counts = series.morse_counts(50)
     for target in ELLIPTIC_POINTS:
         theta = analysis.series_argument(target)
         recovered = analysis.series_value(counts, theta)

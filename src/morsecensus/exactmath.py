@@ -1,22 +1,15 @@
-"""Exact integer arithmetic and the classical number sequences.
+"""Two helpers on plain Python ints: :func:`catalan` and :func:`format_rational`.
 
-Every value here is a plain Python int (arbitrary precision): the module
-imports neither `fractions` nor `decimal`.  A rational such as h(n) =
-g(n)/(2n+1)! travels as its numerator and denominator, and
+The module imports neither `fractions` nor `decimal`.  A rational such as
+h(n) = g(n)/(2n+1)! travels as its numerator and denominator, and
 :func:`format_rational` prints the pair in lowest terms.
 """
 from __future__ import annotations
 
 import sys
-from math import comb, factorial, gcd  # factorial re-exported; ValueError on n < 0
-from operator import add
+from math import comb, gcd
 
-__all__ = [
-    "factorial",
-    "catalan",
-    "binomial_rows",
-    "format_rational",
-]
+__all__ = ["catalan", "format_rational"]
 
 
 def catalan(n: int) -> int:
@@ -24,21 +17,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("catalan requires n >= 0")
     return comb(2 * n, n) - comb(2 * n, n + 1)
-
-
-def binomial_rows():
-    """Every second row of Pascal's triangle from row 2 on: the lists
-    [C(2, 0), C(2, 1), C(2, 2)], [C(4, 0), ..., C(4, 4)], ...
-
-    Each row takes two steps of Pascal's rule, C(r+1, i) = C(r, i-1) + C(r, i),
-    from the one before, so the row of index r costs 2r + 1 additions in
-    place of r + 1 binomials.
-    """
-    row = [1]
-    while True:
-        row = list(map(add, row + [0], [0] + row))
-        row = list(map(add, row + [0], [0] + row))
-        yield row
 
 
 def format_rational(num: int, den: int = 1) -> str:

@@ -2,7 +2,7 @@
 
 The commands that need only the counts g(n) (`census`, `table` and
 `verify bounds|conjecture|elliptic`) take them from the one-variable route
-of :mod:`inversion`.  The table is built where it is the subject, in
+of :mod:`series`.  The table is built where it is the subject, in
 memory and for a small weight: `verify pde` needs T(x, y) off the diagonal
 (weight 79 at order 80), `oracle` holds it to the enumerated trees (weight
 8), and the tests hold the one-variable route to it.
@@ -64,11 +64,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from operator import mul, sub
 
 from . import ConsistencyError
-from .exactmath import factorial
 
 __all__ = ["CensusTable", "extend_table"]
 

@@ -1,6 +1,6 @@
 """Shared fixtures: session-wide counts and tables, and the acceptance summary.
 
-The counts g(n) come from the one-variable route of `inversion`; the
+The counts g(n) come from the one-variable route of `series`; the
 two-parameter table is the reference the tests hold them to.  The
 acceptance suite runs at one of two scales:
 
@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from morsecensus import inversion, recurrence
+from morsecensus import recurrence, series
 
 FULL_MAX_INDEX = 200
 REDUCED_MAX_INDEX = 100
@@ -47,7 +47,7 @@ def acceptance_max_n() -> int:
 @pytest.fixture(scope="session")
 def census_counts(acceptance_max_n):
     """g(0..acceptance_max_n), shared by analysis and acceptance tests."""
-    return inversion.morse_counts(acceptance_max_n)
+    return series.morse_counts(acceptance_max_n)
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +73,7 @@ def planted_shapes():
 
 @pytest.fixture(scope="session")
 def small_counts():
-    return inversion.morse_counts(15)
+    return series.morse_counts(15)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, exact tolerances pinned.
 
-The counts come from the one-variable route (`inversion`), and criterion
+The counts come from the one-variable route (`series`), and criterion
 11 holds them to the two-parameter table.  Runs at the reduced gate
 (indices <= 100) by default; the full gate (indices <= 200) turns on via
 MORSECENSUS_ACCEPT_FULL=1, see conftest.  A PASS/FAIL line per criterion is
@@ -9,12 +9,13 @@ printed in the terminal summary.
 import time
 
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 
 from morsecensus import analysis
 from morsecensus.analysis import asymptotic_row, series_argument, series_value
-from morsecensus.exactmath import catalan, factorial
+from morsecensus.exactmath import catalan
 from morsecensus.recurrence import extend_table
 from morsecensus.series import (
     bivariate_generating_series,

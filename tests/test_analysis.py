@@ -1,5 +1,6 @@
 import math
 from decimal import Context, Decimal, localcontext
+from math import factorial
 
 import mpmath
 import pytest
@@ -14,8 +15,7 @@ from morsecensus.analysis import (
     series_argument,
     series_value,
 )
-from morsecensus.exactmath import factorial
-from morsecensus.inversion import morse_counts
+from morsecensus.series import morse_counts
 
 
 class TestAsymptoticRow:

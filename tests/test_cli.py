@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from morsecensus import analysis, cli, inversion, recurrence, series, trees
-from morsecensus.exactmath import binomial_rows
+from morsecensus import analysis, cli, recurrence, series, trees
+from morsecensus.series import _binomial_rows
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 BENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -153,6 +153,21 @@ class TestBenchmarkContract:
         for name in ("recurrence.extend_table", "series.pde_residual",
                      "trees.enumerate_morse_trees"):
             assert extras.get(name), name
+
+    def test_traced_census_records_the_counting_route(self, capsys):
+        # the counting loop is a public function of a traced module, so its
+        # time is the series layer's, not the CLI's
+        tracer = _load_tracer()
+        spans = tracer.Tracer()
+        undo = tracer.install(spans)
+        try:
+            code, _, _ = run(capsys, "census", "--max-n", "6")
+        finally:
+            tracer.uninstall(undo)
+        assert code == 0
+        counting = [span for span in spans.take() if span[tracer.NAME] == "series.morse_counts"]
+        assert len(counting) == 1
+        assert counting[0][tracer.ERROR] is None
 
     def test_reference_cross_check_call_shapes(self):
         rows = json.loads((BENCH_RUN.parent / "reference" / "toy" / "census10.json").read_text())
@@ -358,14 +373,14 @@ class TestRecordOutput:
 
 def patch_g3(monkeypatch, value):
     """Make the one-variable route return `value` as g(3)."""
-    counts = inversion.morse_counts
+    counts = series.morse_counts
 
     def patched(max_n):
         g = counts(max_n)
         g[3] = value
         return g
 
-    monkeypatch.setattr(inversion, "morse_counts", patched)
+    monkeypatch.setattr(series, "morse_counts", patched)
 
 
 class TestVerify:
@@ -403,7 +418,7 @@ class TestVerify:
         # g(3) = 428000 in place of 428, both in the counts of the one-variable
         # route and in the table's fill: there S'(0,3), the 4th entry of
         # level 6, times 1000
-        counts = inversion.morse_counts
+        counts = series.morse_counts
         fill = recurrence._fill
 
         def wrong_g3(max_n):
@@ -415,7 +430,7 @@ class TestVerify:
             fill(levels, weight_bound)
             levels[6] = [*levels[6][:3], levels[6][3] * 1000]
 
-        monkeypatch.setattr(inversion, "morse_counts", wrong_g3)
+        monkeypatch.setattr(series, "morse_counts", wrong_g3)
         monkeypatch.setattr(recurrence, "_fill", wrong_level_6)
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 1
@@ -479,6 +494,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "tan", "--max-k", "10")
         assert code == 1
         assert out == "FAIL tan routes disagree at k=3: bernoulli=17/2520 ode=2537/2520\n"
+
+    @pytest.mark.parametrize("argv, line", [
+        (("tan", "--max-k", "5"), "FAIL tan routes disagree at k=1: bernoulli=1/6 ode=0"),
+        (("bounds", "--max-n", "5"), "FAIL lower bound at n=1: h=0"),
+    ], ids=["tan", "bounds"])
+    def test_odd_square_without_middle_term_fails(self, capsys, monkeypatch, argv, line):
+        # the ODE's tangent numbers and the counts' X_m share one odd-binomial
+        # square; without its middle term (k odd), a_1 and g(1) come out 0
+        true_square = series._odd_square
+
+        def without_middle_term(odd, s):
+            k = len(s)
+            return true_square(odd, s) - (odd[k // 2] * s[k // 2] ** 2 if k % 2 else 0)
+
+        monkeypatch.setattr(series, "_odd_square", without_middle_term)
+        assert run(capsys, "verify", *argv) == (1, line + "\n", "")
 
     def test_unknown_verifier_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -566,11 +597,11 @@ class TestDependencies:
     """Each command imports the layers it runs and no other."""
 
     @pytest.mark.parametrize("argv, loads, never", [
-        (("census", "--max-n", "5"), {"morsecensus.inversion"},
+        (("census", "--max-n", "5"), {"morsecensus.series"},
          _COUNTING | {"fractions", "decimal"}),
         (("verify", "bounds", "--max-n", "20"), {"morsecensus.series"},
          _COUNTING | {"fractions", "decimal"}),
-        (("verify", "conjecture", "--max-n", "20"), {"morsecensus.inversion"},
+        (("verify", "conjecture", "--max-n", "20"), {"morsecensus.series"},
          _COUNTING | {"fractions", "decimal"}),
         (("verify", "elliptic"), {"morsecensus.analysis"}, {"mpmath"}),
         (("table", "--points", "4,6,8,10"), {"decimal"},
@@ -580,7 +611,7 @@ class TestDependencies:
         (("verify", "pde"), {"morsecensus.recurrence", "morsecensus.series"},
          {"mpmath", "morsecensus.analysis", "hashlib", "fcntl"}),
         (("verify", "tan", "--max-k", "20"), {"morsecensus.series"},
-         {"morsecensus.recurrence", "morsecensus.inversion", "morsecensus.trees",
+         {"morsecensus.recurrence", "morsecensus.trees",
           "morsecensus.analysis", "mpmath", "json", "fractions", "decimal"}),
         (("census", "--max-n", "5", "--format", "json"), {"json"}, {"fractions", "decimal"}),
         (("table", "--points", "4,6,8,10", "--format", "json"), {"json"}, set()),
@@ -655,13 +686,13 @@ class TestInternalError:
 
     def test_census_binomial_off_by_one(self, capsys, monkeypatch):
         def perturbed():
-            for row in binomial_rows():
+            for row in _binomial_rows():
                 if len(row) == 5:
                     row = row.copy()
                     row[1] += 1
                 yield row
 
-        monkeypatch.setattr(inversion, "binomial_rows", perturbed)
+        monkeypatch.setattr(series, "_binomial_rows", perturbed)
         code, out, err = run(capsys, "census", "--max-n", "10")
         assert (code, out) == (4, "")
         assert err.startswith("internal error: A_0 at step 4 leaves remainder")
@@ -687,7 +718,7 @@ class TestInternalError:
         def fail(max_n):
             raise error
 
-        monkeypatch.setattr(inversion, "morse_counts", fail)
+        monkeypatch.setattr(series, "morse_counts", fail)
         with pytest.raises(type(error)) as raised:
             cli.main(["census", "--max-n", "3"])
         assert raised.value is error

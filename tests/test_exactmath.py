@@ -8,19 +8,8 @@ from pathlib import Path
 import pytest
 
 from morsecensus import exactmath
-from morsecensus.exactmath import (
-    binomial_rows,
-    catalan,
-    factorial,
-    format_rational,
-)
-
-
-def iterated_factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+from morsecensus.exactmath import catalan, format_rational
+from morsecensus.series import _binomial_rows
 
 
 def catalan_by_convolution(n):
@@ -45,21 +34,6 @@ def test_module_imports_neither_fractions_nor_decimal():
     assert not {"fractions", "decimal"} & imported
 
 
-class TestFactorial:
-    def test_empty_product(self):
-        assert factorial(0) == 1
-
-    def test_small(self):
-        assert factorial(5) == 120
-
-    def test_against_iterated_multiplication(self):
-        assert factorial(21) == iterated_factorial(21) == 51090942171709440000
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
-
-
 class TestCatalan:
     def test_values(self):
         assert catalan(0) == 1
@@ -81,10 +55,10 @@ class TestBinomialRows:
         """Rows 2, 4, ..., 120 in order. Each generator keeps its own place:
         one that has yielded `drawn` rows goes on at row 2 + 2 drawn, and a
         fresh one still starts at row 2."""
-        other = binomial_rows()
+        other = _binomial_rows()
         for _ in range(drawn):
             next(other)
-        rows = binomial_rows()
+        rows = _binomial_rows()
         for r in range(2, 121, 2):
             assert next(rows) == [math.comb(r, i) for i in range(r + 1)]
         r = 2 + 2 * drawn

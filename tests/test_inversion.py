@@ -1,12 +1,12 @@
 import hashlib
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from morsecensus import ConsistencyError, inversion
-from morsecensus.exactmath import binomial_rows, catalan, factorial
-from morsecensus.inversion import morse_counts
+from morsecensus import ConsistencyError, series
+from morsecensus.exactmath import catalan
+from morsecensus.series import _binomial_rows, morse_counts
 
 
 def phi_closed_form(k_max):
@@ -86,13 +86,13 @@ class TestRoute:
     def test_perturbed_step_raises(self, monkeypatch, m, i):
         # one binomial coefficient of step m off by one
         def perturbed():
-            for row in binomial_rows():
+            for row in _binomial_rows():
                 if len(row) == m + 1:
                     row = row.copy()
                     row[i] += 1
                 yield row
 
-        monkeypatch.setattr(inversion, "binomial_rows", perturbed)
+        monkeypatch.setattr(series, "_binomial_rows", perturbed)
         with pytest.raises(ConsistencyError, match=f"at step {m} "):
             morse_counts(10)
 
@@ -112,7 +112,7 @@ def hurwitz_inverse(p):
 
 
 class TestIntegralityProof:
-    """The Hurwitz series of the inversion module docstring, for m <= 60.
+    """The Hurwitz series of the series module docstring, for m <= 60.
 
     E_0 = 1/y' is integral, the proof's one premise.  That y E_j' has even
     coefficients, so that E_1 and E_2 are integral too, is checked here as a

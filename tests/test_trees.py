@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from morsecensus import trees
 from morsecensus.exactmath import catalan
-from morsecensus.inversion import morse_counts
 from morsecensus.recurrence import extend_table
-from morsecensus.series import ode_comparison_series
+from morsecensus.series import morse_counts, ode_comparison_series
 from morsecensus.trees import (
     EncodedPair,
     MorseTree,
