@@ -13,5 +13,5 @@ __version__ = "0.1.0"
 
 
 class ConsistencyError(RuntimeError):
-    """A value the recurrence makes integral is not an integer: a bug in the
-    counting code, which the command line reports with exit code 4."""
+    """An exact division left a remainder, or a count g(n) is below 1: a bug
+    in the counting code, which the command line reports with exit code 4."""

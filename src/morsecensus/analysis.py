@@ -22,6 +22,8 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
+from . import ConsistencyError
+
 # `Decimal` and `Fraction` in annotations are unbound here (see the
 # module docstring): they name the types for readers only, and get_type_hints fails.
 
@@ -70,12 +72,15 @@ def asymptotic_row(counts: Sequence[int], n: int) -> AsymptoticRow:
     the finite-n remainder left after subtracting the Stirling-predicted
     main terms from log h; its /n column is the quantity tabulated by the
     asymptotic experiments.  log h is ln g(n) - ln (2n+1)! of the exact
-    integers, so the huge terms of h lose no accuracy.
+    integers, so the huge terms of h lose no accuracy.  Every g(n) is at
+    least 1, so a smaller count raises ConsistencyError.
     """
     from decimal import Context, Decimal, localcontext
 
     if not 1 <= n < len(counts):
         raise ValueError(f"asymptotic rows need 1 <= n <= {len(counts) - 1}; got n={n}")
+    if counts[n] < 1:
+        raise ConsistencyError(f"g({n}) = {counts[n]}, but every count is at least 1")
     with localcontext(Context(prec=ROW_DIGITS)):
         log_h = Decimal(counts[n]).ln() - Decimal(math.factorial(2 * n + 1)).ln()
         m = Decimal(2 * n + 1)

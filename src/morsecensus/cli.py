@@ -28,9 +28,8 @@ Two flags are inert: `--cache`, declared once on a parent parser, and
 printed digit (see :data:`analysis.ROW_DIGITS`).  Both stay only while
 the benchmark's command lines pass them.
 
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage error, 3 I/O error, 4 internal error (a :class:`ConsistencyError`:
-an exact division left a remainder, so the counting code is wrong).
+Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
+error, 3 I/O error, 4 internal error (a :class:`ConsistencyError`).
 """
 from __future__ import annotations
 

@@ -29,7 +29,9 @@ Decoding replays the walk and re-labels the shape, so decode(encode(t))
 is the identity.  A pair is in the image iff the re-labeled shape is a
 Morse tree and, at every node, the first child's subtree minimum is below
 the second's; decode raises NotInImageError on every other pair, so it
-returns exactly on the pairs p with encode(decode(p)) == p.
+returns exactly on the pairs p with encode(decode(p)) == p.  The text
+parsers check only the layout, a first line then lines of integers;
+`encode` checks the tree, and `decode` the shape, the word and the labels.
 
 Every walk over a tree or a shape (encoding, decoding, walk numbering,
 reading the parenthesis text) runs on an explicit stack or queue or a
@@ -53,11 +55,11 @@ one leaf of the search.  Two prunes cut dead branches without losing a
 leaf: every label changes the open slots by one, so a branch stops when
 they outnumber the labels left; and a component with no open slot can
 never be joined, so a branch stops when one closes below the top label.
+The sweep returns its trees in a list, in the order it builds them.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 __all__ = [
     "MorseTree",
@@ -154,7 +156,7 @@ def is_morse_tree(tree: MorseTree) -> bool:
     return _morse_adjacency(tree.n, tree.edges) is not None
 
 
-def enumerate_morse_trees(n: int) -> set[MorseTree]:
+def enumerate_morse_trees(n: int) -> list[MorseTree]:
     """All Morse trees of index n, by a sweep over the labels 0..2n+1.
 
     Each tree is built once, from its labels read upward (see the module
@@ -168,7 +170,7 @@ def enumerate_morse_trees(n: int) -> set[MorseTree]:
             f"(the sweep builds every tree: 17,746 at n = 4, 1,178,792 at n = 5); got n={n}"
         )
     top = 2 * n + 1
-    found: set[MorseTree] = set()
+    found: list[MorseTree] = []
 
     def sweep(t: int, slots: tuple, comp: tuple, edges: tuple) -> None:
         # slots[v]: the higher neighbors vertex v < t still lacks; comp[v]: its component
@@ -176,7 +178,7 @@ def enumerate_morse_trees(n: int) -> set[MorseTree]:
             return
         if t == top:  # a maximum on the one open slot of the one component left
             if sum(slots) == 1 and len(set(comp)) == 1:
-                found.add(MorseTree(n, tuple(sorted(edges + ((slots.index(1), top),)))))
+                found.append(MorseTree(n, tuple(sorted(edges + ((slots.index(1), top),)))))
             return
         sweep(t + 1, slots + (1,), comp + (t,), edges)  # a minimum
         live = [v for v in range(t) if slots[v]]
@@ -201,34 +203,32 @@ def enumerate_morse_trees(n: int) -> set[MorseTree]:
 # the injection
 
 
-@lru_cache(maxsize=1)
-def _walk(stem: str) -> tuple[tuple[int, int], ...]:
-    """(parent walk number, side) for walk numbers 1..2n+1, in walk order.
+def _walk(stem: str) -> tuple[list[int], list[list[int]]]:
+    """(parents, child lists) of walk numbers 0..2n+1 of a shape.
 
-    Entry i-1 belongs to walk number i, the vertex opened by the i-th "("
-    of the stem text; the planted root is walk number 0 and the stem
-    vertex its side-0 child.  Sides are 0 for the first child and 1 for
-    the second.  A malformed shape raises ValueError naming the position.
-    The last shape's walk is kept, so `decode` reuses the walk that
-    `pair_from_text` made when it validated the same text.
+    Walk number i > 0 is the vertex opened by the i-th "(" of the stem
+    text, and the planted root is 0 (parents[0] is 0).  The lists hold
+    children only, first child first, as `_morse_adjacency` gives them to
+    `encode`.  A malformed shape raises ValueError naming the position.
     """
-    walk: list[tuple[int, int]] = []
-    path = [[0, 0]]  # the open vertices as [walk number, children so far], root first
+    parents, kids = [0], [[]]
+    up = 0  # the innermost open vertex
     for pos, char in enumerate(stem):
         if char == "(":
-            parent = path[-1]
-            if parent[1] == 2:
+            if len(kids[up]) == 2:
                 raise ValueError(f"a third child opens at position {pos} of the shape")
-            walk.append((parent[0], parent[1]))
-            parent[1] += 1
-            path.append([len(walk), 0])
-        elif char == ")" and len(path) > 1:
-            if path.pop()[1] == 1:
+            kids[up].append(len(kids))
+            parents.append(up)
+            up = len(kids)
+            kids.append([])
+        elif char == ")" and up:
+            if len(kids[up]) == 1:
                 raise ValueError(f"the vertex closed at position {pos} of the shape has one child")
-            if len(path) == 1:
+            up = parents[up]
+            if not up:
                 if pos + 1 < len(stem):
                     raise ValueError(f"trailing characters at position {pos + 1} of the shape")
-                return tuple(walk)
+                return parents, kids
         else:
             raise ValueError(f"unexpected {char!r} at position {pos} of the shape")
     raise ValueError("the shape ends before the stem vertex closes")
@@ -270,47 +270,42 @@ def decode(pair: EncodedPair) -> MorseTree:
     The shape's root gets label 0 and every stem vertex the permutation
     image of its walk number.  The pair is in the image iff the result is
     a Morse tree whose every node has the lower subtree minimum in its
-    first subtree; any other pair raises NotInImageError.
+    first subtree; any other pair raises NotInImageError, and a malformed
+    shape raises ValueError before the word is read.
 
     Once the word is a permutation of 1..2n+1, the walk makes the result
     a tree on 0..2n+1 with 2n+1 distinct edges: the root and the leaves
     have one neighbor, and every other vertex three, its parent and its
     two children.  So no adjacency is built: one reverse pass over the
-    walk checks what the labels decide, a lower and a higher neighbor at
-    every node and the order of its two subtree minima, and emits the
-    edges.  A failure of the Morse condition is reported in preference to
-    one of the subtree order, and of those the one met first in the pass.
+    walk meets each node with its parent and both children, checks what
+    the labels decide, a lower and a higher neighbor at the node and the
+    order of its two subtree minima, and emits the edges.  A failure of
+    the Morse condition is reported in preference to one of the subtree
+    order, and of those the one met first in the pass.
     """
-    walk = _walk(pair.stem)
-    n = (len(walk) - 1) // 2
+    parents, kids = _walk(pair.stem)
+    n = (len(parents) - 2) // 2
     if sorted(pair.perm) != list(range(1, 2 * n + 2)):
         raise NotInImageError("permutation is not a bijection on 1..2n+1")
     labels = (0, *pair.perm)
-    low = list(labels)  # subtree minima, by walk number
-    second = [0] * len(labels)  # label and subtree minimum of each node's second child
-    second_low = [0] * len(labels)
+    low = list(labels)  # subtree minima, left stale at and above a misordered node
     edges = []
     misordered = None
-    # a subtree's walk numbers follow its root's, and a second subtree's
-    # follow the first's, so this pass closes every subtree before its
-    # parent and a node's second subtree before its first
-    for number in range(len(walk), 0, -1):
-        parent, side = walk[number - 1]
-        label, node = labels[number], labels[parent]
-        edges.append((node, label) if node < label else (label, node))
-        if side:
-            second[parent] = label
-            second_low[parent] = low[number]
-        elif parent:  # both children of the node are known: check it
-            above = labels[walk[parent - 1][0]]
+    # a subtree's walk numbers follow its root's: this pass meets children first
+    for number in range(len(labels) - 1, 0, -1):
+        label, above = labels[number], labels[parents[number]]
+        edges.append((above, label) if above < label else (label, above))
+        if kids[number]:
+            first, second = kids[number]
             # one or two of its three neighbors lie below it
-            if (label < node) + (second[parent] < node) + (above < node) not in (1, 2):
+            if (labels[first] < label) + (labels[second] < label) + (above < label) not in (1, 2):
                 raise NotInImageError("pair decodes to an invalid labeled tree")
-            if low[number] > second_low[parent] and misordered is None:
-                misordered = (f"the first subtree under label {node} has minimum "
-                              f"{low[number]}, above the second's {second_low[parent]}")
-        if low[number] < low[parent]:
-            low[parent] = low[number]
+            least = low[first]
+            if least > low[second]:
+                misordered = misordered or (f"the first subtree under label {label} has minimum "
+                                            f"{least}, above the second's {low[second]}")
+            elif least < label:  # in order, the first subtree holds the lower minimum
+                low[number] = least
     if misordered is not None:
         raise NotInImageError(misordered)
     edges.sort()
@@ -350,6 +345,5 @@ def pair_from_text(text: str) -> EncodedPair:
     lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
     if len(lines) != 2 or not lines[1].startswith("phi ="):
         raise ValueError("pair text must be a shape line then a 'phi = ...' line")
-    _walk(lines[0])  # raises on a malformed shape
     perm = tuple(int(tok) for tok in lines[1][len("phi =") :].split())
     return EncodedPair(lines[0], perm)

@@ -134,7 +134,8 @@ def test_criterion_09_growth_ratio_trend(census_counts, acceptance_max_n):
 def test_criterion_10_injection_and_catalan_shapes(planted_shapes):
     """Encoding is injective with decode-encode identity for n <= 3, and
     the planted shape counts equal the Catalan numbers for n <= 8, each
-    shape one that the pair text format parses."""
+    shape one that decode reads: labeled in walk order, it decodes to a
+    Morse tree that encodes back to it."""
     for n in range(4):
         trees = enumerate_morse_trees(n)
         pairs = {encode(t) for t in trees}
@@ -146,7 +147,8 @@ def test_criterion_10_injection_and_catalan_shapes(planted_shapes):
         assert len(set(shapes)) == len(shapes) == catalan(n)
         word = " ".join(map(str, range(1, 2 * n + 2)))
         for stem in shapes:
-            assert pair_from_text(f"{stem}\nphi = {word}\n").stem == stem
+            pair = pair_from_text(f"{stem}\nphi = {word}\n")
+            assert encode(decode(pair)) == pair
 
 
 def test_criterion_11_one_variable_route_matches_table(census_counts, census_table,

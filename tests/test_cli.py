@@ -29,6 +29,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def odd_square_without_middle_term(odd, s, true_square=series._odd_square):
+    """series._odd_square without its middle term (k odd): g(n) = 0 for n >= 1."""
+    k = len(s)
+    return true_square(odd, s) - (odd[k // 2] * s[k // 2] ** 2 if k % 2 else 0)
+
+
 class TestCensus:
     def test_text_golden(self, capsys):
         code, out, _ = run(capsys, "census", "--max-n", "2")
@@ -501,14 +507,8 @@ class TestVerify:
     ], ids=["tan", "bounds"])
     def test_odd_square_without_middle_term_fails(self, capsys, monkeypatch, argv, line):
         # the ODE's tangent numbers and the counts' X_m share one odd-binomial
-        # square; without its middle term (k odd), a_1 and g(1) come out 0
-        true_square = series._odd_square
-
-        def without_middle_term(odd, s):
-            k = len(s)
-            return true_square(odd, s) - (odd[k // 2] * s[k // 2] ** 2 if k % 2 else 0)
-
-        monkeypatch.setattr(series, "_odd_square", without_middle_term)
+        # square; without its middle term, a_1 and g(1) come out 0
+        monkeypatch.setattr(series, "_odd_square", odd_square_without_middle_term)
         assert run(capsys, "verify", *argv) == (1, line + "\n", "")
 
     def test_unknown_verifier_is_usage_error(self, capsys):
@@ -711,6 +711,13 @@ class TestInternalError:
         assert err.startswith("internal error: (2n+1)! * T(0,2) is not an integer")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_table_count_below_one(self, capsys, monkeypatch, fmt):
+        # g(n) = 0 for n >= 1, whose logarithm the rows would take
+        monkeypatch.setattr(series, "_odd_square", odd_square_without_middle_term)
+        code, out, err = run(capsys, "table", "--points", "4,6,8,10", "--format", fmt)
+        assert (code, out, err) == (4, "", "internal error: g(4) = 0, but every count is at least 1\n")
+
     @pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])
     def test_other_runtime_errors_propagate(self, capsys, monkeypatch, error):
         # only a ConsistencyError is an internal error: any other exception,
@@ -816,6 +823,19 @@ class TestCodecs:
         assert code == 1
         assert out == ""
         assert err.startswith("not in the encoding's image:")
+
+    @pytest.mark.parametrize("text, message", [
+        ("(()()\nphi = 1 2 3\n", "the shape ends before the stem vertex closes"),
+        ("()()\nphi = 1 2 3\n", "trailing characters at position 2 of the shape"),
+        ("(()()())\nphi = 1 2 3\n", "a third child opens at position 5 of the shape"),
+        ("(())\nphi = 1 2 3\n", "the vertex closed at position 3 of the shape has one child"),
+        ("(()())x\nphi = 1 2 3\n", "trailing characters at position 6 of the shape"),
+        (")\nphi = 1 2 3\n", "unexpected ')' at position 0 of the shape"),
+    ], ids=["unclosed", "two-stems", "three-children", "one-child", "trailing-character", "stray-close"])
+    def test_decode_malformed_shape_fails(self, capsys, tmp_path, text, message):
+        src = tmp_path / "pair.txt"
+        src.write_text(text)
+        assert run(capsys, "decode", str(src)) == (1, "", f"invalid pair: {message}\n")
 
     def test_encode_non_utf8_fails(self, capsys, tmp_path):
         src = tmp_path / "tree.txt"

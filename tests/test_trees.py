@@ -312,10 +312,10 @@ class TestValidation:
 
 class TestEnumeration:
     def test_index_zero(self):
-        assert enumerate_morse_trees(0) == {EDGE}
+        assert set(enumerate_morse_trees(0)) == {EDGE}
 
     def test_index_one_is_the_two_stars(self):
-        assert enumerate_morse_trees(1) == {STAR_AT_1, STAR_AT_2}
+        assert set(enumerate_morse_trees(1)) == {STAR_AT_1, STAR_AT_2}
 
     def test_index_two_count(self):
         assert len(enumerate_morse_trees(2)) == 19
@@ -332,7 +332,13 @@ class TestEnumeration:
 
     def test_sets_match_reference(self):
         for n in range(4):
-            assert enumerate_morse_trees(n) == reference_enumerate_morse_trees(n)
+            assert set(enumerate_morse_trees(n)) == reference_enumerate_morse_trees(n)
+
+    def test_no_tree_is_built_twice(self):
+        # the list is the sweep's own: no set hides a tree that it builds twice
+        for n in range(5):
+            found = enumerate_morse_trees(n)
+            assert len(found) == len(set(found))
 
     def test_index_four_trees_are_valid(self):
         # the sweep builds its trees without validating them
@@ -479,33 +485,48 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             tree_from_text("0-1\n")
 
-    @pytest.mark.parametrize("text", [
-        pytest.param("(()())\n", id="no-phi-line"),
-        pytest.param("(()()\nphi = 1 2 3\n", id="unclosed"),
-        pytest.param("()()\nphi = 1 2 3\n", id="two-stems"),
-        pytest.param("(()()())\nphi = 1 2 3\n", id="three-children"),
-        pytest.param("(())\nphi = 1 2 3\n", id="one-child"),
-        pytest.param("(()())x\nphi = 1 2 3\n", id="trailing-character"),
-        pytest.param(")\nphi = 1 2 3\n", id="stray-close"),
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("(()())\n", "pair text must be a shape line then a 'phi = ...' line",
+                     id="no-phi-line"),
+        pytest.param("(()()\nphi = 1 2 3\n", "the shape ends before the stem vertex closes",
+                     id="unclosed"),
+        pytest.param("()()\nphi = 1 2 3\n", "trailing characters at position 2 of the shape",
+                     id="two-stems"),
+        pytest.param("(()()())\nphi = 1 2 3\n", "a third child opens at position 5 of the shape",
+                     id="three-children"),
+        pytest.param("(())\nphi = 1 2 3\n", "the vertex closed at position 3 of the shape has one child",
+                     id="one-child"),
+        pytest.param("(()())x\nphi = 1 2 3\n", "trailing characters at position 6 of the shape",
+                     id="trailing-character"),
+        pytest.param(")\nphi = 1 2 3\n", "unexpected ')' at position 0 of the shape",
+                     id="stray-close"),
     ])
-    def test_bad_pair_text(self, text):
-        with pytest.raises(ValueError):
-            pair_from_text(text)
+    def test_bad_pair_text(self, text, message):
+        # pair_from_text checks the layout, and decode the shape
+        with pytest.raises(ValueError) as raised:
+            decode(pair_from_text(text))
+        assert type(raised.value) is ValueError and str(raised.value) == message
 
-    def test_pair_text_accepts_exactly_the_shapes(self, planted_shapes):
-        # every string over "()" of length 4n+2: only the Catalan(n) shapes parse
+    def test_decode_rejects_exactly_the_non_shapes(self, planted_shapes):
+        # every string over "()" of length 4n+2 passes the text parser, and
+        # decode finds a fault in the shape exactly when it is not one of
+        # the Catalan(n) shapes
         for n in range(4):
             shapes = set(planted_shapes(n))
             accepted = set()
+            word = " ".join(map(str, range(1, 2 * n + 2)))
             for chars in itertools.product("()", repeat=4 * n + 2):
                 stem = "".join(chars)
+                pair = pair_from_text(f"{stem}\nphi = {word}\n")
+                assert pair.stem == stem
                 try:
-                    pair = pair_from_text(stem + "\nphi = 1\n")
+                    decode(pair)
+                except NotInImageError:
+                    accepted.add(stem)
                 except ValueError as exc:
                     assert stem not in shapes
                     assert "position" in str(exc) or "ends before" in str(exc)
                 else:
-                    assert pair.stem == stem
                     accepted.add(stem)
             assert accepted == shapes and len(shapes) == catalan(n)
 
