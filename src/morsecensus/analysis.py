@@ -3,8 +3,8 @@
 The functions take the counts g(0), g(1), ... as a list of ints (see
 :func:`series.morse_counts`) and read h(n) = g(n)/(2n+1)! from them.
 All logarithms are natural.  High-precision values are `decimal.Decimal`s
-at one working precision, ROW_DIGITS significant digits, with pi from the
-Gauss-Legendre iteration; exact comparisons stay in integers/rationals and
+at one working precision, ROW_DIGITS significant digits, with (1/2) ln 2 pi
+a constant of 64 digits; exact comparisons stay in integers/rationals and
 never pass through floating point.  This module is the package's only user
 of `decimal`.
 
@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-
-from . import ConsistencyError
 
 # `Decimal` and `Fraction` in annotations are unbound here (see the
 # module docstring): they name the types for readers only, and get_type_hints fails.
@@ -43,6 +41,10 @@ __all__ = [
 # rows print 9, and those come out the same at every working precision from
 # 64 to 2048 bits (checked for n <= 400)
 ROW_DIGITS = 60
+
+# (1/2) ln(2 pi) rounded to 64 significant digits, past ROW_DIGITS; a str, so
+# that the module loads no `decimal` until asymptotic_row reads it
+_HALF_LOG_TWO_PI = "0.9189385332046727417803297364056176398613974736377834128171515405"
 
 # targets series_argument accepts; its radicand is positive for every target
 # (see there), and up to here one Gauss-Kronrod rule suffices (error estimate
@@ -72,32 +74,19 @@ def asymptotic_row(counts: Sequence[int], n: int) -> AsymptoticRow:
     the finite-n remainder left after subtracting the Stirling-predicted
     main terms from log h; its /n column is the quantity tabulated by the
     asymptotic experiments.  log h is ln g(n) - ln (2n+1)! of the exact
-    integers, so the huge terms of h lose no accuracy.  Every g(n) is at
-    least 1, so a smaller count raises ConsistencyError.
+    integers, so the huge terms of h lose no accuracy.  counts[n] must be
+    at least 1, as every count that morse_counts returns is.
     """
     from decimal import Context, Decimal, localcontext
 
     if not 1 <= n < len(counts):
         raise ValueError(f"asymptotic rows need 1 <= n <= {len(counts) - 1}; got n={n}")
-    if counts[n] < 1:
-        raise ConsistencyError(f"g({n}) = {counts[n]}, but every count is at least 1")
     with localcontext(Context(prec=ROW_DIGITS)):
         log_h = Decimal(counts[n]).ln() - Decimal(math.factorial(2 * n + 1)).ln()
         m = Decimal(2 * n + 1)
         delta = (log_h - 2 * n * (1 + (n / m).ln()) + Decimal(3) / 2 * m.ln() - 1
-                 + (2 * _pi()).ln() / 2)
+                 + Decimal(_HALF_LOG_TWO_PI))
         return AsymptoticRow(n, log_h, delta, delta / n)
-
-
-def _pi() -> Decimal:
-    """pi in the current decimal context by the Gauss-Legendre iteration (Salamin,
-    Math. Comp. 30, 1976; Brent, J. ACM 23, 1976): step k leaves ~2^(k+1) digits."""
-    from decimal import Decimal, getcontext
-
-    a, b, t = Decimal(1), Decimal("0.5").sqrt(), Decimal("0.25")
-    for k in range(getcontext().prec.bit_length()):
-        a, b, t = (a + b) / 2, (a * b).sqrt(), t - (a - b) ** 2 * 2**k / 4
-    return (a + b) ** 2 / (4 * t)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,8 @@ def morse_counts(max_n: int) -> list[int]:
 
     Lists are indexed by k for the step m = 2k: g[k] = Y_(2k+1), x[k] = X_(2k),
     b[j][k] = B_(j,2k) and G[k] = G~_(2k), in the notation of the module docstring.
+    Every n has a Morse function with 2n+2 critical points, so every g(n) is at
+    least 1: a smaller count is a bug in the loop and raises ConsistencyError.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -206,6 +208,8 @@ def morse_counts(max_n: int) -> list[int]:
             col.append(value)
         G.append(27 * b2 + 108 * b1 + 96 * b0)
         g.append(-sum(map(mul, map(mul, even[:k], g), reversed(b[0][1:]))))
+        if g[k] < 1:
+            raise ConsistencyError(f"g({k}) = {g[k]}, but every count is at least 1")
     return g
 
 

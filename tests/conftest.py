@@ -81,6 +81,19 @@ def small_table():
     return recurrence.extend_table(None, 30)
 
 
+@pytest.fixture
+def middle_term_dropped(monkeypatch):
+    """series._odd_square without its middle term (k odd), a known mutant:
+    a_1, X_2 and so g(1) come out 0."""
+    true_square = series._odd_square
+
+    def without_middle_term(odd, s):
+        k = len(s)
+        return true_square(odd, s) - (odd[k // 2] * s[k // 2] ** 2 if k % 2 else 0)
+
+    monkeypatch.setattr(series, "_odd_square", without_middle_term)
+
+
 # --- one pass/fail line per acceptance criterion ---------------------------
 
 _acceptance_outcomes: dict[str, str] = {}

@@ -182,6 +182,12 @@ class TestAgainstMpmath:
                  + mpmath.mpf(3) / 2 * mpmath.log(2 * n + 1) - 1 + mpmath.log(2 * mpmath.pi) / 2)
         return log_h, delta, delta / n
 
+    def test_half_log_two_pi(self):
+        # the constant asymptotic_row adds, rounded to 64 significant digits
+        with mpmath.workdps(90):
+            text = mpmath.nstr(mpmath.log(2 * mpmath.pi) / 2, 80)
+        assert analysis._HALF_LOG_TWO_PI == str(Context(prec=64).create_decimal(text))
+
     @pytest.mark.parametrize("precision", [64, 128, 512])
     def test_rows_to_n_100(self, precision):
         # the reference works at `precision` bits; the rows work at ROW_DIGITS

@@ -29,12 +29,6 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def odd_square_without_middle_term(odd, s, true_square=series._odd_square):
-    """series._odd_square without its middle term (k odd): g(n) = 0 for n >= 1."""
-    k = len(s)
-    return true_square(odd, s) - (odd[k // 2] * s[k // 2] ** 2 if k % 2 else 0)
-
-
 class TestCensus:
     def test_text_golden(self, capsys):
         code, out, _ = run(capsys, "census", "--max-n", "2")
@@ -503,12 +497,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, line", [
         (("tan", "--max-k", "5"), "FAIL tan routes disagree at k=1: bernoulli=1/6 ode=0"),
-        (("bounds", "--max-n", "5"), "FAIL lower bound at n=1: h=0"),
-    ], ids=["tan", "bounds"])
-    def test_odd_square_without_middle_term_fails(self, capsys, monkeypatch, argv, line):
+    ], ids=["tan"])
+    def test_odd_square_without_middle_term_fails(self, capsys, middle_term_dropped, argv, line):
         # the ODE's tangent numbers and the counts' X_m share one odd-binomial
-        # square; without its middle term, a_1 and g(1) come out 0
-        monkeypatch.setattr(series, "_odd_square", odd_square_without_middle_term)
+        # square; without its middle term, a_1 comes out 0 (the commands that
+        # count exit 4 on g(1) = 0: TestInternalError)
         assert run(capsys, "verify", *argv) == (1, line + "\n", "")
 
     def test_unknown_verifier_is_usage_error(self, capsys):
@@ -711,12 +704,20 @@ class TestInternalError:
         assert err.startswith("internal error: (2n+1)! * T(0,2) is not an integer")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-    def test_table_count_below_one(self, capsys, monkeypatch, fmt):
-        # g(n) = 0 for n >= 1, whose logarithm the rows would take
-        monkeypatch.setattr(series, "_odd_square", odd_square_without_middle_term)
-        code, out, err = run(capsys, "table", "--points", "4,6,8,10", "--format", fmt)
-        assert (code, out, err) == (4, "", "internal error: g(4) = 0, but every count is at least 1\n")
+    @pytest.mark.parametrize("argv", [
+        ("census", "--max-n", "5"),
+        ("table", "--points", "4,6,8,10", "--format", "text"),
+        ("table", "--points", "4,6,8,10", "--format", "csv"),
+        ("table", "--points", "4,6,8,10", "--format", "json"),
+        ("verify", "conjecture", "--max-n", "5"),
+        ("verify", "bounds", "--max-n", "5"),
+        ("verify", "elliptic"),
+    ], ids=["census", "table-text", "table-csv", "table-json", "conjecture", "bounds",
+            "elliptic"])
+    def test_count_below_one(self, capsys, middle_term_dropped, argv):
+        # g(1) = 0: morse_counts refuses it for every command that counts
+        assert run(capsys, *argv) == (
+            4, "", "internal error: g(1) = 0, but every count is at least 1\n")
 
     @pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])
     def test_other_runtime_errors_propagate(self, capsys, monkeypatch, error):

@@ -96,6 +96,11 @@ class TestRoute:
         with pytest.raises(ConsistencyError, match=f"at step {m} "):
             morse_counts(10)
 
+    def test_count_below_one_raises(self, middle_term_dropped):
+        # every n has a Morse function, so g(1) = 0 is a bug in the loop
+        with pytest.raises(ConsistencyError, match=r"^g\(1\) = 0, but every count is at least 1$"):
+            morse_counts(5)
+
 
 def hurwitz_product(p, q):
     """(PQ)_m = sum_i C(m, i) P_i Q_(m-i), for every m both inputs reach."""
