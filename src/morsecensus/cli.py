@@ -211,50 +211,49 @@ def _cmd_oracle(args) -> int:
     recurrence_count = table.morse_count(args.n)
     pairs = [trees.encode(t) for t in enumerated]
     injective = len(set(pairs)) == len(enumerated)
-    round_trip = all(trees.decode(pair) == t for pair, t in zip(pairs, enumerated))
     print(f"oracle={len(enumerated)} recurrence={recurrence_count} "
           f"injective={'yes' if injective else 'no'}")
-    if len(enumerated) != recurrence_count or not injective or not round_trip:
+    for tree, pair in zip(enumerated, pairs):
+        try:
+            fault = trees.decode(pair) != tree and "decode returned another tree"
+        except ValueError as exc:
+            fault = f"decode refused it: {exc}"
+        if fault:
+            edges = " ".join(f"{a}-{b}" for a, b in tree.edges)
+            print(f"FAIL round trip of the n={args.n} tree {edges}: {fault}")
+            return EXIT_VERIFY_FAIL
+    if len(enumerated) != recurrence_count or not injective:
         return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+def _convert(args, refusal: str, parse, convert, render) -> int:
+    """Read the file `args.path`, or stdin for "-", and print render(convert(parse(text)));
+    a ValueError on the way prints "<refusal>: <reason>" and exits 1."""
+    try:  # UnicodeDecodeError is a ValueError
+        if args.path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.path) as fh:
+                text = fh.read()
+        result = convert(parse(text))
+    except ValueError as exc:
+        print(f"{refusal}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    sys.stdout.write(render(result))
+    return EXIT_OK
 
 
 def _cmd_encode(args) -> int:
     from . import trees
 
-    try:
-        text = _read_text(args.path)  # UnicodeDecodeError is a ValueError
-        tree = trees.tree_from_text(text)
-        pair = trees.encode(tree)
-    except ValueError as exc:
-        print(f"invalid tree: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    sys.stdout.write(trees.pair_to_text(pair))
-    return EXIT_OK
+    return _convert(args, "invalid tree", trees.tree_from_text, trees.encode, trees.pair_to_text)
 
 
 def _cmd_decode(args) -> int:
     from . import trees
 
-    try:
-        text = _read_text(args.path)
-        pair = trees.pair_from_text(text)
-        tree = trees.decode(pair)
-    except trees.NotInImageError as exc:
-        print(f"not in the encoding's image: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    except ValueError as exc:
-        print(f"invalid pair: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    sys.stdout.write(trees.tree_to_text(tree))
-    return EXIT_OK
+    return _convert(args, "invalid pair", trees.pair_from_text, trees.decode, trees.tree_to_text)
 
 
 # ---------------------------------------------------------------------------

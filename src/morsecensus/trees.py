@@ -28,9 +28,10 @@ Every Morse tree maps injectively to a (PTPT, permutation) pair:
 Decoding replays the walk and re-labels the shape, so decode(encode(t))
 is the identity.  A pair is in the image iff the re-labeled shape is a
 Morse tree and, at every node, the first child's subtree minimum is below
-the second's; decode raises NotInImageError on every other pair, so it
-returns exactly on the pairs p with encode(decode(p)) == p.  The text
-parsers check only the layout, a first line then lines of integers;
+the second's; decode raises ValueError on every other pair, so it returns
+exactly on the pairs p with encode(decode(p)) == p.  Every refusal in
+this module is a plain ValueError, and its message names the fault.  The
+text parsers check only the layout, a first line then lines of integers;
 `encode` checks the tree, and `decode` the shape, the word and the labels.
 
 Every walk over a tree or a shape (encoding, decoding, walk numbering,
@@ -45,17 +46,20 @@ component.  Label t is a minimum, which opens a disc and lacks 1; a
 maximum on one lower neighbor, which caps a circle and lacks 0; a
 splitting saddle on one lower neighbor, which lacks 2; or a joining
 saddle on two lower neighbors in different components, which lacks 1.
-The top label 2n+1 fills the last open slot of the one component left.
-Every leaf of the search is a Morse tree: a join links two components,
-so no edge closes a cycle, and each type ends with one neighbor, or
-three with a lower and a higher one.  The sweep is complete and builds
-each tree once: read any Morse tree's labels upward, and each label's
-type and lower neighbors are fixed by the tree, so the tree is exactly
-one leaf of the search.  Two prunes cut dead branches without losing a
-leaf: every label changes the open slots by one, so a branch stops when
-they outnumber the labels left; and a component with no open slot can
-never be joined, so a branch stops when one closes below the top label.
-The sweep returns its trees in a list, in the order it builds them.
+The top label 2n+1 is a maximum on the last open slot.  Two prunes cut
+dead branches without losing a tree: every label changes the open slots
+by one, so a branch stops when they outnumber the labels left; and a
+component with no open slot can never be joined, so a maximum may not
+close one below the top label.  They also make every leaf a Morse tree,
+with no test there: at the top label the first leaves at most one open
+slot, and every component keeps one (a minimum opens one, a split or a
+join keeps one, and the second prune stops a maximum from closing it),
+so one slot is open, in the one component left.  A join links two
+components, so no edge closes a cycle, and each type ends with one
+neighbor, or three with a lower and a higher one.  The sweep is complete
+and builds each tree once: read any Morse tree's labels upward, and each
+label's type and lower neighbors are fixed by the tree, so the tree is
+exactly one leaf of the search.  It returns a list, in build order.
 """
 from __future__ import annotations
 
@@ -64,7 +68,6 @@ from collections import namedtuple
 __all__ = [
     "MorseTree",
     "EncodedPair",
-    "NotInImageError",
     "is_morse_tree",
     "enumerate_morse_trees",
     "encode",
@@ -76,10 +79,6 @@ __all__ = [
 ]
 
 MORSE_ENUM_BUDGET = 4
-
-
-class NotInImageError(ValueError):
-    """The pair is not the encoding of any Morse tree."""
 
 
 class MorseTree(namedtuple("MorseTree", "n edges")):
@@ -176,9 +175,8 @@ def enumerate_morse_trees(n: int) -> list[MorseTree]:
         # slots[v]: the higher neighbors vertex v < t still lacks; comp[v]: its component
         if sum(slots) > top + 1 - t:  # prune: more open slots than labels left
             return
-        if t == top:  # a maximum on the one open slot of the one component left
-            if sum(slots) == 1 and len(set(comp)) == 1:
-                found.append(MorseTree(n, tuple(sorted(edges + ((slots.index(1), top),)))))
+        if t == top:  # a maximum on the one open slot, which the prunes leave
+            found.append(MorseTree(n, tuple(sorted(edges + ((slots.index(1), top),)))))
             return
         sweep(t + 1, slots + (1,), comp + (t,), edges)  # a minimum
         live = [v for v in range(t) if slots[v]]
@@ -270,8 +268,9 @@ def decode(pair: EncodedPair) -> MorseTree:
     The shape's root gets label 0 and every stem vertex the permutation
     image of its walk number.  The pair is in the image iff the result is
     a Morse tree whose every node has the lower subtree minimum in its
-    first subtree; any other pair raises NotInImageError, and a malformed
-    shape raises ValueError before the word is read.
+    first subtree.  Every other pair raises ValueError: a malformed shape
+    before the word is read, then a word that is not a permutation, a
+    labeled tree that is not a Morse tree, or a misordered node.
 
     Once the word is a permutation of 1..2n+1, the walk makes the result
     a tree on 0..2n+1 with 2n+1 distinct edges: the root and the leaves
@@ -286,7 +285,7 @@ def decode(pair: EncodedPair) -> MorseTree:
     parents, kids = _walk(pair.stem)
     n = (len(parents) - 2) // 2
     if sorted(pair.perm) != list(range(1, 2 * n + 2)):
-        raise NotInImageError("permutation is not a bijection on 1..2n+1")
+        raise ValueError("permutation is not a bijection on 1..2n+1")
     labels = (0, *pair.perm)
     low = list(labels)  # subtree minima, left stale at and above a misordered node
     edges = []
@@ -299,7 +298,7 @@ def decode(pair: EncodedPair) -> MorseTree:
             first, second = kids[number]
             # one or two of its three neighbors lie below it
             if (labels[first] < label) + (labels[second] < label) + (above < label) not in (1, 2):
-                raise NotInImageError("pair decodes to an invalid labeled tree")
+                raise ValueError("pair decodes to an invalid labeled tree")
             least = low[first]
             if least > low[second]:
                 misordered = misordered or (f"the first subtree under label {label} has minimum "
@@ -307,7 +306,7 @@ def decode(pair: EncodedPair) -> MorseTree:
             elif least < label:  # in order, the first subtree holds the lower minimum
                 low[number] = least
     if misordered is not None:
-        raise NotInImageError(misordered)
+        raise ValueError(misordered)
     edges.sort()
     return MorseTree(n, tuple(edges))
 

@@ -766,6 +766,38 @@ class TestOracle:
         monkeypatch.setattr(trees, "enumerate_morse_trees", one_lost)
         assert run(capsys, "oracle", "3") == (1, "oracle=427 recurrence=428 injective=yes\n", "")
 
+    # one tree of index 2 that a patched decode does not give back
+    BROKEN = trees.MorseTree(2, ((0, 2), (1, 4), (2, 3), (2, 4), (4, 5)))
+
+    def test_round_trip_to_another_tree_fails(self, capsys, monkeypatch):
+        decode = trees.decode
+
+        def another_tree(pair):
+            tree = decode(pair)
+            return trees.MorseTree(2, ((0, 1),)) if tree == self.BROKEN else tree
+
+        monkeypatch.setattr(trees, "decode", another_tree)
+        assert run(capsys, "oracle", "2") == (
+            1, "oracle=19 recurrence=19 injective=yes\n"
+               "FAIL round trip of the n=2 tree 0-2 1-4 2-3 2-4 4-5: decode returned another tree\n",
+            "")
+
+    def test_refused_round_trip_fails(self, capsys, monkeypatch):
+        decode = trees.decode
+
+        def refusing(pair):
+            tree = decode(pair)
+            if tree == self.BROKEN:
+                raise ValueError("pair decodes to an invalid labeled tree")
+            return tree
+
+        monkeypatch.setattr(trees, "decode", refusing)
+        assert run(capsys, "oracle", "2") == (
+            1, "oracle=19 recurrence=19 injective=yes\n"
+               "FAIL round trip of the n=2 tree 0-2 1-4 2-3 2-4 4-5: "
+               "decode refused it: pair decodes to an invalid labeled tree\n",
+            "")
+
     def test_extended_is_an_unknown_option(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["oracle", "4", "--extended"])
@@ -810,20 +842,20 @@ class TestCodecs:
         assert "invalid tree" in err
 
     def test_decode_outside_image_fails(self, capsys, tmp_path):
+        # a pair outside the image is refused with the prefix of a malformed text
         src = tmp_path / "pair.txt"
-        src.write_text("(()())\nphi = 3 1 2\n")
-        code, _, err = run(capsys, "decode", str(src))
-        assert code == 1
-        assert "image" in err
+        for word, reason in (("3 1 2", "pair decodes to an invalid labeled tree"),
+                             ("1 1 3", "permutation is not a bijection on 1..2n+1")):
+            src.write_text(f"(()())\nphi = {word}\n")
+            assert run(capsys, "decode", str(src)) == (1, "", f"invalid pair: {reason}\n")
 
     def test_decode_subtrees_out_of_order_fails(self, capsys, tmp_path):
         # the re-labeled shape is a Morse tree, but it encodes as ((()())()) / 1 2 3 4 5
         src = tmp_path / "pair.txt"
         src.write_text("(()(()()))\nphi = 1 5 2 3 4\n")
-        code, out, err = run(capsys, "decode", str(src))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("not in the encoding's image:")
+        assert run(capsys, "decode", str(src)) == (
+            1, "", "invalid pair: the first subtree under label 1 has minimum 5, "
+                   "above the second's 2\n")
 
     @pytest.mark.parametrize("text, message", [
         ("(()()\nphi = 1 2 3\n", "the shape ends before the stem vertex closes"),

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -165,3 +166,20 @@ class TestBounds:
         # `verify bounds` need not test the estimate
         for n in range(401):
             assert catalan(n) * (n + 1) == comb(2 * n, n) <= 4**n
+
+    def test_trivalent_tree_bound(self, census_counts):
+        # a Morse tree is a labelled tree on 0..2n+1 with n vertices of degree 3,
+        # n + 2 of degree 1 and 0 a leaf, and there are C(2n+1, n) (2n)! / 2^n
+        # such trees: so h(n) <= Catalan(n) / 2^n, with equality only at n = 0
+        for n, g in enumerate(census_counts):
+            bound = comb(2 * n + 1, n) * factorial(2 * n)
+            assert g << n <= bound and (g << n < bound or n == 0), f"n={n}"
+
+    def test_trivalent_tree_count_by_pruefer_codes(self):
+        # a vertex of a labelled tree appears in its Pruefer code one time
+        # fewer than its degree: count the codes of length 2n over 0..2n+1 in
+        # which every label appears 0 or 2 times, and 0 never
+        for n, count in enumerate((1, 3, 60, 3150)):
+            codes = sum(1 for code in product(range(2 * n + 2), repeat=2 * n)
+                        if 0 not in code and all(code.count(v) in (0, 2) for v in code))
+            assert codes == count == comb(2 * n + 1, n) * factorial(2 * n) >> n

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 
@@ -15,7 +16,6 @@ from morsecensus.series import morse_counts, ode_comparison_series
 from morsecensus.trees import (
     EncodedPair,
     MorseTree,
-    NotInImageError,
     decode,
     encode,
     enumerate_morse_trees,
@@ -30,6 +30,11 @@ EDGE = MorseTree.from_edges(0, [(0, 1)])
 STAR_AT_1 = MorseTree.from_edges(1, [(1, 0), (1, 2), (1, 3)])
 STAR_AT_2 = MorseTree.from_edges(1, [(2, 0), (2, 1), (2, 3)])
 COMB_INDEX = 1200  # deeper than CPython's default recursion limit
+# the three faults that put a pair with a well-formed shape outside the image;
+# decode reports a malformed shape with another message
+IMAGE_FAULT = re.compile(r"permutation is not a bijection on 1\.\.2n\+1"
+                         r"|pair decodes to an invalid labeled tree"
+                         r"|the first subtree under label \d+ has minimum \d+, above the second's \d+")
 
 
 def comb(n: int) -> MorseTree:
@@ -212,11 +217,11 @@ def reference_decode(pair: EncodedPair) -> MorseTree:
             stack.pop()
     n = (len(parent) - 2) // 2
     if sorted(pair.perm) != list(range(1, 2 * n + 2)):
-        raise NotInImageError("permutation is not a bijection on 1..2n+1")
+        raise ValueError("permutation is not a bijection on 1..2n+1")
     labels = (0, *pair.perm)
     tree = MorseTree.from_edges(n, [(labels[parent[v]], labels[v]) for v in range(1, len(parent))])
     if not reference_is_morse_tree(tree):
-        raise NotInImageError("pair decodes to an invalid labeled tree")
+        raise ValueError("pair decodes to an invalid labeled tree")
     kids = {v: [w for w in range(1, len(parent)) if parent[w] == v] for v in range(len(parent))}
     low = list(labels)
     for v in reversed(range(len(parent))):
@@ -225,7 +230,7 @@ def reference_decode(pair: EncodedPair) -> MorseTree:
         if len(kids[v]) == 2:
             first, second = kids[v]  # the first child opens first
             if low[first] > low[second]:
-                raise NotInImageError(
+                raise ValueError(
                     f"the first subtree under label {labels[v]} has minimum "
                     f"{low[first]}, above the second's {low[second]}")
     return tree
@@ -433,21 +438,23 @@ class TestEncodeDecode:
             encode(MorseTree.from_edges(1, [(0, 1), (1, 2), (2, 3)]))
 
     def test_decode_rejects_non_bijection(self):
-        with pytest.raises(NotInImageError):
+        with pytest.raises(ValueError, match=r"^permutation is not a bijection on 1\.\.2n\+1$"):
             decode(EncodedPair("(()())", (1, 1, 3)))
 
     def test_decode_rejects_pair_outside_image(self):
         # top label at the node: the decoded tree has no higher neighbor there
-        with pytest.raises(NotInImageError):
+        with pytest.raises(ValueError, match="^pair decodes to an invalid labeled tree$"):
             decode(EncodedPair("(()())", (3, 1, 2)))
 
     def test_decode_rejects_subtrees_out_of_order(self):
         # a Morse tree once decoded, but the first subtree under 1 has minimum 5, the second 2
-        with pytest.raises(NotInImageError, match="minimum 5, above the second's 2"):
+        with pytest.raises(ValueError, match="^the first subtree under label 1 has minimum 5, "
+                                             "above the second's 2$"):
             decode(EncodedPair("(()(()()))", (1, 5, 2, 3, 4)))
 
     def test_decode_accepts_exactly_the_image(self, planted_shapes):
-        # every (shape, permutation) pair: a pair decodes iff it encodes an enumerated tree
+        # every (shape, permutation) pair: a pair decodes iff it encodes an enumerated
+        # tree, and every other pair is refused for one of the three image faults
         for n, count in enumerate((1, 2, 19, 428)):
             image = {encode(t) for t in enumerate_morse_trees(n)}
             decoded = set()
@@ -456,7 +463,8 @@ class TestEncodeDecode:
                     pair = EncodedPair(stem, perm)
                     try:
                         tree = decode(pair)
-                    except NotInImageError:
+                    except ValueError as exc:
+                        assert IMAGE_FAULT.fullmatch(str(exc)), exc
                         continue
                     assert encode(tree) == pair
                     decoded.add(pair)
@@ -568,8 +576,8 @@ class TestRoundTripProperties:
     def test_decode_matches_reference(self, pair):
         try:
             expected = reference_decode(pair)
-        except NotInImageError as exc:
-            with pytest.raises(NotInImageError) as raised:
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
                 decode(pair)
             assert str(raised.value) == str(exc)
         else:
@@ -585,8 +593,8 @@ class TestRoundTripProperties:
         for pair in pairs:
             try:
                 decode(pair)
-            except NotInImageError:
-                pass
+            except ValueError as exc:
+                assert IMAGE_FAULT.fullmatch(str(exc)), exc
 
     @ROUND_TRIP
     @given(morse_trees())
