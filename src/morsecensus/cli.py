@@ -209,20 +209,24 @@ def _cmd_oracle(args) -> int:
         return EXIT_USAGE
     table = recurrence.extend_table(None, 2 * args.n)
     recurrence_count = table.morse_count(args.n)
-    pairs = [trees.encode(t) for t in enumerated]
-    injective = len(set(pairs)) == len(enumerated)
+    pairs, failure = [], ""  # the pairs of the trees that encode accepts; the first FAIL line
+    for tree in enumerated:  # one pass: encode, then decode
+        step = "encode"
+        try:
+            pairs.append(trees.encode(tree))
+            step = "decode"
+            fault = trees.decode(pairs[-1]) != tree and "decode returned another tree"
+        except ValueError as exc:
+            fault = f"{step} refused it: {exc}"
+        if fault and not failure:
+            edges = " ".join(f"{a}-{b}" for a, b in tree.edges)
+            failure = f"FAIL round trip of the n={args.n} tree {edges}: {fault}"
+    injective = len(set(pairs)) == len(pairs)
     print(f"oracle={len(enumerated)} recurrence={recurrence_count} "
           f"injective={'yes' if injective else 'no'}")
-    for tree, pair in zip(enumerated, pairs):
-        try:
-            fault = trees.decode(pair) != tree and "decode returned another tree"
-        except ValueError as exc:
-            fault = f"decode refused it: {exc}"
-        if fault:
-            edges = " ".join(f"{a}-{b}" for a, b in tree.edges)
-            print(f"FAIL round trip of the n={args.n} tree {edges}: {fault}")
-            return EXIT_VERIFY_FAIL
-    if len(enumerated) != recurrence_count or not injective:
+    if failure:
+        print(failure)
+    if failure or len(enumerated) != recurrence_count or not injective:
         return EXIT_VERIFY_FAIL
     return EXIT_OK
 

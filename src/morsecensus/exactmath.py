@@ -14,8 +14,6 @@ __all__ = ["catalan", "format_rational"]
 
 def catalan(n: int) -> int:
     """The n-th Catalan number binom(2n, n) / (n + 1) = binom(2n, n) - binom(2n, n + 1)."""
-    if n < 0:
-        raise ValueError("catalan requires n >= 0")
     return comb(2 * n, n) - comb(2 * n, n + 1)
 
 

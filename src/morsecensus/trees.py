@@ -30,7 +30,7 @@ is the identity.  A pair is in the image iff the re-labeled shape is a
 Morse tree and, at every node, the first child's subtree minimum is below
 the second's; decode raises ValueError on every other pair, so it returns
 exactly on the pairs p with encode(decode(p)) == p.  Every refusal in
-this module is a plain ValueError, and its message names the fault.  The
+this module is a plain ValueError that names the first fault met.  The
 text parsers check only the layout, a first line then lines of integers;
 `encode` checks the tree, and `decode` the shape, the word and the labels.
 
@@ -111,23 +111,22 @@ class EncodedPair(namedtuple("EncodedPair", "stem perm")):
 # validation and brute-force enumeration
 
 
-def _morse_adjacency(n: int, edges) -> tuple[list[list[int]], list[int], list[int]] | None:
-    """(child lists, BFS order, parents) of vertices 0..2n+1 if the edges
-    form a Morse tree, else None.
+def _morse_adjacency(n: int, edges) -> tuple[list[list[int]], list[int], list[int]]:
+    """(child lists, BFS order, parents) of vertices 0..2n+1 of a Morse tree.
 
-    Checks n >= 0, 2n+1 edges, labels in range, degrees 1 or 3, a lower
-    and a higher neighbor at every node, and connectivity, which with 2n+1
-    edges also rules out loops, duplicate edges and cycles.  The order is
-    breadth-first from the leaf 0 (parent[0] is 0), and each list keeps
-    the children only: the stem at 0, none at a leaf and two at a node.
+    Else a ValueError names the first fault, in this order: the edge count
+    (2n+1, so n >= 0), a label outside 0..2n+1, a vertex neither a leaf nor a
+    node with a lower and a higher neighbor, a vertex not connected to 0,
+    which with 2n+1 edges covers loops, duplicates and cycles.  parent[0]
+    is 0, and the lists hold children only: the stem at 0, two at a node.
     """
     m = 2 * n + 2
-    if n < 0 or len(edges) != m - 1:
-        return None
+    if len(edges) != m - 1:  # no count fits an n < 0
+        raise ValueError(f"edge count {len(edges)}, but index n={n} needs 2n+1 = {m - 1}")
     adj: list[list[int]] = [[] for _ in range(m)]
     for a, b in edges:
         if not (0 <= a < m and 0 <= b < m):
-            return None
+            raise ValueError(f"edge {a}-{b} has a label outside 0..{m - 1}")
         adj[a].append(b)
         adj[b].append(a)
     parent = [-1] * m
@@ -136,23 +135,27 @@ def _morse_adjacency(n: int, edges) -> tuple[list[list[int]], list[int], list[in
     for v in order:
         neighbors = adj[v]
         if len(neighbors) != 1 and (len(neighbors) != 3 or min(neighbors) > v or max(neighbors) < v):
-            return None
+            raise ValueError(f"vertex {v} is neither a leaf nor a node with a lower and a higher neighbor")
         if v:
             neighbors.remove(parent[v])
         for w in neighbors:
             if parent[w] < 0:
                 parent[w] = v
                 order.append(w)
-    return (adj, order, parent) if len(order) == m else None
+    if len(order) < m:
+        raise ValueError(f"vertex {parent.index(-1)} is not connected to 0")
+    return adj, order, parent
 
 
 def is_morse_tree(tree: MorseTree) -> bool:
-    """True iff the candidate satisfies every Morse-tree condition.
-
-    Malformed input (labels out of range, duplicate or loop edges, wrong
-    edge count, disconnected) returns False rather than raising.
-    """
-    return _morse_adjacency(tree.n, tree.edges) is not None
+    """True iff the candidate satisfies every Morse-tree condition; malformed
+    input (labels out of range, duplicate or loop edges, wrong edge count,
+    disconnected) returns False, where `encode` raises."""
+    try:
+        _morse_adjacency(tree.n, tree.edges)
+    except ValueError:
+        return False
+    return True
 
 
 def enumerate_morse_trees(n: int) -> list[MorseTree]:
@@ -233,11 +236,8 @@ def _walk(stem: str) -> tuple[list[int], list[list[int]]]:
 
 
 def encode(tree: MorseTree) -> EncodedPair:
-    """Injective image of a valid Morse tree as an (PTPT, permutation) pair."""
-    checked = _morse_adjacency(tree.n, tree.edges)
-    if checked is None:
-        raise ValueError("encode requires a valid Morse tree")
-    adj, order, parent = checked
+    """Injective (PTPT, permutation) image of a Morse tree, or `_morse_adjacency`'s ValueError."""
+    adj, order, parent = _morse_adjacency(tree.n, tree.edges)
     low = list(range(len(adj)))  # subtree minima
     for v in reversed(order):
         up = parent[v]

@@ -94,6 +94,53 @@ def middle_term_dropped(monkeypatch):
     monkeypatch.setattr(series, "_odd_square", without_middle_term)
 
 
+@pytest.fixture
+def binomial_row_off_by_one(monkeypatch):
+    """A factory: perturb(m, i) raises C(m, i), which step m of the counting
+    loop reads from series._binomial_rows, by one."""
+    true_rows = series._binomial_rows
+
+    def perturb(m: int, i: int) -> None:
+        def perturbed():
+            for row in true_rows():
+                if len(row) == m + 1:
+                    row = row.copy()
+                    row[i] += 1
+                yield row
+
+        monkeypatch.setattr(series, "_binomial_rows", perturbed)
+
+    return perturb
+
+
+@pytest.fixture
+def interpolation_off_at_level_10(monkeypatch):
+    """recurrence._interpolate with its fourth value raised by one at level
+    10, the first level to interpolate 5 values."""
+    true_interpolate = recurrence._interpolate
+
+    def off_at_level_10(values):
+        return true_interpolate([v + (len(values) == 5 and p == 3) for p, v in enumerate(values)])
+
+    monkeypatch.setattr(recurrence, "_interpolate", off_at_level_10)
+
+
+@pytest.fixture
+def fraction_reference(monkeypatch):
+    """A factory: the table to a weight bound from the plain-Fraction fill,
+    built with the integer fill patched to raise, so that a `use_fractions`
+    switch that falls through to the integer fill fails."""
+    def refuse(levels, weight_bound):
+        raise AssertionError("the Fraction reference ran the integer fill")
+
+    def build(weight_bound: int) -> recurrence.CensusTable:
+        with monkeypatch.context() as patch:
+            patch.setattr(recurrence, "_fill", refuse)
+            return recurrence.extend_table(None, weight_bound, use_fractions=True)
+
+    return build
+
+
 # --- one pass/fail line per acceptance criterion ---------------------------
 
 _acceptance_outcomes: dict[str, str] = {}

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from morsecensus import analysis, cli, recurrence, series, trees
-from morsecensus.series import _binomial_rows
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 BENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -169,9 +168,9 @@ class TestBenchmarkContract:
         assert len(counting) == 1
         assert counting[0][tracer.ERROR] is None
 
-    def test_reference_cross_check_call_shapes(self):
+    def test_reference_cross_check_call_shapes(self, fraction_reference):
         rows = json.loads((BENCH_RUN.parent / "reference" / "toy" / "census10.json").read_text())
-        table = recurrence.extend_table(None, 20, use_fractions=True)
+        table = fraction_reference(20)
         for row in rows:
             assert table.normalized_count(row["n"]) == Fraction(row["h"])
             assert table.morse_count(row["n"]) == int(row["g"])
@@ -244,6 +243,12 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--points", "4,6,8,10")
         assert code == 0
         assert "a=-0.9022 b=0.4215 c=1.7089" in out.splitlines()[-1]
+
+    def test_repeated_points_print_no_fit_line(self, capsys):
+        # four rows at two distinct indices: too few for the three-parameter fit
+        rows = TABLE_10_20_TEXT.splitlines(keepends=True)
+        assert run(capsys, "table", "--points", "10,10,20,20") == (
+            0, "".join(row * 2 for row in rows), "")
 
     def test_text_mode_labels_fit_as_heuristic(self, capsys):
         code, out, _ = run(capsys, "table", "--points", "6,8,10,12")
@@ -418,19 +423,13 @@ class TestVerify:
         # g(3) = 428000 in place of 428, both in the counts of the one-variable
         # route and in the table's fill: there S'(0,3), the 4th entry of
         # level 6, times 1000
-        counts = series.morse_counts
         fill = recurrence._fill
-
-        def wrong_g3(max_n):
-            g = counts(max_n)
-            g[3] *= 1000
-            return g
 
         def wrong_level_6(levels, weight_bound):
             fill(levels, weight_bound)
             levels[6] = [*levels[6][:3], levels[6][3] * 1000]
 
-        monkeypatch.setattr(series, "morse_counts", wrong_g3)
+        patch_g3(monkeypatch, 428000)
         monkeypatch.setattr(recurrence, "_fill", wrong_level_6)
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 1
@@ -663,29 +662,14 @@ class TestInternalError:
     # a ConsistencyError is a bug in the counting code, not a failed check:
     # exit 4, one line on stderr, nothing on stdout
 
-    def test_pde_fill_off_by_one(self, capsys, monkeypatch):
-        true_interpolate = recurrence._interpolate
-
-        def off_at_level_10(values):
-            # level 10 is the first to interpolate 5 values
-            return true_interpolate([v + (len(values) == 5 and p == 3)
-                                     for p, v in enumerate(values)])
-
-        monkeypatch.setattr(recurrence, "_interpolate", off_at_level_10)
+    def test_pde_fill_off_by_one(self, capsys, interpolation_off_at_level_10):
         code, out, err = run(capsys, "verify", "pde", "--order", "12")
         assert (code, out) == (4, "")
         assert err.startswith("internal error: D^3 f(0) = 2058170113 is not a multiple of 3!")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_census_binomial_off_by_one(self, capsys, monkeypatch):
-        def perturbed():
-            for row in _binomial_rows():
-                if len(row) == 5:
-                    row = row.copy()
-                    row[1] += 1
-                yield row
-
-        monkeypatch.setattr(series, "_binomial_rows", perturbed)
+    def test_census_binomial_off_by_one(self, capsys, binomial_row_off_by_one):
+        binomial_row_off_by_one(4, 1)
         code, out, err = run(capsys, "census", "--max-n", "10")
         assert (code, out) == (4, "")
         assert err.startswith("internal error: A_0 at step 4 leaves remainder")
@@ -798,6 +782,30 @@ class TestOracle:
                "decode refused it: pair decodes to an invalid labeled tree\n",
             "")
 
+    def test_encode_refusal_fails(self, capsys, monkeypatch):
+        # the star at 0 in place of the star at 1: encode refuses it, and the
+        # oracle reports it after the verdict, as it does a refused decode
+        star_at_0 = trees.MorseTree(1, ((0, 1), (0, 2), (0, 3)))
+        monkeypatch.setattr(trees, "enumerate_morse_trees",
+                            lambda n: [star_at_0, trees.MorseTree(1, ((0, 2), (1, 2), (2, 3)))])
+        assert run(capsys, "oracle", "1") == (
+            1, "oracle=2 recurrence=2 injective=yes\n"
+               "FAIL round trip of the n=1 tree 0-1 0-2 0-3: encode refused it: "
+               "vertex 0 is neither a leaf nor a node with a lower and a higher neighbor\n",
+            "")
+
+    def test_repeated_tree_fails_injectivity(self, capsys, monkeypatch):
+        # every tree round-trips and the count is right: only the verdict fails
+        enumerate_all = trees.enumerate_morse_trees
+
+        def one_repeated(n):
+            found = enumerate_all(n)
+            found[-1] = found[0]
+            return found
+
+        monkeypatch.setattr(trees, "enumerate_morse_trees", one_repeated)
+        assert run(capsys, "oracle", "2") == (1, "oracle=19 recurrence=19 injective=no\n", "")
+
     def test_extended_is_an_unknown_option(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["oracle", "4", "--extended"])
@@ -841,11 +849,31 @@ class TestCodecs:
         assert code == 1
         assert "invalid tree" in err
 
+    @pytest.mark.parametrize("text, fault", [
+        ("n=1\n0-1\n1-2\n", "edge count 2, but index n=1 needs 2n+1 = 3"),
+        ("n=1\n0-2\n1-2\n2-4\n", "edge 2-4 has a label outside 0..3"),
+        ("n=1\n0-1\n1-2\n2-3\n",
+         "vertex 1 is neither a leaf nor a node with a lower and a higher neighbor"),
+        # degrees 1 and 3 and every node condition hold, but 0-7 is cut off
+        # from the triangle 2-3-4 and its leaves 1, 5, 6
+        ("n=3\n0-7\n1-2\n2-3\n2-4\n3-4\n3-5\n4-6\n", "vertex 1 is not connected to 0"),
+    ], ids=["edge-count", "label-range", "vertex", "disconnected"])
+    def test_encode_names_the_fault(self, capsys, tmp_path, text, fault):
+        with pytest.raises(ValueError) as raised:
+            trees.encode(trees.tree_from_text(text))
+        assert str(raised.value) == fault
+        src = tmp_path / "tree.txt"
+        src.write_text(text)
+        assert run(capsys, "encode", str(src)) == (1, "", f"invalid tree: {fault}\n")
+
     def test_decode_outside_image_fails(self, capsys, tmp_path):
         # a pair outside the image is refused with the prefix of a malformed text
         src = tmp_path / "pair.txt"
+        not_a_bijection = "permutation is not a bijection on 1..2n+1"
         for word, reason in (("3 1 2", "pair decodes to an invalid labeled tree"),
-                             ("1 1 3", "permutation is not a bijection on 1..2n+1")):
+                             ("1 1 3", not_a_bijection), ("1 2 4", not_a_bijection),
+                             ("0 1 2", not_a_bijection), ("1 2", not_a_bijection),
+                             ("1 2 3 4", not_a_bijection)):
             src.write_text(f"(()())\nphi = {word}\n")
             assert run(capsys, "decode", str(src)) == (1, "", f"invalid pair: {reason}\n")
 

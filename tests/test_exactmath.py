@@ -95,6 +95,16 @@ class TestSerialization:
         assert format_rational(big) == digits
         assert sys.get_int_max_str_digits() == limit
 
+    def test_restores_the_int_digit_limit(self):
+        # a limit set just before the call, so that no earlier test decides it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert format_rational(10**5999) == "1" + "0" * 5999
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_import_leaves_the_int_digit_limit(self):
         child = (
             "import sys\n"

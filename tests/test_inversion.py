@@ -5,9 +5,9 @@ from math import comb, factorial
 
 import pytest
 
-from morsecensus import ConsistencyError, series
+from morsecensus import ConsistencyError
 from morsecensus.exactmath import catalan
-from morsecensus.series import _binomial_rows, morse_counts
+from morsecensus.series import morse_counts
 
 
 def phi_closed_form(k_max):
@@ -84,16 +84,9 @@ class TestRoute:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("m, i", [(4, 1), (8, 2)])
-    def test_perturbed_step_raises(self, monkeypatch, m, i):
+    def test_perturbed_step_raises(self, binomial_row_off_by_one, m, i):
         # one binomial coefficient of step m off by one
-        def perturbed():
-            for row in _binomial_rows():
-                if len(row) == m + 1:
-                    row = row.copy()
-                    row[i] += 1
-                yield row
-
-        monkeypatch.setattr(series, "_binomial_rows", perturbed)
+        binomial_row_off_by_one(m, i)
         with pytest.raises(ConsistencyError, match=f"at step {m} "):
             morse_counts(10)
 

@@ -73,13 +73,11 @@ class TestDeterminismAndModes:
     def test_two_builds_identical(self):
         assert extend_table(None, 14) == extend_table(None, 14)
 
-    def test_fast_fill_matches_fraction_reference(self):
-        fast = extend_table(None, 16)
-        reference = extend_table(None, 16, use_fractions=True)
-        assert fast == reference
+    def test_fast_fill_matches_fraction_reference(self, fraction_reference):
+        assert extend_table(None, 16) == fraction_reference(16)
 
-    def test_fill_matches_fraction_oracle_at_weight_40(self):
-        reference = extend_table(None, 40, use_fractions=True)
+    def test_fill_matches_fraction_oracle_at_weight_40(self, fraction_reference):
+        reference = fraction_reference(40)
         assert extend_table(None, 40) == reference
         assert extend_table(extend_table(None, 10), 40) == reference
 
@@ -117,14 +115,7 @@ class TestDeterminismAndModes:
         with pytest.raises(ConsistencyError):
             recurrence._pack({(0, 0): Fraction(1, 3)}, 0)
 
-    def test_wrong_sums_raise_consistency_error(self, monkeypatch):
-        interpolate = recurrence._interpolate
-
-        def off_by_one_at_level_10(values):
-            # level 10 is the first to interpolate 5 values
-            return interpolate([v + (len(values) == 5 and p == 3) for p, v in enumerate(values)])
-
-        monkeypatch.setattr(recurrence, "_interpolate", off_by_one_at_level_10)
+    def test_wrong_sums_raise_consistency_error(self, interpolation_off_at_level_10):
         with pytest.raises(ConsistencyError):
             extend_table(None, 12)
 

@@ -434,12 +434,19 @@ class TestEncodeDecode:
             assert len({encode(t) for t in trees}) == len(trees)
 
     def test_encode_rejects_invalid_tree(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vertex 1 is neither a leaf nor a node "):
             encode(MorseTree.from_edges(1, [(0, 1), (1, 2), (2, 3)]))
 
     def test_decode_rejects_non_bijection(self):
         with pytest.raises(ValueError, match=r"^permutation is not a bijection on 1\.\.2n\+1$"):
             decode(EncodedPair("(()())", (1, 1, 3)))
+
+    @pytest.mark.parametrize("word", [(1, 2, 4), (0, 1, 2), (1, 2), (1, 2, 3, 4)],
+                             ids=["gap", "zero", "short", "long"])
+    def test_decode_rejects_word_off_the_labels(self, word):
+        # distinct values, but not the labels 1..3 of the shape's stem vertices
+        with pytest.raises(ValueError, match=r"^permutation is not a bijection on 1\.\.2n\+1$"):
+            decode(EncodedPair("(()())", word))
 
     def test_decode_rejects_pair_outside_image(self):
         # top label at the node: the decoded tree has no higher neighbor there
@@ -496,6 +503,8 @@ class TestTextFormats:
     @pytest.mark.parametrize("text, message", [
         pytest.param("(()())\n", "pair text must be a shape line then a 'phi = ...' line",
                      id="no-phi-line"),
+        pytest.param("(()())\nphi = 1 2 3\n(()())\n",
+                     "pair text must be a shape line then a 'phi = ...' line", id="third-line"),
         pytest.param("(()()\nphi = 1 2 3\n", "the shape ends before the stem vertex closes",
                      id="unclosed"),
         pytest.param("()()\nphi = 1 2 3\n", "trailing characters at position 2 of the shape",
