@@ -32,7 +32,8 @@ the second's; decode raises ValueError on every other pair, so it returns
 exactly on the pairs p with encode(decode(p)) == p.  Every refusal in
 this module is a plain ValueError that names the first fault met.  The
 text parsers check only the layout, a first line then lines of integers;
-`encode` checks the tree, and `decode` the shape, the word and the labels.
+`encode` checks the tree, and `decode` the shape, then the word, then the
+labels node by node from the last walk number.
 
 Every walk over a tree or a shape (encoding, decoding, walk numbering,
 reading the parenthesis text) runs on an explicit stack or queue or a
@@ -268,28 +269,27 @@ def decode(pair: EncodedPair) -> MorseTree:
     The shape's root gets label 0 and every stem vertex the permutation
     image of its walk number.  The pair is in the image iff the result is
     a Morse tree whose every node has the lower subtree minimum in its
-    first subtree.  Every other pair raises ValueError: a malformed shape
-    before the word is read, then a word that is not a permutation, a
-    labeled tree that is not a Morse tree, or a misordered node.
+    first subtree.  Every other pair raises ValueError at its first fault:
+    a malformed shape, then a word that is not a permutation, then, node
+    by node from the last walk number, a node without a lower and a higher
+    neighbor (named as `encode` names it) or with its subtrees out of order.
 
     Once the word is a permutation of 1..2n+1, the walk makes the result
     a tree on 0..2n+1 with 2n+1 distinct edges: the root and the leaves
     have one neighbor, and every other vertex three, its parent and its
     two children.  So no adjacency is built: one reverse pass over the
-    walk meets each node with its parent and both children, checks what
-    the labels decide, a lower and a higher neighbor at the node and the
-    order of its two subtree minima, and emits the edges.  A failure of
-    the Morse condition is reported in preference to one of the subtree
-    order, and of those the one met first in the pass.
+    walk meets each node after its children, with its parent and both
+    children, checks what the labels decide, a lower and a higher
+    neighbor at the node and the order of its two subtree minima, and
+    emits the edges.
     """
     parents, kids = _walk(pair.stem)
     n = (len(parents) - 2) // 2
     if sorted(pair.perm) != list(range(1, 2 * n + 2)):
         raise ValueError("permutation is not a bijection on 1..2n+1")
     labels = (0, *pair.perm)
-    low = list(labels)  # subtree minima, left stale at and above a misordered node
+    low = list(labels)  # subtree minima
     edges = []
-    misordered = None
     # a subtree's walk numbers follow its root's: this pass meets children first
     for number in range(len(labels) - 1, 0, -1):
         label, above = labels[number], labels[parents[number]]
@@ -298,15 +298,14 @@ def decode(pair: EncodedPair) -> MorseTree:
             first, second = kids[number]
             # one or two of its three neighbors lie below it
             if (labels[first] < label) + (labels[second] < label) + (above < label) not in (1, 2):
-                raise ValueError("pair decodes to an invalid labeled tree")
+                raise ValueError(f"vertex {label} is neither a leaf nor a node "
+                                 "with a lower and a higher neighbor")
             least = low[first]
             if least > low[second]:
-                misordered = misordered or (f"the first subtree under label {label} has minimum "
-                                            f"{least}, above the second's {low[second]}")
-            elif least < label:  # in order, the first subtree holds the lower minimum
+                raise ValueError(f"the first subtree under label {label} has minimum "
+                                 f"{least}, above the second's {low[second]}")
+            if least < label:  # in order, the first subtree holds the lower minimum
                 low[number] = least
-    if misordered is not None:
-        raise ValueError(misordered)
     edges.sort()
     return MorseTree(n, tuple(edges))
 

@@ -768,18 +768,19 @@ class TestOracle:
 
     def test_refused_round_trip_fails(self, capsys, monkeypatch):
         decode = trees.decode
+        fault = "vertex 4 is neither a leaf nor a node with a lower and a higher neighbor"
 
         def refusing(pair):
             tree = decode(pair)
             if tree == self.BROKEN:
-                raise ValueError("pair decodes to an invalid labeled tree")
+                raise ValueError(fault)
             return tree
 
         monkeypatch.setattr(trees, "decode", refusing)
         assert run(capsys, "oracle", "2") == (
             1, "oracle=19 recurrence=19 injective=yes\n"
                "FAIL round trip of the n=2 tree 0-2 1-4 2-3 2-4 4-5: "
-               "decode refused it: pair decodes to an invalid labeled tree\n",
+               f"decode refused it: {fault}\n",
             "")
 
     def test_encode_refusal_fails(self, capsys, monkeypatch):
@@ -870,7 +871,8 @@ class TestCodecs:
         # a pair outside the image is refused with the prefix of a malformed text
         src = tmp_path / "pair.txt"
         not_a_bijection = "permutation is not a bijection on 1..2n+1"
-        for word, reason in (("3 1 2", "pair decodes to an invalid labeled tree"),
+        top_at_node = "vertex 3 is neither a leaf nor a node with a lower and a higher neighbor"
+        for word, reason in (("3 1 2", top_at_node),
                              ("1 1 3", not_a_bijection), ("1 2 4", not_a_bijection),
                              ("0 1 2", not_a_bijection), ("1 2", not_a_bijection),
                              ("1 2 3 4", not_a_bijection)):
@@ -884,6 +886,18 @@ class TestCodecs:
         assert run(capsys, "decode", str(src)) == (
             1, "", "invalid pair: the first subtree under label 1 has minimum 5, "
                    "above the second's 2\n")
+
+    def test_decode_stops_at_the_first_fault(self, capsys, tmp_path):
+        # the pass meets the misordered node 3 at walk number 3 before node 4,
+        # whose neighbors 0, 1 and 3 all lie below it, at walk number 1
+        text = "(()(()()))\nphi = 4 1 3 5 2\n"
+        fault = "the first subtree under label 3 has minimum 5, above the second's 2"
+        with pytest.raises(ValueError) as raised:
+            trees.decode(trees.pair_from_text(text))
+        assert str(raised.value) == fault
+        src = tmp_path / "pair.txt"
+        src.write_text(text)
+        assert run(capsys, "decode", str(src)) == (1, "", f"invalid pair: {fault}\n")
 
     @pytest.mark.parametrize("text, message", [
         ("(()()\nphi = 1 2 3\n", "the shape ends before the stem vertex closes"),

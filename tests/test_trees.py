@@ -33,7 +33,7 @@ COMB_INDEX = 1200  # deeper than CPython's default recursion limit
 # the three faults that put a pair with a well-formed shape outside the image;
 # decode reports a malformed shape with another message
 IMAGE_FAULT = re.compile(r"permutation is not a bijection on 1\.\.2n\+1"
-                         r"|pair decodes to an invalid labeled tree"
+                         r"|vertex \d+ is neither a leaf nor a node with a lower and a higher neighbor"
                          r"|the first subtree under label \d+ has minimum \d+, above the second's \d+")
 
 
@@ -202,26 +202,31 @@ def reference_encode(tree: MorseTree) -> EncodedPair:
     return EncodedPair("".join(parens), tuple(perm))
 
 
-def reference_decode(pair: EncodedPair) -> MorseTree:
-    """Label the parsed shape, then check the edge list and every node's subtree order.
-
-    The Morse condition is checked on the whole tree first; among nodes
-    whose subtrees are out of order, the one opened last is reported.
-    """
+def reference_parents(stem: str) -> list:
+    """The parent of each walk number of a valid shape; the root 0 has None."""
     parent, stack = [None], [0]
-    for char in pair.stem:  # the shape is valid: "(" opens the next walk number
+    for char in stem:  # "(" opens the next walk number
         if char == "(":
             parent.append(stack[-1])
             stack.append(len(parent) - 1)
         else:
             stack.pop()
+    return parent
+
+
+def reference_decode(pair: EncodedPair) -> MorseTree:
+    """Label the parsed shape, then check every node from the one opened last.
+
+    The first fault met is reported, a node's Morse condition before its
+    subtree order; a pair with no fault must label a tree that passes the
+    whole-tree check.
+    """
+    parent = reference_parents(pair.stem)
     n = (len(parent) - 2) // 2
     if sorted(pair.perm) != list(range(1, 2 * n + 2)):
         raise ValueError("permutation is not a bijection on 1..2n+1")
     labels = (0, *pair.perm)
     tree = MorseTree.from_edges(n, [(labels[parent[v]], labels[v]) for v in range(1, len(parent))])
-    if not reference_is_morse_tree(tree):
-        raise ValueError("pair decodes to an invalid labeled tree")
     kids = {v: [w for w in range(1, len(parent)) if parent[w] == v] for v in range(len(parent))}
     low = list(labels)
     for v in reversed(range(len(parent))):
@@ -229,10 +234,16 @@ def reference_decode(pair: EncodedPair) -> MorseTree:
     for v in reversed(range(1, len(parent))):
         if len(kids[v]) == 2:
             first, second = kids[v]  # the first child opens first
+            near = [labels[parent[v]], labels[first], labels[second]]
+            if not min(near) < labels[v] < max(near):
+                raise ValueError(f"vertex {labels[v]} is neither a leaf nor a node "
+                                 "with a lower and a higher neighbor")
             if low[first] > low[second]:
                 raise ValueError(
                     f"the first subtree under label {labels[v]} has minimum "
                     f"{low[first]}, above the second's {low[second]}")
+    if not reference_is_morse_tree(tree):
+        raise ValueError("no node fault, yet the labeled tree is not a Morse tree")
     return tree
 
 
@@ -450,7 +461,8 @@ class TestEncodeDecode:
 
     def test_decode_rejects_pair_outside_image(self):
         # top label at the node: the decoded tree has no higher neighbor there
-        with pytest.raises(ValueError, match="^pair decodes to an invalid labeled tree$"):
+        with pytest.raises(ValueError, match="^vertex 3 is neither a leaf nor a node "
+                                             "with a lower and a higher neighbor$"):
             decode(EncodedPair("(()())", (3, 1, 2)))
 
     def test_decode_rejects_subtrees_out_of_order(self):
@@ -476,6 +488,38 @@ class TestEncodeDecode:
                     assert encode(tree) == pair
                     decoded.add(pair)
             assert decoded == image and len(image) == count
+
+    def test_decode_names_a_node_fault_as_encode_does(self, planted_shapes):
+        # every pair whose labeled tree has one node without a lower and a
+        # higher neighbor, and no misordered node after it in walk order, so
+        # that the node is the first fault met: decode refuses the pair in
+        # encode's words for the labeled edge list
+        same = 0
+        for n in range(4):
+            for stem in planted_shapes(n):
+                parent = reference_parents(stem)
+                for perm in itertools.permutations(range(1, 2 * n + 2)):
+                    labels = (0, *perm)
+                    edges = [(labels[parent[v]], labels[v]) for v in range(1, len(parent))]
+                    near = {v: [] for v in labels}
+                    for a, b in edges:
+                        near[a].append(b)
+                        near[b].append(a)
+                    nodes = [v for v, ws in near.items() if len(ws) == 3 and not min(ws) < v < max(ws)]
+                    if len(nodes) != 1:
+                        continue
+                    pair = EncodedPair(stem, perm)
+                    with pytest.raises(ValueError) as first:
+                        reference_decode(pair)
+                    if not str(first.value).startswith("vertex "):
+                        continue  # a misordered node comes first
+                    with pytest.raises(ValueError) as decoded:
+                        decode(pair)
+                    with pytest.raises(ValueError) as encoded:
+                        encode(MorseTree.from_edges(n, edges))
+                    assert str(decoded.value) == str(encoded.value)
+                    same += 1
+        assert same == 7668
 
 
 class TestTextFormats:
