@@ -1,11 +1,10 @@
 """Command-line front end.
 
 Subcommands: census, table, verify, oracle, encode, decode.  The counts
-that `census`, `table` and `verify bounds|conjecture|elliptic` print or
-check come from the one-variable route of :mod:`series`, in memory.
-`verify pde` and `oracle` fill the small two-parameter table of
-:mod:`recurrence` they need, in memory too: weight 79 at `verify pde
---order 80`, weight 8 for `oracle`.
+that `census`, `table`, `verify bounds|conjecture|elliptic` and `oracle`
+print or check come from the one-variable route of :mod:`series`, in
+memory.  Only `verify pde`, whose subject is the two-parameter table of
+:mod:`recurrence`, fills one, in memory too: weight 79 at `--order 80`.
 
 Each command imports the layers it runs, inside its handler, so a process
 loads no more than its command needs:
@@ -13,7 +12,7 @@ loads no more than its command needs:
 * census, verify bounds|conjecture|tan: series;
 * table, verify elliptic: series and analysis, which computes the reals
   of `table` in `decimal`;
-* verify pde: recurrence and series;  oracle: recurrence and trees;
+* verify pde: recurrence and series;  oracle: series and trees;
 * encode, decode: trees.
 
 Only `argparse` loads with this module, beyond `os`, `sys` and `math`,
@@ -200,15 +199,14 @@ def _verify_elliptic(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from . import recurrence, trees
+    from . import series, trees
 
     try:
         enumerated = trees.enumerate_morse_trees(args.n)
     except ValueError as exc:  # a negative index, or one past the enumeration budget
         print(f"oracle: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    table = recurrence.extend_table(None, 2 * args.n)
-    recurrence_count = table.morse_count(args.n)
+    count = series.morse_counts(args.n)[args.n]  # the g(n) that census prints
     pairs, failure = [], ""  # the pairs of the trees that encode accepts; the first FAIL line
     for tree in enumerated:  # one pass: encode, then decode
         step = "encode"
@@ -222,11 +220,11 @@ def _cmd_oracle(args) -> int:
             edges = " ".join(f"{a}-{b}" for a, b in tree.edges)
             failure = f"FAIL round trip of the n={args.n} tree {edges}: {fault}"
     injective = len(set(pairs)) == len(pairs)
-    print(f"oracle={len(enumerated)} recurrence={recurrence_count} "
+    print(f"oracle={len(enumerated)} recurrence={count} "
           f"injective={'yes' if injective else 'no'}")
     if failure:
         print(failure)
-    if failure or len(enumerated) != recurrence_count or not injective:
+    if failure or len(enumerated) != count or not injective:
         return EXIT_VERIFY_FAIL
     return EXIT_OK
 
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_verify_elliptic)
 
     p = sub.add_parser("oracle", parents=[cache],
-                       help="brute-force enumeration vs the recurrence")
+                       help="brute-force enumeration vs the counts census prints")
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_oracle)
 

@@ -1,11 +1,11 @@
 """Two-parameter recurrence table behind the census of Morse classes.
 
-The commands that need only the counts g(n) (`census`, `table` and
-`verify bounds|conjecture|elliptic`) take them from the one-variable route
-of :mod:`series`.  The table is built where it is the subject, in
-memory and for a small weight: `verify pde` needs T(x, y) off the diagonal
-(weight 79 at order 80), `oracle` holds it to the enumerated trees (weight
-8), and the tests hold the one-variable route to it.
+Every command that needs only the counts g(n) (`census`, `table`,
+`verify bounds|conjecture|elliptic` and `oracle`) takes them from the
+one-variable route of :mod:`series`.  The table is built only where it is
+the subject, in memory and for a small weight: `verify pde` needs T(x, y)
+off the diagonal (weight 79 at order 80), and the tests hold the table to
+the enumerated trees and the one-variable route to the table.
 
 The table holds exact rationals T(x, y) for x + 2y <= W, filled in
 increasing weight w = x + 2y:

@@ -113,8 +113,8 @@ class TestBenchmarkReference:
     @pytest.mark.parametrize("reference,argv", BENCH_COMMANDS,
                              ids=[f"{ref.parent.name}/{ref.name}" for ref, _ in BENCH_COMMANDS])
     def test_stdout_matches_reference_file(self, capsys, reference, argv):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
         assert out.encode() == reference.read_bytes()
 
 
@@ -183,7 +183,8 @@ class TestCountingCommandsReadNoTable:
         ("verify", "bounds", "--max-n", "30"),
         ("verify", "conjecture", "--max-n", "30"),
         ("verify", "elliptic"),
-    ], ids=["census", "table", "bounds", "conjecture", "elliptic"])
+        ("oracle", "3"),
+    ], ids=["census", "table", "bounds", "conjecture", "elliptic", "oracle"])
     def test_no_fill_and_no_cache_read(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("the two-parameter table was touched")
@@ -598,8 +599,9 @@ class TestDependencies:
         (("verify", "elliptic"), {"morsecensus.analysis"}, {"mpmath"}),
         (("table", "--points", "4,6,8,10"), {"decimal"},
          {"mpmath", "morsecensus.trees", "morsecensus.recurrence"}),
-        (("oracle", "3"), {"morsecensus.recurrence", "morsecensus.trees"},
-         {"mpmath", "morsecensus.analysis", "dataclasses", "hashlib", "fcntl"}),
+        (("oracle", "3"), {"morsecensus.series", "morsecensus.trees"},
+         {"morsecensus.recurrence", "mpmath", "morsecensus.analysis", "dataclasses", "hashlib",
+          "fcntl", "fractions", "decimal"}),
         (("verify", "pde"), {"morsecensus.recurrence", "morsecensus.series"},
          {"mpmath", "morsecensus.analysis", "hashlib", "fcntl"}),
         (("verify", "tan", "--max-k", "20"), {"morsecensus.series"},
@@ -675,19 +677,6 @@ class TestInternalError:
         assert err.startswith("internal error: A_0 at step 4 leaves remainder")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_oracle_table_off_by_one(self, capsys, monkeypatch):
-        # S'(0, 2) = 2^2 g(2) = 76 raised to 77: CensusTable.morse_count finds the remainder
-        table = recurrence.extend_table(None, 4)
-        levels = [list(level) for level in table.levels]
-        assert levels[4][2] == 76
-        levels[4][2] += 1
-        monkeypatch.setattr(recurrence, "extend_table",
-                            lambda *args, **kwargs: recurrence.CensusTable(4, levels))
-        code, out, err = run(capsys, "oracle", "2")
-        assert (code, out) == (4, "")
-        assert err.startswith("internal error: (2n+1)! * T(0,2) is not an integer")
-        assert err.count("\n") == 1 and "Traceback" not in err
-
     @pytest.mark.parametrize("argv", [
         ("census", "--max-n", "5"),
         ("table", "--points", "4,6,8,10", "--format", "text"),
@@ -696,8 +685,9 @@ class TestInternalError:
         ("verify", "conjecture", "--max-n", "5"),
         ("verify", "bounds", "--max-n", "5"),
         ("verify", "elliptic"),
+        ("oracle", "2"),
     ], ids=["census", "table-text", "table-csv", "table-json", "conjecture", "bounds",
-            "elliptic"])
+            "elliptic", "oracle"])
     def test_count_below_one(self, capsys, middle_term_dropped, argv):
         # g(1) = 0: morse_counts refuses it for every command that counts
         assert run(capsys, *argv) == (
@@ -749,6 +739,18 @@ class TestOracle:
 
         monkeypatch.setattr(trees, "enumerate_morse_trees", one_lost)
         assert run(capsys, "oracle", "3") == (1, "oracle=427 recurrence=428 injective=yes\n", "")
+
+    @pytest.mark.parametrize("m, argv, line", [
+        (2, ("oracle", "1"), "oracle=2 recurrence=4 injective=yes"),
+        (4, ("oracle", "2"), "oracle=19 recurrence=14 injective=yes"),
+        (6, ("oracle", "3"), "oracle=428 recurrence=436 injective=yes"),
+        (8, ("oracle", "4"), "oracle=17746 recurrence=17726 injective=yes"),
+    ], ids=["m2", "m4", "m6", "m8"])
+    def test_raised_binomial_fails(self, capsys, binomial_row_off_by_one, m, argv, line):
+        # C(m, 0) raised by one: the count oracle holds the trees to is the one
+        # census prints, so step m = 2n of the counting loop is checked by oracle n
+        binomial_row_off_by_one(m, 0)
+        assert run(capsys, *argv) == (1, line + "\n", "")
 
     # one tree of index 2 that a patched decode does not give back
     BROKEN = trees.MorseTree(2, ((0, 2), (1, 4), (2, 3), (2, 4), (4, 5)))
